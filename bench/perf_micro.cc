@@ -451,24 +451,6 @@ BM_RegFileReplay(benchmark::State &state)
 }
 BENCHMARK(BM_RegFileReplay);
 
-/** The unbatched bias-accounting path of the same replay: every
- *  value change charges the tracker immediately.  The CI perf
- *  floor asserts the batched default stays >= 2x this per item. */
-void
-BM_RegFileReplayScalar(benchmark::State &state)
-{
-    WorkloadSet workload;
-    RegisterFile rf{RegFileConfig()};
-    rf.enableIsv(true);
-    rf.setBatchedAccounting(false);
-    RegFileReplay replay(rf, RegReplayConfig{});
-    TraceGenerator gen = workload.generator(1);
-    for (auto _ : state)
-        replay.run(gen, 256);
-    state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_RegFileReplayScalar);
-
 // ------------------------------------ parallel experiment engine
 
 /** Engine sizing for the serial-vs-parallel comparisons: small

@@ -175,16 +175,6 @@ class Cache
      *  tracker for the stored data images. */
     const BitBiasTracker &finalizeDataBias(Cycle now);
 
-    /**
-     * Toggle batched image-bias accounting (default on; same
-     * contract as RegisterFile::setBatchedAccounting).  Both paths
-     * add the identical integers, and the data-bias tracker feeds
-     * no mid-run decision, so all statistics and the RNG draw
-     * stream are bit-identical either way.  Disabling drains the
-     * pending batch first.
-     */
-    void setBatchedAccounting(bool batched);
-    bool batchedAccounting() const { return biasBatched_; }
     /// @}
 
   private:
@@ -217,9 +207,6 @@ class Cache
     /** Account the line's image residency up to @p now. */
     void flushImage(Line &line, Cycle now);
 
-    /** Fold the pending image-residence batch into dataBias_. */
-    void drainBiasBatch();
-
     /** Update RINV with the inversion of a value being stored. */
     void sampleRinv(Word value);
 
@@ -249,15 +236,6 @@ class Cache
     Cycle lastRatioUpdate_ = 0;
 
     BitBiasTracker dataBias_;
-
-    /** Pending image residences, struct-of-arrays (same batching
-     *  as RegisterFile: nothing reads dataBias_ mid-run, so
-     *  records simply accumulate until a batch of 64 fills or
-     *  finalizeDataBias folds the remainder). */
-    bool biasBatched_ = true;
-    unsigned biasCount_ = 0;
-    std::uint64_t biasImage_[64];
-    std::uint64_t biasDt_[64];
 
     Rng rng_;
 };

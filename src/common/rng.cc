@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <utility>
 
 namespace penelope {
 
@@ -76,167 +75,19 @@ Rng::nextGaussian()
     return r * std::cos(theta);
 }
 
-namespace {
-
-/** The original geometric quantile computation, verbatim, applied
- *  to the 53-bit draw m (u = m * 2^-53): this is the single source
- *  of truth the threshold tables are built from and verified
- *  against, and the fallback for the deep tail. */
-std::uint64_t
-geomFromDraw(std::uint64_t m, double log_q)
-{
-    const double u = static_cast<double>(m) * 0x1.0p-53;
-    return static_cast<std::uint64_t>(
-        std::floor(std::log(u) / log_q));
-}
-
-/** The tableState == 1 branch of nextGeometric, replicated so the
- *  bucket index below can be precomputed from it; the two must stay
- *  in lockstep.  @p tail is returned for the deep-tail region
- *  (m <= thresh[count - 1]) that nextGeometric computes directly. */
-std::uint8_t
-geomTableAnswer(const std::uint64_t *thresh, unsigned count,
-                std::uint64_t m, std::uint8_t tail)
-{
-    if (m > thresh[0])
-        return 0;
-    if (m <= thresh[count - 1])
-        return tail;
-    unsigned lo = 0;
-    unsigned hi = count - 1;
-    while (hi - lo > 1) {
-        const unsigned mid = (lo + hi) / 2;
-        if (m <= thresh[mid])
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return static_cast<std::uint8_t>(lo + 1);
-}
-
-} // namespace
-
-void
-Rng::buildGeomTable(GeomSlot &slot) const
-{
-    // thresh[k-1] = largest m in [1, 2^53) with geomFromDraw >= k.
-    // The quantile is non-increasing in m up to log()'s sub-ulp
-    // rounding, so bisect for each boundary and then settle it by
-    // exhaustive scan of a +-64 window (faithful rounding can blur
-    // a boundary by at most a couple of grid points).  Any
-    // inconsistency disables the table for this p -- the direct
-    // path is always available and bit-identical.
-    constexpr std::uint64_t max_m = (std::uint64_t(1) << 53) - 1;
-    const double log_q = slot.logQ;
-    std::uint64_t prev = max_m;
-    for (unsigned k = 1; k <= kGeomThresholds; ++k) {
-        if (geomFromDraw(1, log_q) < k) {
-            // Even the smallest u stays below k: no draw reaches
-            // this or any later quantile.
-            for (unsigned j = k; j <= kGeomThresholds; ++j)
-                slot.thresh[j - 1] = 0;
-            break;
-        }
-        std::uint64_t lo = 1;
-        std::uint64_t hi = prev;
-        if (geomFromDraw(hi, log_q) >= k) {
-            slot.thresh[k - 1] = hi;
-            continue;
-        }
-        while (hi - lo > 1) {
-            const std::uint64_t mid = lo + (hi - lo) / 2;
-            if (geomFromDraw(mid, log_q) >= k)
-                lo = mid;
-            else
-                hi = mid;
-        }
-        const std::uint64_t wlo = lo > 64 ? lo - 64 : 1;
-        const std::uint64_t whi = std::min(lo + 64, max_m);
-        std::uint64_t best = 0;
-        for (std::uint64_t m = wlo; m <= whi; ++m) {
-            if (geomFromDraw(m, log_q) >= k)
-                best = m;
-        }
-        if (best == 0 || best == whi ||
-            geomFromDraw(wlo, log_q) < k) {
-            slot.tableState = -1;
-            return;
-        }
-        slot.thresh[k - 1] = best;
-        prev = best;
-    }
-    // Bucket index on the top 8 bits of m: store the table answer
-    // at both ends of each bucket.  The answer is non-increasing in
-    // m, so equal ends mean every m inside resolves to that value
-    // and the draw-time bisection can be skipped.  Derived purely
-    // from thresh, so the answers are the table's own.
-    constexpr std::uint64_t bucket_span = std::uint64_t(1) << 45;
-    for (unsigned b = 0; b < 256; ++b) {
-        const std::uint64_t m_lo =
-            b == 0 ? 1 : std::uint64_t(b) * bucket_span;
-        const std::uint64_t m_hi =
-            (std::uint64_t(b) + 1) * bucket_span - 1;
-        slot.bucketLo[b] = geomTableAnswer(
-            slot.thresh, kGeomThresholds, m_hi, GeomSlot::kGeomTail);
-        slot.bucketHi[b] = geomTableAnswer(
-            slot.thresh, kGeomThresholds, m_lo, GeomSlot::kGeomTail);
-    }
-    slot.tableState = 1;
-}
-
 std::uint64_t
 Rng::nextGeometric(double p)
 {
     assert(p > 0.0 && p <= 1.0);
     if (p >= 1.0)
         return 0;
-    // log1p(-p) (and the quantile table) depends only on p, and
-    // every hot caller draws with a fixed p (mean residence /
-    // dependency distance / run length), so memoise the last two.
-    // Identical p gives the identical double, so draws are
-    // bit-identical to recomputing it every call.
-    GeomSlot *slot = &geomSlots_[geomMru_];
-    if (p != slot->p) {
-        GeomSlot *other = &geomSlots_[geomMru_ ^ 1];
-        geomMru_ ^= 1;
-        slot = other;
-        if (p != other->p) {
-            *other = GeomSlot{};
-            other->p = p;
-            other->logQ = std::log1p(-p);
-        }
-    }
     std::uint64_t m = 0;
     do {
         m = (*this)() >> 11; // the 53 mantissa bits of nextDouble()
     } while (m == 0);
-    if (slot->tableState == 1) {
-        // Bucket fast path: when both ends of m's top-8-bit bucket
-        // agree (and it is not the deep tail), that is the answer.
-        const unsigned b = static_cast<unsigned>(m >> 45);
-        const std::uint8_t kq = slot->bucketLo[b];
-        if (kq == slot->bucketHi[b] && kq != GeomSlot::kGeomTail)
-            return kq;
-        const std::uint64_t *thresh = slot->thresh;
-        if (m > thresh[0])
-            return 0;
-        if (m <= thresh[kGeomThresholds - 1])
-            return geomFromDraw(m, slot->logQ); // deep tail
-        // Largest k with m <= thresh[k-1]; thresh is descending.
-        unsigned lo = 0;
-        unsigned hi = kGeomThresholds - 1;
-        while (hi - lo > 1) {
-            const unsigned mid = (lo + hi) / 2;
-            if (m <= thresh[mid])
-                lo = mid;
-            else
-                hi = mid;
-        }
-        return lo + 1;
-    }
-    if (slot->tableState == 0 && ++slot->hits >= 32)
-        buildGeomTable(*slot);
-    return geomFromDraw(m, slot->logQ);
+    const double u = static_cast<double>(m) * 0x1.0p-53;
+    return static_cast<std::uint64_t>(
+        std::floor(std::log(u) / std::log1p(-p)));
 }
 
 std::uint64_t

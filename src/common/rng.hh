@@ -131,49 +131,6 @@ class Rng
     std::uint64_t s_[4];
     double cachedGaussian_;
     bool hasCachedGaussian_;
-
-    /** Quantile thresholds kept per memoised geometric p (covers
-     *  all but the q^48 deep tail for the hot p values). */
-    static constexpr unsigned kGeomThresholds = 48;
-
-    /**
-     * Memoised per-p state for nextGeometric: log1p(-p), plus a
-     * lazily built threshold table that maps the 53-bit uniform
-     * draw m (u = m * 2^-53) straight to the result without
-     * log/floor.  thresh[k-1] is the largest m whose result is
-     * >= k under the *original* floor(log(u)/logQ) expression;
-     * the boundaries are located with that exact expression and
-     * verified over a +-64 m window, so table answers are
-     * bit-identical to the direct computation (tableState stays
-     * -1 and the direct path is used if verification ever fails).
-     * Pure value cache either way: the draw stream is unchanged.
-     */
-    struct GeomSlot
-    {
-        /** bucketLo/Hi sentinel: m at or below the last threshold
-         *  (the deep tail, computed directly). */
-        static constexpr std::uint8_t kGeomTail = 0xff;
-
-        double p = -1.0;
-        double logQ = 0.0;
-        /** 0 = not built yet, 1 = built, -1 = do not build. */
-        std::int8_t tableState = 0;
-        std::uint32_t hits = 0;
-        std::uint64_t thresh[kGeomThresholds];
-
-        /** Direct index on the top 8 bits of m: the table answers
-         *  at the bucket's two ends (the quantile is non-increasing
-         *  in m).  Equal ends -- the common case, thresholds are
-         *  geometrically spaced -- resolve the draw with one load
-         *  instead of the bisection. */
-        std::uint8_t bucketLo[256];
-        std::uint8_t bucketHi[256];
-    };
-
-    void buildGeomTable(GeomSlot &slot) const;
-
-    GeomSlot geomSlots_[2];
-    unsigned geomMru_ = 0;
 };
 
 /**

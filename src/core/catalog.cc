@@ -578,7 +578,7 @@ runTable4(const ExperimentContext &ctx)
 
     os << "\nNote: our synthetic trace population stresses "
           "the caches harder than the\npaper's under "
-          "LineFixed50% (see EXPERIMENTS.md); with the "
+          "LineFixed50% (README: Known deviations); with the "
           "paper's own best\nmechanism (LineDynamic60%) the "
           "ordering Penelope < inverting < baseline\n"
           "reproduces.\n";

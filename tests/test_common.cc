@@ -120,6 +120,55 @@ TEST(Rng, GeometricWithPOneIsZero)
         EXPECT_EQ(rng.nextGeometric(1.0), 0u);
 }
 
+/** FNV-1a over 64-bit words: a compact pin for a long draw stream. */
+std::uint64_t
+foldDraw(std::uint64_t h, std::uint64_t draw)
+{
+    return (h ^ draw) * 0x100000001b3ULL;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+TEST(Rng, GeometricStreamPinned)
+{
+    // The first 100k draws per p from one seed, followed by one raw
+    // draw (which pins how many raw draws the stream consumed).  The
+    // trace generator (values, run lengths, dependency distances) and
+    // the scheduler replay draw from nextGeometric, so every
+    // statistic rests on this stream staying put.
+    struct Case
+    {
+        double p;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {1.0 / 24, 0x67dd4a622dd08b83ULL}, {0.5, 0xad1028f9799766f6ULL},
+        {0.999, 0xa9b4e623ba0aade3ULL},    {1e-4, 0x1a05b99d28c7f54cULL},
+        {1.0, 0xb1f6dbe2385b48e6ULL},
+    };
+    for (const Case &c : cases) {
+        Rng rng(0x6e0);
+        std::uint64_t h = kFnvBasis;
+        for (int i = 0; i < 100000; ++i)
+            h = foldDraw(h, rng.nextGeometric(c.p));
+        EXPECT_EQ(foldDraw(h, rng()), c.digest) << "p = " << c.p;
+    }
+
+    // Three p values in rotation, one of them small enough that the
+    // stream regularly runs to 48 failures and beyond.
+    const double rotation[3] = {0.3, 1.0 / 24, 0.01};
+    Rng rng(0x6e1);
+    std::uint64_t h = kFnvBasis;
+    std::uint64_t long_runs = 0;
+    for (int i = 0; i < 100000; ++i) {
+        const std::uint64_t g = rng.nextGeometric(rotation[i % 3]);
+        h = foldDraw(h, g);
+        long_runs += g >= 48 ? 1 : 0;
+    }
+    EXPECT_EQ(long_runs, 24955u);
+    EXPECT_EQ(foldDraw(h, rng()), 0x1e0daa6b6764fb31ULL);
+}
+
 TEST(Rng, ForkProducesIndependentStream)
 {
     Rng a(31);

@@ -487,24 +487,20 @@ BENCHMARK(BM_EngineRegFileExperiment)
     ->Unit(benchmark::kMillisecond);
 
 void
-BM_EnginePerfLoss(benchmark::State &state)
+BM_Table3Grid(benchmark::State &state)
 {
+    // All 29 Table-3 cells (27 grid, WayFixed, combined CPI) over
+    // the strided traces: one trace-major pass.
     WorkloadSet workload;
     const ExperimentOptions options =
         engineOptions(static_cast<unsigned>(state.range(0)));
-    const auto traces = workload.strided(options.traceStride);
     for (auto _ : state) {
-        const PerfLossStats stats = measurePerfLoss(
-            workload, traces, options.cacheUops, CacheConfig(),
-            CacheConfig::tlb(128, 8), MechanismKind::LineFixed50,
-            true, MemTimingParams(), options.mechanismTimeScale,
-            options.jobs);
-        benchmark::DoNotOptimize(stats.meanLoss);
+        const Table3Result r = runTable3Experiment(workload, options);
+        benchmark::DoNotOptimize(r.combinedCpi);
     }
 }
-BENCHMARK(BM_EnginePerfLoss)
+BENCHMARK(BM_Table3Grid)
     ->Arg(1)
-    ->Arg(2)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

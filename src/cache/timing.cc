@@ -1,7 +1,7 @@
 #include "timing.hh"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 
 #include "common/threadpool.hh"
 #include "core/engine.hh"
@@ -10,6 +10,14 @@
 namespace penelope {
 
 namespace {
+
+/** One uop as the memory hierarchy sees it. */
+struct MemRef
+{
+    MemKind kind = MemKind::Other;
+    Addr addr = 0;
+    Word data = 0;
+};
 
 /** Mix a cache-geometry description into a key (the name string is
  *  deliberately excluded: it never affects simulation). */
@@ -46,55 +54,84 @@ memLossKey(const TraceSpec &spec, unsigned index,
     return key.digest();
 }
 
+/** Geometry equality as keyCacheConfig sees it: the name string is
+ *  ignored, the write-port probability is compared bit for bit. */
+bool
+sameGeometry(const CacheConfig &a, const CacheConfig &b)
+{
+    return a.sizeBytes == b.sizeBytes && a.ways == b.ways &&
+        a.lineBytes == b.lineBytes &&
+        a.replacement == b.replacement &&
+        std::bit_cast<std::uint64_t>(a.writePortFreeProb) ==
+        std::bit_cast<std::uint64_t>(b.writePortFreeProb);
+}
+
 /**
- * Run every trace's baseline and mechanism simulation on the pool,
- * consulting the result cache per trace.  Each index gets private
- * MemTimingSim instances, so bodies share nothing; results land in
- * a slot per trace for ordered folding.
+ * Every cell of one trace: per-cell cache lookups, then -- only if
+ * some cell missed -- one stream, one baseline per distinct geometry
+ * pair, and one mechanism run per missing cell.
  */
 std::vector<MemLossSample>
-simulateTraceLosses(const WorkloadSet &workload,
-                    const std::vector<unsigned> &trace_indices,
-                    std::size_t uops_per_trace,
-                    const CacheConfig &dl0_config,
-                    const CacheConfig &dtlb_config,
-                    MechanismKind dl0_mechanism,
-                    MechanismKind dtlb_mechanism,
-                    const MemTimingParams &params,
-                    double time_scale, unsigned jobs,
-                    ThreadPool *pool, ResultCache *cache)
+simulateTraceCells(const WorkloadSet &workload, unsigned index,
+                   std::size_t uops_per_trace,
+                   const std::vector<MemCell> &cells,
+                   const MemTimingParams &params, double time_scale,
+                   ResultCache *cache)
 {
-    const Engine engine(jobs, pool);
-    return engine.mapCached<MemLossSample>(
-        trace_indices, cache,
-        [&](unsigned index, std::size_t) {
-            return memLossKey(workload.spec(index), index,
-                              uops_per_trace, dl0_config,
-                              dtlb_config, dl0_mechanism,
-                              dtlb_mechanism, params, time_scale);
-        },
-        [&](unsigned index, std::size_t) {
-            TraceGenerator base_gen = workload.generator(index);
-            MemTimingSim base(dl0_config, dtlb_config, params,
-                              MechanismKind::None,
-                              MechanismKind::None, time_scale);
-            const MemSimResult rb =
-                base.run(base_gen, uops_per_trace);
+    std::vector<MemLossSample> out(cells.size());
+    std::vector<Hash128> keys(cells.size());
+    std::vector<std::size_t> missing;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        if (cache) {
+            keys[c] = memLossKey(workload.spec(index), index,
+                                 uops_per_trace, cells[c].dl0,
+                                 cells[c].dtlb, cells[c].dl0Mechanism,
+                                 cells[c].dtlbMechanism, params,
+                                 time_scale);
+            if (lookupCached(*cache, keys[c], out[c]))
+                continue;
+        }
+        missing.push_back(c);
+    }
+    if (missing.empty())
+        return out;
 
-            TraceGenerator mech_gen = workload.generator(index);
-            MemTimingSim mech(dl0_config, dtlb_config, params,
-                              dl0_mechanism, dtlb_mechanism,
-                              time_scale);
-            const MemSimResult rm =
-                mech.run(mech_gen, uops_per_trace);
+    TraceGenerator gen = workload.generator(index);
+    const MemStream stream = MemStream::generate(gen, uops_per_trace);
 
-            MemLossSample r;
-            r.loss = rm.cycles / rb.cycles - 1.0;
-            r.normalizedCycles = rm.cycles / rb.cycles;
-            r.dl0InvertRatio = rm.dl0AvgInvertRatio;
-            r.dtlbInvertRatio = rm.dtlbAvgInvertRatio;
-            return r;
-        });
+    struct Baseline
+    {
+        const MemCell *geometry;
+        double cycles;
+    };
+    std::vector<Baseline> baselines;
+    for (const std::size_t c : missing) {
+        const MemCell &cell = cells[c];
+        auto base = std::find_if(
+            baselines.begin(), baselines.end(),
+            [&](const Baseline &b) {
+                return sameGeometry(b.geometry->dl0, cell.dl0) &&
+                    sameGeometry(b.geometry->dtlb, cell.dtlb);
+            });
+        if (base == baselines.end()) {
+            MemTimingSim sim(cell.dl0, cell.dtlb, params,
+                             MechanismKind::None, MechanismKind::None,
+                             time_scale);
+            baselines.push_back({&cell, sim.run(stream).cycles});
+            base = baselines.end() - 1;
+        }
+        MemTimingSim mech(cell.dl0, cell.dtlb, params,
+                          cell.dl0Mechanism, cell.dtlbMechanism,
+                          time_scale);
+        const MemSimResult rm = mech.run(stream);
+        out[c].loss = rm.cycles / base->cycles - 1.0;
+        out[c].normalizedCycles = rm.cycles / base->cycles;
+        out[c].dl0InvertRatio = rm.dl0AvgInvertRatio;
+        out[c].dtlbInvertRatio = rm.dtlbAvgInvertRatio;
+        if (cache)
+            storeCached(*cache, keys[c], out[c]);
+    }
+    return out;
 }
 
 } // namespace
@@ -165,28 +202,49 @@ MemTimingSim::MemTimingSim(const CacheConfig &dl0_config,
                       time_scale));
 }
 
-MemSimResult
-MemTimingSim::run(TraceGenerator &gen, std::size_t num_uops)
+MemStream
+MemStream::generate(TraceGenerator &gen, std::size_t num_uops)
 {
+    PENELOPE_OBS_COUNTER("memsim.traces", "1").add();
+    MemStream stream;
+    stream.kinds.reserve(num_uops);
+    for (std::size_t i = 0; i < num_uops; ++i) {
+        const Uop uop = gen.next();
+        if (!isMemory(uop.cls)) {
+            stream.kinds.push_back(MemKind::Other);
+            continue;
+        }
+        const bool is_write = uop.cls == UopClass::Store;
+        stream.kinds.push_back(is_write ? MemKind::Store
+                                        : MemKind::Load);
+        stream.addrs.push_back(uop.addr);
+        stream.data.push_back(is_write ? uop.srcVal1 : uop.dstVal);
+    }
+    return stream;
+}
+
+template <class Next>
+MemSimResult
+MemTimingSim::runLoop(std::size_t num_uops, Next &&next)
+{
+    PENELOPE_OBS_COUNTER("memsim.runs", "1").add();
     MemSimResult r;
     double cycles = 0.0;
     for (std::size_t i = 0; i < num_uops; ++i) {
-        const Uop uop = gen.next();
+        const MemRef ref = next();
         const Cycle now = static_cast<Cycle>(cycles);
         dl0_.tick(now);
         dtlb_.tick(now);
         cycles += params_.baseCpi;
-        if (isMemory(uop.cls)) {
+        if (ref.kind != MemKind::Other) {
             ++r.memOps;
-            const bool is_write = uop.cls == UopClass::Store;
-            const Word data =
-                is_write ? uop.srcVal1 : uop.dstVal;
+            const bool is_write = ref.kind == MemKind::Store;
             const AccessResult tlb =
-                dtlb_.access(uop.addr, false, now, uop.addr >> 12);
+                dtlb_.access(ref.addr, false, now, ref.addr >> 12);
             if (!tlb.hit)
                 cycles += params_.dtlbMissPenalty;
             const AccessResult l1 =
-                dl0_.access(uop.addr, is_write, now, data);
+                dl0_.access(ref.addr, is_write, now, ref.data);
             if (!l1.hit)
                 cycles += params_.dl0MissPenalty;
         }
@@ -203,6 +261,96 @@ MemTimingSim::run(TraceGenerator &gen, std::size_t num_uops)
     return r;
 }
 
+MemSimResult
+MemTimingSim::run(TraceGenerator &gen, std::size_t num_uops)
+{
+    return runLoop(num_uops, [&gen] {
+        const Uop uop = gen.next();
+        if (!isMemory(uop.cls))
+            return MemRef{};
+        const bool is_write = uop.cls == UopClass::Store;
+        return MemRef{is_write ? MemKind::Store : MemKind::Load,
+                      uop.addr, is_write ? uop.srcVal1 : uop.dstVal};
+    });
+}
+
+MemSimResult
+MemTimingSim::run(const MemStream &stream)
+{
+    std::size_t mem = 0;
+    std::size_t i = 0;
+    return runLoop(stream.size(), [&] {
+        const MemKind kind = stream.kinds[i++];
+        if (kind == MemKind::Other)
+            return MemRef{};
+        const MemRef ref{kind, stream.addrs[mem], stream.data[mem]};
+        ++mem;
+        return ref;
+    });
+}
+
+std::vector<std::vector<MemLossSample>>
+simulateMemCells(const WorkloadSet &workload,
+                 const std::vector<unsigned> &trace_indices,
+                 std::size_t uops_per_trace,
+                 const std::vector<MemCell> &cells,
+                 const MemTimingParams &params, double time_scale,
+                 unsigned jobs, ThreadPool *pool, ResultCache *cache)
+{
+    const Engine engine(jobs, pool);
+    const auto per_trace = engine.map<std::vector<MemLossSample>>(
+        trace_indices, [&](unsigned index, std::size_t) {
+            return simulateTraceCells(workload, index, uops_per_trace,
+                                      cells, params, time_scale,
+                                      cache);
+        });
+    std::vector<std::vector<MemLossSample>> out(
+        cells.size(), std::vector<MemLossSample>(per_trace.size()));
+    for (std::size_t t = 0; t < per_trace.size(); ++t)
+        for (std::size_t c = 0; c < cells.size(); ++c)
+            out[c][t] = per_trace[t][c];
+    return out;
+}
+
+PerfLossStats
+foldPerfLoss(const std::vector<MemLossSample> &samples,
+             bool dl0_ratio)
+{
+    PerfLossStats stats;
+    RunningStats loss;
+    RunningStats ratio;
+    unsigned above5 = 0;
+    unsigned above10 = 0;
+    for (const MemLossSample &r : samples) {
+        loss.add(r.loss);
+        ratio.add(dl0_ratio ? r.dl0InvertRatio : r.dtlbInvertRatio);
+        if (r.loss > 0.05)
+            ++above5;
+        if (r.loss > 0.10)
+            ++above10;
+    }
+    stats.meanLoss = loss.mean();
+    stats.maxLoss = loss.count() ? loss.max() : 0.0;
+    stats.meanInvertRatio = ratio.mean();
+    stats.traces = static_cast<unsigned>(samples.size());
+    if (stats.traces > 0) {
+        stats.fracAbove5Pct =
+            static_cast<double>(above5) / stats.traces;
+        stats.fracAbove10Pct =
+            static_cast<double>(above10) / stats.traces;
+    }
+    return stats;
+}
+
+double
+meanNormalizedCycles(const std::vector<MemLossSample> &samples)
+{
+    RunningStats norm;
+    for (const MemLossSample &r : samples)
+        norm.add(r.normalizedCycles);
+    return norm.mean();
+}
+
 PerfLossStats
 measurePerfLoss(const WorkloadSet &workload,
                 const std::vector<unsigned> &trace_indices,
@@ -213,37 +361,16 @@ measurePerfLoss(const WorkloadSet &workload,
                 const MemTimingParams &params, double time_scale,
                 unsigned jobs, ThreadPool *pool, ResultCache *cache)
 {
-    PerfLossStats stats;
-    RunningStats loss;
-    RunningStats ratio;
-    unsigned above5 = 0;
-    unsigned above10 = 0;
-    const auto results = simulateTraceLosses(
-        workload, trace_indices, uops_per_trace, dl0_config,
-        dtlb_config,
+    const MemCell cell{
+        dl0_config, dtlb_config,
         apply_to_dl0 ? mechanism : MechanismKind::None,
-        apply_to_dl0 ? MechanismKind::None : mechanism,
-        params, time_scale, jobs, pool, cache);
-    for (const MemLossSample &r : results) {
-        loss.add(r.loss);
-        ratio.add(apply_to_dl0 ? r.dl0InvertRatio
-                               : r.dtlbInvertRatio);
-        if (r.loss > 0.05)
-            ++above5;
-        if (r.loss > 0.10)
-            ++above10;
-    }
-    stats.meanLoss = loss.mean();
-    stats.maxLoss = loss.count() ? loss.max() : 0.0;
-    stats.meanInvertRatio = ratio.mean();
-    stats.traces = static_cast<unsigned>(trace_indices.size());
-    if (stats.traces > 0) {
-        stats.fracAbove5Pct =
-            static_cast<double>(above5) / stats.traces;
-        stats.fracAbove10Pct =
-            static_cast<double>(above10) / stats.traces;
-    }
-    return stats;
+        apply_to_dl0 ? MechanismKind::None : mechanism};
+    return foldPerfLoss(
+        simulateMemCells(workload, trace_indices, uops_per_trace,
+                         {cell}, params, time_scale, jobs, pool,
+                         cache)
+            .front(),
+        apply_to_dl0);
 }
 
 double
@@ -257,14 +384,12 @@ combinedNormalizedCpi(const WorkloadSet &workload,
                       double time_scale, unsigned jobs,
                       ThreadPool *pool, ResultCache *cache)
 {
-    RunningStats norm;
-    const auto results = simulateTraceLosses(
-        workload, trace_indices, uops_per_trace, dl0_config,
-        dtlb_config, mechanism, mechanism, params,
-        time_scale, jobs, pool, cache);
-    for (const MemLossSample &r : results)
-        norm.add(r.normalizedCycles);
-    return norm.mean();
+    const MemCell cell{dl0_config, dtlb_config, mechanism, mechanism};
+    return meanNormalizedCycles(
+        simulateMemCells(workload, trace_indices, uops_per_trace,
+                         {cell}, params, time_scale, jobs, pool,
+                         cache)
+            .front());
 }
 
 } // namespace penelope

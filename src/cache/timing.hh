@@ -78,6 +78,34 @@ struct MemSimResult
     }
 };
 
+/** What the memory hierarchy sees of one uop. */
+enum class MemKind : std::uint8_t
+{
+    Other, ///< non-memory uop: advances time only
+    Load,
+    Store,
+};
+
+/**
+ * The memory-relevant projection of a generated trace, materialised
+ * once and replayed through any number of MemTimingSim instances.
+ * Compact by design: one kind byte per uop, plus an address and a
+ * data image (the stored value, or the loaded one) per memory uop
+ * only, where a full Trace holds a whole Uop per uop.
+ */
+struct MemStream
+{
+    std::vector<MemKind> kinds;   ///< one per uop
+    std::vector<Addr> addrs;      ///< one per Load/Store, in order
+    std::vector<Word> data;       ///< parallel to addrs
+
+    /** Draw @p num_uops uops from @p gen. */
+    static MemStream generate(TraceGenerator &gen,
+                              std::size_t num_uops);
+
+    std::size_t size() const { return kinds.size(); }
+};
+
 /**
  * One DL0 + DTLB pair driven by a uop stream.
  */
@@ -94,10 +122,18 @@ class MemTimingSim
     /** Run @p num_uops uops from @p gen. */
     MemSimResult run(TraceGenerator &gen, std::size_t num_uops);
 
+    /** Run every uop of @p stream; the same result as run(gen, n)
+     *  on the generator the stream was drawn from. */
+    MemSimResult run(const MemStream &stream);
+
     Cache &dl0() { return dl0_; }
     Cache &dtlb() { return dtlb_; }
 
   private:
+    /** The one simulation loop; @p next yields one MemRef per uop. */
+    template <class Next>
+    MemSimResult runLoop(std::size_t num_uops, Next &&next);
+
     MemTimingParams params_;
     Cache dl0_;
     Cache dtlb_;
@@ -129,15 +165,56 @@ struct PerfLossStats
 };
 
 /**
+ * One cell of a cache experiment: a DL0 + DTLB geometry pair and
+ * the mechanism applied to each, priced against the same pair with
+ * no mechanism.
+ */
+struct MemCell
+{
+    CacheConfig dl0;
+    CacheConfig dtlb;
+    MechanismKind dl0Mechanism = MechanismKind::None;
+    MechanismKind dtlbMechanism = MechanismKind::None;
+};
+
+/**
+ * Price every cell on every trace; returns samples indexed
+ * [cell][trace position].
+ *
+ * The driver is trace-major: one engine task per trace looks every
+ * cell up in @p cache (per-cell keys, so entries written by a
+ * one-cell call are shared), and only if some cell misses does it
+ * generate the trace once into a MemStream, run each distinct
+ * (DL0, DTLB) geometry's baseline once, and run each missing cell's
+ * mechanism.  Geometry equality ignores CacheConfig::name, exactly
+ * as the cache key does.  Tasks share nothing and samples land in
+ * per-trace slots, so the result is bit-identical for any @p jobs
+ * and with a cold, warm, or absent cache.
+ */
+std::vector<std::vector<MemLossSample>>
+simulateMemCells(const WorkloadSet &workload,
+                 const std::vector<unsigned> &trace_indices,
+                 std::size_t uops_per_trace,
+                 const std::vector<MemCell> &cells,
+                 const MemTimingParams &params = MemTimingParams(),
+                 double time_scale = 0.1, unsigned jobs = 1,
+                 ThreadPool *pool = nullptr,
+                 ResultCache *cache = nullptr);
+
+/** Fold one cell's per-trace samples, in trace order, into Table-3
+ *  statistics; @p dl0_ratio picks which invert ratio is averaged. */
+PerfLossStats
+foldPerfLoss(const std::vector<MemLossSample> &samples,
+             bool dl0_ratio);
+
+/** Mean normalised cycles of one cell's per-trace samples. */
+double meanNormalizedCycles(const std::vector<MemLossSample> &samples);
+
+/**
  * Measure the performance loss of @p mechanism applied to the DL0
  * (@p apply_to_dl0 true) or the DTLB (false), against a
  * no-mechanism baseline, averaged over the given workload traces.
- *
- * Traces are simulated concurrently on @p jobs workers (each trace
- * drives its own private cache pair) and per-trace losses are
- * folded in trace order, so the result is bit-identical for any
- * jobs value.  With @p cache set, each per-trace MemLossSample is
- * looked up by content hash before simulating and stored after.
+ * A one-cell simulateMemCells plus foldPerfLoss.
  */
 PerfLossStats
 measurePerfLoss(const WorkloadSet &workload,
@@ -154,7 +231,7 @@ measurePerfLoss(const WorkloadSet &workload,
 /**
  * Combined normalised CPI with mechanisms on both DL0 and DTLB
  * (the Section-4.7 input: 1.007 for LineFixed50% on both).
- * Parallel over traces like measurePerfLoss.
+ * A one-cell simulateMemCells plus meanNormalizedCycles.
  */
 double
 combinedNormalizedCpi(const WorkloadSet &workload,

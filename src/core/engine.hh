@@ -40,6 +40,38 @@
 namespace penelope {
 
 /**
+ * Decode the payload cached under @p key into @p value.  False on a
+ * miss or on a payload that fails to decode (counted as a decode
+ * failure); @p value is then untouched.
+ */
+template <class R>
+bool
+lookupCached(ResultCache &cache, const Hash128 &key, R &value)
+{
+    std::string payload;
+    if (!cache.lookup(key, payload))
+        return false;
+    ByteReader reader(payload);
+    R decoded{};
+    if (decodeResult(reader, decoded) && reader.atEnd()) {
+        value = std::move(decoded);
+        return true;
+    }
+    cache.noteDecodeFailure();
+    return false;
+}
+
+/** Encode @p value and store it under @p key. */
+template <class R>
+void
+storeCached(ResultCache &cache, const Hash128 &key, const R &value)
+{
+    ByteWriter writer;
+    encodeResult(writer, value);
+    cache.store(key, writer.view());
+}
+
+/**
  * Runs trace-shaped work in parallel.  A thin, copyable handle:
  * with a shared ThreadPool attached every parallel region reuses
  * the resident workers; without one a pool lives only for the
@@ -101,21 +133,10 @@ class Engine
             [&](std::size_t k) {
                 PENELOPE_OBS_COUNTER("engine.tasks", "1").add();
                 const Hash128 key = keyOf(items[k], k);
-                std::string payload;
-                if (cache->lookup(key, payload)) {
-                    ByteReader reader(payload);
-                    R value{};
-                    if (decodeResult(reader, value) &&
-                        reader.atEnd()) {
-                        out[k] = std::move(value);
-                        return;
-                    }
-                    cache->noteDecodeFailure();
-                }
+                if (lookupCached(*cache, key, out[k]))
+                    return;
                 out[k] = fn(items[k], k);
-                ByteWriter writer;
-                encodeResult(writer, out[k]);
-                cache->store(key, writer.view());
+                storeCached(*cache, key, out[k]);
             },
             pool_);
         return out;

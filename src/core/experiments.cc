@@ -454,13 +454,13 @@ runSchedulerExperiment(const WorkloadSet &workload,
 
 // -------------------------------------------------------------- cache
 
-std::vector<Table3Row>
+Table3Result
 runTable3Experiment(const WorkloadSet &workload,
                     const ExperimentOptions &options)
 {
-    std::vector<Table3Row> rows;
+    Table3Result result;
+    std::vector<Table3Row> &rows = result.rows;
     const auto traces = evalTraces(workload, options);
-    const MemTimingParams params;
 
     auto add_dl0_row = [&](unsigned ways, unsigned kb) {
         Table3Row row;
@@ -497,22 +497,43 @@ runTable3Experiment(const WorkloadSet &workload,
     const CacheConfig default_dl0 = CacheConfig();
     const CacheConfig default_dtlb = CacheConfig::tlb(128, 8);
 
+    // Cells: row-major grid, then WayFixed, then combined CPI.
+    std::vector<MemCell> cells;
+    for (const Table3Row &row : rows) {
+        for (const MechanismKind mechanism : mechanisms) {
+            MemCell cell{row.isTlb ? default_dl0 : row.config,
+                         row.isTlb ? row.config : default_dtlb};
+            (row.isTlb ? cell.dtlbMechanism : cell.dl0Mechanism) =
+                mechanism;
+            cells.push_back(cell);
+        }
+    }
+    const std::size_t way_fixed = cells.size();
+    cells.push_back({default_dl0, default_dtlb,
+                     MechanismKind::WayFixed50, MechanismKind::None});
+    const std::size_t combined = cells.size();
+    cells.push_back({default_dl0, default_dtlb,
+                     MechanismKind::LineFixed50,
+                     MechanismKind::LineFixed50});
+
+    const auto samples = simulateMemCells(
+        workload, traces, options.cacheUops, cells, MemTimingParams(),
+        options.mechanismTimeScale, options.jobs, options.pool,
+        options.cache);
+
+    std::size_t c = 0;
     for (Table3Row &row : rows) {
-        const CacheConfig &dl0 =
-            row.isTlb ? default_dl0 : row.config;
-        const CacheConfig &dtlb =
-            row.isTlb ? row.config : default_dtlb;
-        for (unsigned m = 0; m < 3; ++m) {
-            const PerfLossStats stats = measurePerfLoss(
-                workload, traces, options.cacheUops, dl0, dtlb,
-                mechanisms[m], !row.isTlb, params,
-                options.mechanismTimeScale, options.jobs,
-                options.pool, options.cache);
+        for (unsigned m = 0; m < 3; ++m, ++c) {
+            const PerfLossStats stats =
+                foldPerfLoss(samples[c], !row.isTlb);
             row.loss[m] = stats.meanLoss;
             row.invertRatio[m] = stats.meanInvertRatio;
         }
     }
-    return rows;
+    result.wayFixedLoss =
+        foldPerfLoss(samples[way_fixed], true).meanLoss;
+    result.combinedCpi = meanNormalizedCycles(samples[combined]);
+    return result;
 }
 
 // ---------------------------------------------------- processor (4.7)
@@ -531,17 +552,19 @@ buildProcessorSummary(const AdderExperimentResult &adder,
     // cross-impact of the two mechanisms requires a joint run;
     // Section 4.2).  LineFixed50% is the paper's 4.7 configuration;
     // LineDynamic60% is the best Table-3 mechanism.
-    const auto traces = evalTraces(workload, options);
-    summary.combinedCpi = combinedNormalizedCpi(
-        workload, traces, options.cacheUops, CacheConfig(),
-        CacheConfig::tlb(128, 8), MechanismKind::LineFixed50,
-        MemTimingParams(), options.mechanismTimeScale,
-        options.jobs, options.pool, options.cache);
-    summary.combinedCpiDynamic = combinedNormalizedCpi(
-        workload, traces, options.cacheUops, CacheConfig(),
-        CacheConfig::tlb(128, 8), MechanismKind::LineDynamic60,
-        MemTimingParams(), options.mechanismTimeScale,
-        options.jobs, options.pool, options.cache);
+    // Both cells share one trace generation and one baseline.
+    const CacheConfig dl0;
+    const CacheConfig dtlb = CacheConfig::tlb(128, 8);
+    const auto samples = simulateMemCells(
+        workload, evalTraces(workload, options), options.cacheUops,
+        {{dl0, dtlb, MechanismKind::LineFixed50,
+          MechanismKind::LineFixed50},
+         {dl0, dtlb, MechanismKind::LineDynamic60,
+          MechanismKind::LineDynamic60}},
+        MemTimingParams(), options.mechanismTimeScale, options.jobs,
+        options.pool, options.cache);
+    summary.combinedCpi = meanNormalizedCycles(samples[0]);
+    summary.combinedCpiDynamic = meanNormalizedCycles(samples[1]);
 
     // Per-block costs.  TDP factors are the paper's stated
     // overheads: RINV+timestamps <1% (RF), RINV+counters <2%

@@ -253,7 +253,22 @@ struct Table3Row
     double invertRatio[3] = {0, 0, 0};
 };
 
-std::vector<Table3Row>
+/** Table 3 plus the two single-cell numbers printed beside it. */
+struct Table3Result
+{
+    std::vector<Table3Row> rows;
+
+    /** WayFixed50% on the default DL0 (the Section-3.2.1 ablation
+     *  the paper describes but does not measure). */
+    double wayFixedLoss = 0.0;
+
+    /** Normalised CPI with LineFixed50% on DL0 + DTLB (paper:
+     *  1.007). */
+    double combinedCpi = 1.0;
+};
+
+/** Every Table-3 cell in one trace-major simulateMemCells pass. */
+Table3Result
 runTable3Experiment(const WorkloadSet &workload,
                     const ExperimentOptions &options);
 

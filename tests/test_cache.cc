@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cache/cache.hh"
 #include "cache/inversion.hh"
 #include "cache/timing.hh"
@@ -391,6 +393,63 @@ TEST(Timing, MissesCostCycles)
     const double c1 = s1.run(g1, 10000).cycles;
     const double c2 = s2.run(g2, 10000).cycles;
     EXPECT_GT(c2, c1);
+}
+
+TEST(Timing, StreamReplayMatchesGeneratorRun)
+{
+    // The materialised MemStream must drive a MemTimingSim exactly
+    // as the generator it was drawn from does, for every mechanism
+    // on either structure.
+    WorkloadSet w;
+    constexpr std::size_t n = 6000;
+    TraceGenerator stream_gen = w.generator(97);
+    const MemStream stream = MemStream::generate(stream_gen, n);
+    ASSERT_EQ(stream.size(), n);
+    ASSERT_EQ(stream.addrs.size(), stream.data.size());
+
+    const MechanismKind kinds[] = {
+        MechanismKind::None, MechanismKind::SetFixed50,
+        MechanismKind::WayFixed50, MechanismKind::LineFixed50,
+        MechanismKind::LineDynamic60};
+    for (const MechanismKind kind : kinds) {
+        for (const bool on_dl0 : {true, false}) {
+            SCOPED_TRACE(std::string(mechanismName(kind)) +
+                         (on_dl0 ? " on DL0" : " on DTLB"));
+            const MechanismKind dl0 =
+                on_dl0 ? kind : MechanismKind::None;
+            const MechanismKind dtlb =
+                on_dl0 ? MechanismKind::None : kind;
+            MemTimingSim by_gen(CacheConfig(),
+                                CacheConfig::tlb(128, 8),
+                                MemTimingParams(), dl0, dtlb, 0.01);
+            TraceGenerator gen = w.generator(97);
+            const MemSimResult a = by_gen.run(gen, n);
+            MemTimingSim by_stream(CacheConfig(),
+                                   CacheConfig::tlb(128, 8),
+                                   MemTimingParams(), dl0, dtlb,
+                                   0.01);
+            const MemSimResult b = by_stream.run(stream);
+
+            EXPECT_EQ(a.uops, b.uops);
+            EXPECT_EQ(a.memOps, b.memOps);
+            EXPECT_EQ(a.memOps, stream.addrs.size());
+            EXPECT_EQ(a.dl0Hits, b.dl0Hits);
+            EXPECT_EQ(a.dl0Misses, b.dl0Misses);
+            EXPECT_EQ(a.dtlbHits, b.dtlbHits);
+            EXPECT_EQ(a.dtlbMisses, b.dtlbMisses);
+            EXPECT_EQ(a.cycles, b.cycles);
+            EXPECT_EQ(a.dl0AvgInvertRatio, b.dl0AvgInvertRatio);
+            EXPECT_EQ(a.dtlbAvgInvertRatio, b.dtlbAvgInvertRatio);
+            // The data column reaches the cells' bias accounting.
+            const Cycle end = static_cast<Cycle>(a.cycles);
+            EXPECT_EQ(
+                by_gen.dl0().finalizeDataBias(end).biasVector(),
+                by_stream.dl0().finalizeDataBias(end).biasVector());
+            EXPECT_EQ(
+                by_gen.dtlb().finalizeDataBias(end).biasVector(),
+                by_stream.dtlb().finalizeDataBias(end).biasVector());
+        }
+    }
 }
 
 TEST(Timing, MechanismNamesExhaustive)

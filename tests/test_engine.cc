@@ -12,6 +12,7 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cache/timing.hh"
@@ -19,6 +20,8 @@
 #include "common/threadpool.hh"
 #include "core/engine.hh"
 #include "core/registry.hh"
+#include "core/resultcache.hh"
+#include "obs/metrics.hh"
 #include "scheduler/profile.hh"
 #include "trace/workload.hh"
 
@@ -342,6 +345,136 @@ TEST(JobsDeterminism, PerfLossAndCombinedCpi)
                 MechanismKind::LineDynamic60, MemTimingParams(),
                 0.05, jobs));
     }
+}
+
+// --------------------------------------- trace-major cache driver
+
+/** Cache cells with pairwise distinct result-cache keys: three
+ *  baseline geometry pairs, mechanisms on DL0, DTLB and both. */
+std::vector<MemCell>
+distinctMemCells()
+{
+    const CacheConfig dl0;
+    const CacheConfig dtlb = CacheConfig::tlb(128, 8);
+    CacheConfig small_dl0;
+    small_dl0.sizeBytes = 8 * 1024;
+    small_dl0.ways = 4;
+    return {
+        {dl0, dtlb, MechanismKind::LineFixed50, MechanismKind::None},
+        {dl0, dtlb, MechanismKind::SetFixed50, MechanismKind::None},
+        {small_dl0, dtlb, MechanismKind::LineDynamic60,
+         MechanismKind::None},
+        {dl0, CacheConfig::tlb(32, 8), MechanismKind::None,
+         MechanismKind::WayFixed50},
+        {dl0, dtlb, MechanismKind::LineFixed50,
+         MechanismKind::LineFixed50},
+    };
+}
+
+constexpr std::size_t kCellUops = 4'000;
+constexpr double kCellTimeScale = 0.01;
+
+std::vector<std::vector<MemLossSample>>
+runCells(const std::vector<unsigned> &traces,
+         const std::vector<MemCell> &cells, unsigned jobs = 1,
+         ResultCache *cache = nullptr)
+{
+    const WorkloadSet workload;
+    return simulateMemCells(workload, traces, kCellUops, cells,
+                            MemTimingParams(), kCellTimeScale, jobs,
+                            nullptr, cache);
+}
+
+void
+expectSameSamples(const std::vector<MemLossSample> &a,
+                  const std::vector<MemLossSample> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t t = 0; t < a.size(); ++t) {
+        EXPECT_EQ(a[t].loss, b[t].loss);
+        EXPECT_EQ(a[t].normalizedCycles, b[t].normalizedCycles);
+        EXPECT_EQ(a[t].dl0InvertRatio, b[t].dl0InvertRatio);
+        EXPECT_EQ(a[t].dtlbInvertRatio, b[t].dtlbInvertRatio);
+    }
+}
+
+std::uint64_t
+memsimRuns()
+{
+    const obs::Snapshot snap = obs::Registry::instance().scrape();
+    const obs::SnapshotMetric *m = snap.find("memsim.runs");
+    return m ? m->scalar() : 0;
+}
+
+TEST(MemCells, MultiCellMatchesOneCellCalls)
+{
+    const std::vector<unsigned> traces = {0, 97, 311};
+    std::vector<MemCell> cells = distinctMemCells();
+    // Same geometry under another name: must share the baseline.
+    MemCell renamed = cells[0];
+    renamed.dl0.name = "renamed";
+    // Differs only in the write-port probability: must not.
+    MemCell other_port = cells[0];
+    other_port.dl0.writePortFreeProb = 0.5;
+    cells.push_back(renamed);
+    cells.push_back(other_port);
+
+    const obs::ScopedEnable enable;
+    const std::uint64_t runs_before = memsimRuns();
+    const auto multi = runCells(traces, cells);
+    const std::uint64_t runs = memsimRuns() - runs_before;
+
+    ASSERT_EQ(multi.size(), cells.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        SCOPED_TRACE("cell " + std::to_string(c));
+        expectSameSamples(multi[c], runCells(traces, {cells[c]})[0]);
+    }
+    expectSameSamples(multi[5], multi[0]);
+
+    // Baselines: (DL0, DTLB128) for cells 0, 1, 4, 5; (DL0 8KB
+    // 4-way, DTLB128); (DL0, DTLB32); (DL0 port 0.5, DTLB128).
+    if (obs::kCompiledIn) {
+        EXPECT_EQ(runs, traces.size() * (cells.size() + 4));
+    }
+}
+
+TEST(MemCells, PartialWarmCacheStoresOnlyMissingCells)
+{
+    const std::vector<unsigned> traces = {0, 97, 311};
+    const std::vector<MemCell> cells = distinctMemCells();
+    const auto uncached = runCells(traces, cells);
+
+    ResultCache cold;
+    const auto cold_run = runCells(traces, cells, 1, &cold);
+    EXPECT_EQ(cold.stats().hits, 0u);
+    EXPECT_EQ(cold.stats().stores, cells.size() * traces.size());
+
+    ResultCache warm;
+    runCells(traces, {cells[2]}, 1, &warm);
+    const ResultCache::Stats before = warm.stats();
+    const auto warm_run = runCells(traces, cells, 1, &warm);
+    const ResultCache::Stats after = warm.stats();
+    EXPECT_EQ(after.hits - before.hits, traces.size());
+    EXPECT_EQ(after.stores - before.stores,
+              (cells.size() - 1) * traces.size());
+
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        SCOPED_TRACE("cell " + std::to_string(c));
+        expectSameSamples(cold_run[c], uncached[c]);
+        expectSameSamples(warm_run[c], uncached[c]);
+    }
+}
+
+TEST(MemCells, JobsDoNotChangeSamples)
+{
+    const WorkloadSet workload;
+    const std::vector<unsigned> traces = workload.strided(97);
+    const std::vector<MemCell> cells = distinctMemCells();
+    const auto serial = runCells(traces, cells, 1);
+    const auto parallel = runCells(traces, cells, 4);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t c = 0; c < cells.size(); ++c)
+        expectSameSamples(serial[c], parallel[c]);
 }
 
 TEST(JobsDeterminism, PersistentPoolMatchesPerCallPools)

@@ -309,6 +309,32 @@ BM_TraceGeneration(benchmark::State &state)
 BENCHMARK(BM_TraceGeneration);
 
 void
+BM_GeometricDraw(benchmark::State &state)
+{
+    // Arg 0: a GeometricDist built per draw, paying log1p(-p) every
+    // time; arg 1: one held across draws, as the trace generator and
+    // the scheduler replay hold theirs.  Both return the same draws.
+    Rng rng(3);
+    const double p = 1.0 / 8.0;
+    const GeometricDist dist(p);
+    std::uint64_t acc = 0;
+    if (state.range(0) == 0) {
+        double opaque_p = p;
+        for (auto _ : state) {
+            // Opaque p: keeps the log1p inside the loop.
+            benchmark::DoNotOptimize(opaque_p);
+            acc += GeometricDist(opaque_p)(rng);
+        }
+    } else {
+        for (auto _ : state)
+            acc += dist(rng);
+    }
+    benchmark::DoNotOptimize(acc);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_GeometricDraw)->Arg(0)->Arg(1);
+
+void
 BM_CacheAccess(benchmark::State &state)
 {
     Cache cache{CacheConfig()};

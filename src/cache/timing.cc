@@ -67,35 +67,15 @@ sameGeometry(const CacheConfig &a, const CacheConfig &b)
 }
 
 /**
- * Every cell of one trace: per-cell cache lookups, then -- only if
- * some cell missed -- one stream, one baseline per distinct geometry
- * pair, and one mechanism run per missing cell.
+ * The missing cells of one trace: one stream, one baseline per
+ * distinct geometry pair, and one mechanism run per cell.
  */
 std::vector<MemLossSample>
 simulateTraceCells(const WorkloadSet &workload, unsigned index,
                    std::size_t uops_per_trace,
                    const std::vector<MemCell> &cells,
-                   const MemTimingParams &params, double time_scale,
-                   ResultCache *cache)
+                   const MemTimingParams &params, double time_scale)
 {
-    std::vector<MemLossSample> out(cells.size());
-    std::vector<Hash128> keys(cells.size());
-    std::vector<std::size_t> missing;
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-        if (cache) {
-            keys[c] = memLossKey(workload.spec(index), index,
-                                 uops_per_trace, cells[c].dl0,
-                                 cells[c].dtlb, cells[c].dl0Mechanism,
-                                 cells[c].dtlbMechanism, params,
-                                 time_scale);
-            if (lookupCached(*cache, keys[c], out[c]))
-                continue;
-        }
-        missing.push_back(c);
-    }
-    if (missing.empty())
-        return out;
-
     TraceGenerator gen = workload.generator(index);
     const MemStream stream = MemStream::generate(gen, uops_per_trace);
 
@@ -105,7 +85,8 @@ simulateTraceCells(const WorkloadSet &workload, unsigned index,
         double cycles;
     };
     std::vector<Baseline> baselines;
-    for (const std::size_t c : missing) {
+    std::vector<MemLossSample> out(cells.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
         const MemCell &cell = cells[c];
         auto base = std::find_if(
             baselines.begin(), baselines.end(),
@@ -128,8 +109,6 @@ simulateTraceCells(const WorkloadSet &workload, unsigned index,
         out[c].normalizedCycles = rm.cycles / base->cycles;
         out[c].dl0InvertRatio = rm.dl0AvgInvertRatio;
         out[c].dtlbInvertRatio = rm.dtlbAvgInvertRatio;
-        if (cache)
-            storeCached(*cache, keys[c], out[c]);
     }
     return out;
 }
@@ -297,19 +276,22 @@ simulateMemCells(const WorkloadSet &workload,
                  const MemTimingParams &params, double time_scale,
                  unsigned jobs, ThreadPool *pool, ResultCache *cache)
 {
+    // One task per trace: every cell is looked up under its own
+    // key, and the trace is generated only if some cell missed.
     const Engine engine(jobs, pool);
-    const auto per_trace = engine.map<std::vector<MemLossSample>>(
-        trace_indices, [&](unsigned index, std::size_t) {
+    return engine.mapVariantsCached<MemLossSample>(
+        trace_indices, cells, cache,
+        [&](unsigned index, const MemCell &cell, std::size_t) {
+            return memLossKey(workload.spec(index), index,
+                              uops_per_trace, cell.dl0, cell.dtlb,
+                              cell.dl0Mechanism, cell.dtlbMechanism,
+                              params, time_scale);
+        },
+        [&](unsigned index, std::size_t,
+            const std::vector<MemCell> &missing) {
             return simulateTraceCells(workload, index, uops_per_trace,
-                                      cells, params, time_scale,
-                                      cache);
+                                      missing, params, time_scale);
         });
-    std::vector<std::vector<MemLossSample>> out(
-        cells.size(), std::vector<MemLossSample>(per_trace.size()));
-    for (std::size_t t = 0; t < per_trace.size(); ++t)
-        for (std::size_t c = 0; c < cells.size(); ++c)
-            out[c][t] = per_trace[t][c];
-    return out;
 }
 
 PerfLossStats

@@ -125,13 +125,15 @@ MaskedTimeAccumulator::reset()
 BitBiasTracker::BitBiasTracker(unsigned width)
     : width_(width), one_(width)
 {
-    assert(width >= 1 && width <= 128);
+    // Widths past 128 (wide sliced views built with fromTimes)
+    // observe at most the 128 bits a BitWord holds.
+    assert(width >= 1 && width <= MaskedTimeAccumulator::kMaxWidth);
     maskLo_ = width_ >= 64
         ? ~std::uint64_t(0)
         : (std::uint64_t(1) << width_) - 1;
     maskHi_ = width_ <= 64
         ? 0
-        : (width_ == 128 ? ~std::uint64_t(0)
+        : (width_ >= 128 ? ~std::uint64_t(0)
                          : (std::uint64_t(1) << (width_ - 64)) - 1);
 }
 

@@ -76,21 +76,6 @@ Rng::nextGaussian()
 }
 
 std::uint64_t
-Rng::nextGeometric(double p)
-{
-    assert(p > 0.0 && p <= 1.0);
-    if (p >= 1.0)
-        return 0;
-    std::uint64_t m = 0;
-    do {
-        m = (*this)() >> 11; // the 53 mantissa bits of nextDouble()
-    } while (m == 0);
-    const double u = static_cast<double>(m) * 0x1.0p-53;
-    return static_cast<std::uint64_t>(
-        std::floor(std::log(u) / std::log1p(-p)));
-}
-
-std::uint64_t
 Rng::nextZipf(std::uint64_t n, double s)
 {
     ZipfTable table(n, s);

@@ -12,6 +12,7 @@
 #define PENELOPE_COMMON_RNG_HH
 
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -103,12 +104,6 @@ class Rng
     double nextGaussian();
 
     /**
-     * Geometric draw: number of failures before first success with
-     * per-trial success probability p (p in (0, 1]).
-     */
-    std::uint64_t nextGeometric(double p);
-
-    /**
      * Zipf-distributed rank in [0, n) with exponent s.  Uses a
      * precomputed CDF supplied by ZipfTable for efficiency; this
      * convenience overload rebuilds a small CDF when n is tiny.
@@ -131,6 +126,41 @@ class Rng
     std::uint64_t s_[4];
     double cachedGaussian_;
     bool hasCachedGaussian_;
+};
+
+/**
+ * Geometric distribution with a fixed success probability p in
+ * (0, 1]: the number of failures before the first success, by
+ * inversion of one 53-bit uniform draw (rejecting 0).  Every caller's
+ * p is fixed at construction, so the log1p(-p) denominator is taken
+ * once here rather than on every draw.
+ */
+class GeometricDist
+{
+  public:
+    explicit GeometricDist(double p)
+        : certain_(p >= 1.0), logQ_(certain_ ? 0.0 : std::log1p(-p))
+    {
+        assert(p > 0.0 && p <= 1.0);
+    }
+
+    std::uint64_t
+    operator()(Rng &rng) const
+    {
+        if (certain_)
+            return 0;
+        std::uint64_t m = 0;
+        do {
+            m = rng() >> 11; // the 53 mantissa bits of nextDouble()
+        } while (m == 0);
+        const double u = static_cast<double>(m) * 0x1.0p-53;
+        return static_cast<std::uint64_t>(
+            std::floor(std::log(u) / logQ_));
+    }
+
+  private:
+    bool certain_;
+    double logQ_;
 };
 
 /**

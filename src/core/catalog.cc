@@ -610,18 +610,23 @@ runSec11(const ExperimentContext &ctx)
             cin_zero.add(static_cast<double>(zeros) / ops.size());
     }
 
-    // Register-file bias range.
+    // Register-file bias range: Figure 6's INT baseline arm only.
     const auto int_rf =
-        runRegFileExperiment(workload, false, options);
+        runRegFileArms(workload, false, {false}, options);
     double bias_min = 1.0;
     double bias_max = 0.0;
-    for (double b : int_rf.baselineBias) {
+    for (double b : int_rf.front().bias.biasVector()) {
         bias_min = std::min(bias_min, b);
         bias_max = std::max(bias_max, b);
     }
 
-    // Scheduler worst fields.
-    const auto sched = runSchedulerExperiment(workload, options);
+    // Scheduler worst fields: Figure 8's unprotected arm only (no
+    // profiling pass; no decisions are printed here).
+    const std::vector<std::vector<BitDecision>> unprotected(1);
+    const auto sched =
+        runSchedulerArms(workload, unprotected, options);
+    const double sched_worst =
+        sched.empty() ? 0.0 : sched.front().worstFigure8Bias();
 
     // Pipeline survey: MRU positions, occupancies, ports.
     const auto survey = runPipelineSurvey(workload, options);
@@ -634,7 +639,7 @@ runSec11(const ExperimentContext &ctx)
                       TextTable::pct(bias_max, 1),
                   "65% .. 90%"});
     table.addRow({"scheduler worst field bias (baseline)",
-                  TextTable::pct(sched.baselineWorstFig8, 1),
+                  TextTable::pct(sched_worst, 1),
                   "almost 100%"});
     table.addRow({"DL0 hits at MRU position",
                   TextTable::pct(survey.mruHitFraction[0], 1),
@@ -801,12 +806,11 @@ struct AttackRun
 {
     const char *label;
     AttackConfig attack;
-    bool protect;
 
-    /** Replay seed stream: shared by the unprotected and protected
-     *  arms of a variant so their comparison is seed-controlled
-     *  (the same arrival/residence/port-availability draws), just
-     *  as the Figure-8 runner reuses one seed per trace. */
+    /** Replay seed stream: the unprotected and protected arms of a
+     *  variant replay in lockstep on it, so their comparison is
+     *  seed-controlled (the same arrival/residence/port-availability
+     *  draws), just as the Figure-8 runner does per trace. */
     unsigned id;
 };
 
@@ -924,7 +928,7 @@ attackReplayKey(const SchedReplayConfig &replay_config,
         .b(run.attack.taken)
         .u32(run.attack.branchPeriod)
         .u32(run.attack.hotRegs)
-        .b(run.protect);
+        .b(!decisions.empty()); // protected arm
     key.u64(decisions.size());
     for (const BitDecision &d : decisions) {
         key.u32(static_cast<std::uint32_t>(d.technique))
@@ -973,7 +977,9 @@ runAttack(const ExperimentContext &ctx)
         SchedulerConfig(), SchedReplayConfig(), options.jobs,
         options.pool, options.cache);
     const auto decisions = decideProtection(profile.bits);
-    const std::vector<BitDecision> no_decisions;
+    // Arm 0 unprotected, arm 1 under the deployed protection.
+    const std::vector<std::vector<BitDecision>> arms = {{}, decisions};
+    const std::vector<std::vector<BitDecision>> unprotected(1);
 
     // Normal-workload reference: one trace per suite, unprotected.
     const SchedReplayConfig normal_replay;
@@ -982,18 +988,17 @@ runAttack(const ExperimentContext &ctx)
         [&](unsigned index, std::size_t) {
             return schedulerReplayKey(
                 SchedulerConfig(), normal_replay,
-                options.uopsPerTrace, no_decisions,
+                options.uopsPerTrace, unprotected.front(),
                 workload.spec(index).seed, index);
         },
         [&](unsigned index, std::size_t) {
-            Scheduler sched{SchedulerConfig{}};
             SchedReplayConfig cfg = normal_replay;
             cfg.seed = mixSeed(normal_replay.seed, index);
-            SchedulerReplay replay(sched, cfg);
             TraceGenerator gen = workload.generator(index);
-            const SchedReplayResult r =
-                replay.run(gen, options.uopsPerTrace);
-            return sched.snapshotStress(r.cycles);
+            return replaySchedulerArms(gen, options.uopsPerTrace,
+                                       SchedulerConfig(), cfg,
+                                       unprotected)
+                .front();
         });
     SchedulerStress normal = normal_shards.front();
     for (std::size_t k = 1; k < normal_shards.size(); ++k)
@@ -1022,32 +1027,25 @@ runAttack(const ExperimentContext &ctx)
         {"alternating", alternating}};
     std::vector<AttackRun> runs;
     unsigned variant_id = 0;
-    for (const auto &[label, attack] : variants) {
-        runs.push_back({label, attack, false, variant_id});
-        runs.push_back({label, attack, true, variant_id});
-        ++variant_id;
-    }
+    for (const auto &[label, attack] : variants)
+        runs.push_back({label, attack, variant_id++});
 
-    const auto stresses = engine.mapCached<SchedulerStress>(
-        runs, options.cache,
-        [&](const AttackRun &run, std::size_t) {
-            return attackReplayKey(
-                attack_replay, options.uopsPerTrace,
-                run.protect ? decisions : no_decisions, run);
+    // stresses[arm][variant]
+    const auto stresses = engine.mapVariantsCached<SchedulerStress>(
+        runs, arms, options.cache,
+        [&](const AttackRun &run,
+            const std::vector<BitDecision> &arm, std::size_t) {
+            return attackReplayKey(attack_replay,
+                                   options.uopsPerTrace, arm, run);
         },
-        [&](const AttackRun &run, std::size_t) {
-            Scheduler sched{SchedulerConfig{}};
-            if (run.protect) {
-                sched.configureProtection(decisions);
-                sched.enableProtection(true);
-            }
+        [&](const AttackRun &run, std::size_t,
+            const std::vector<std::vector<BitDecision>> &missing) {
             SchedReplayConfig cfg = attack_replay;
             cfg.seed = mixSeed(attack_replay.seed, run.id);
-            SchedulerReplay replay(sched, cfg);
             AttackTraceGenerator gen(run.attack);
-            const SchedReplayResult r =
-                replay.run(gen, options.uopsPerTrace);
-            return sched.snapshotStress(r.cycles);
+            return replaySchedulerArms(gen, options.uopsPerTrace,
+                                       SchedulerConfig(), cfg,
+                                       missing);
         });
 
     // Per-field bias, Figure-6/8 style: the normal workload next
@@ -1055,9 +1053,9 @@ runAttack(const ExperimentContext &ctx)
     const FieldLayout &layout = fieldLayout();
     const auto normal_worst = fieldWorstBias(normal.biasVector());
     const auto attacked_worst =
-        fieldWorstBias(stresses[0].biasVector());
+        fieldWorstBias(stresses[0][0].biasVector());
     const auto protected_worst =
-        fieldWorstBias(stresses[1].biasVector());
+        fieldWorstBias(stresses[1][0].biasVector());
     TextTable fields({"field", "normal worst", "all-zeros attack",
                       "attack vs protection"});
     for (unsigned f = 0; f < layout.count(); ++f) {
@@ -1081,9 +1079,9 @@ runAttack(const ExperimentContext &ctx)
               TextTable::pct(model.guardbandForZeroProb(
                   normal.worstFigure8Bias())),
               "-"});
-    for (std::size_t k = 0; k + 1 < stresses.size(); k += 2) {
-        const SchedulerStress &unprot = stresses[k];
-        const SchedulerStress &prot = stresses[k + 1];
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+        const SchedulerStress &unprot = stresses[0][k];
+        const SchedulerStress &prot = stresses[1][k];
         s.addRow(
             {runs[k].label,
              TextTable::pct(unprot.occupancy(), 1),
@@ -1190,33 +1188,40 @@ runAttack(const ExperimentContext &ctx)
     rf_replay.portFreeProb = 0.92;
     rf_replay.commitDelay = 64;
 
+    // Both arms of every replay below: baseline, then ISV.
+    const std::vector<bool> isv_arms = {false, true};
+    const auto rf_arms = [&](auto &gen, std::uint64_t seed,
+                             const std::vector<bool> &missing) {
+        RegReplayConfig cfg = rf_replay;
+        cfg.seed = seed;
+        std::vector<RfAttackShard> shards;
+        for (const RegFileArm &arm :
+             replayRegFileArms(gen, options.uopsPerTrace, rf_config,
+                               cfg, missing))
+            shards.push_back({arm.bias, arm.freeFraction});
+        return shards;
+    };
+
     // Normal-workload reference: one trace per suite, baseline
     // and ISV-protected, merged in suite order.
-    RfAttackShard normal_rf[2];
-    for (const bool isv : {false, true}) {
-        const auto shards = engine.mapCached<RfAttackShard>(
-            workload.firstPerSuite(), options.cache,
-            [&](unsigned index, std::size_t) {
+    const auto normal_rf_shards =
+        engine.mapVariantsCached<RfAttackShard>(
+            workload.firstPerSuite(), isv_arms, options.cache,
+            [&](unsigned index, bool isv, std::size_t) {
                 return regfileNormalKey(
-                    rf_config, rf_replay, isv,
-                    options.uopsPerTrace,
+                    rf_config, rf_replay, isv, options.uopsPerTrace,
                     workload.spec(index).seed, index);
             },
-            [&](unsigned index, std::size_t) {
-                RegisterFile rf(rf_config);
-                rf.enableIsv(isv);
-                RegReplayConfig cfg = rf_replay;
-                cfg.seed = mixSeed(rf_replay.seed, index);
-                RegFileReplay replay(rf, cfg);
+            [&](unsigned index, std::size_t,
+                const std::vector<bool> &missing) {
                 TraceGenerator gen = workload.generator(index);
-                const RegReplayResult r =
-                    replay.run(gen, options.uopsPerTrace);
-                RfAttackShard shard;
-                shard.bias = rf.finalizeBias(r.cycles);
-                shard.freeFraction = r.freeFraction;
-                return shard;
+                return rf_arms(gen, mixSeed(rf_replay.seed, index),
+                               missing);
             });
-        RfAttackShard merged;
+    RfAttackShard normal_rf[2];
+    for (std::size_t a = 0; a < 2; ++a) {
+        const auto &shards = normal_rf_shards[a];
+        RfAttackShard &merged = normal_rf[a];
         merged.bias = BitBiasTracker(rf_config.width);
         for (const RfAttackShard &shard : shards) {
             merged.bias.merge(shard.bias);
@@ -1224,7 +1229,6 @@ runAttack(const ExperimentContext &ctx)
         }
         merged.freeFraction /=
             static_cast<double>(shards.size());
-        normal_rf[isv ? 1 : 0] = merged;
     }
 
     // Attack arms: the same three pinned values as above, but the
@@ -1244,32 +1248,22 @@ runAttack(const ExperimentContext &ctx)
         {"alternating", rf_alternating}};
     std::vector<AttackRun> rf_runs;
     unsigned rf_variant_id = 0;
-    for (const auto &[label, attack] : rf_variants) {
-        rf_runs.push_back({label, attack, false, rf_variant_id});
-        rf_runs.push_back({label, attack, true, rf_variant_id});
-        ++rf_variant_id;
-    }
+    for (const auto &[label, attack] : rf_variants)
+        rf_runs.push_back({label, attack, rf_variant_id++});
 
-    const auto rf_results = engine.mapCached<RfAttackShard>(
-        rf_runs, options.cache,
-        [&](const AttackRun &run, std::size_t) {
-            return regfileAttackKey(
-                rf_config, rf_replay, run.protect,
-                options.uopsPerTrace, run.attack, run.id);
+    // rf_results[arm][variant]; ISV is the defence here.
+    const auto rf_results = engine.mapVariantsCached<RfAttackShard>(
+        rf_runs, isv_arms, options.cache,
+        [&](const AttackRun &run, bool isv, std::size_t) {
+            return regfileAttackKey(rf_config, rf_replay, isv,
+                                    options.uopsPerTrace, run.attack,
+                                    run.id);
         },
-        [&](const AttackRun &run, std::size_t) {
-            RegisterFile rf(rf_config);
-            rf.enableIsv(run.protect); // ISV is the defence here
-            RegReplayConfig cfg = rf_replay;
-            cfg.seed = mixSeed(rf_replay.seed, run.id);
-            RegFileReplay replay(rf, cfg);
+        [&](const AttackRun &run, std::size_t,
+            const std::vector<bool> &missing) {
             AttackTraceGenerator gen(run.attack);
-            const RegReplayResult r =
-                replay.run(gen, options.uopsPerTrace);
-            RfAttackShard shard;
-            shard.bias = rf.finalizeBias(r.cycles);
-            shard.freeFraction = r.freeFraction;
-            return shard;
+            return rf_arms(gen, mixSeed(rf_replay.seed, run.id),
+                           missing);
         });
 
     TextTable rt({"stream", "pinned bits", "worst stress",
@@ -1290,9 +1284,9 @@ runAttack(const ExperimentContext &ctx)
                      isv.bias.maxWorstCaseStress()))});
     };
     add_rf_row("normal workload", normal_rf[0], normal_rf[1]);
-    for (std::size_t k = 0; k + 1 < rf_results.size(); k += 2) {
-        add_rf_row(rf_runs[k].label, rf_results[k],
-                   rf_results[k + 1]);
+    for (std::size_t k = 0; k < rf_runs.size(); ++k) {
+        add_rf_row(rf_runs[k].label, rf_results[0][k],
+                   rf_results[1][k]);
     }
     rt.print(os);
 

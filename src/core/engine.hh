@@ -18,16 +18,20 @@
  *
  * mapCached() adds the content-addressed result layer on top: the
  * per-trace slot is looked up in a ResultCache before simulating
- * and stored after.  Because a key identifies the computation
- * completely (see resultcache.hh) and a hit deserializes the exact
- * bytes a previous identical computation produced, the trace-order
- * merge -- and therefore every printed statistic -- is bit-identical
- * with a cold cache, a warm cache, or no cache at all.
+ * and stored after.  mapVariantsCached() does the same for several
+ * variants of one item (the arms of a lockstep replay, the cells of
+ * a trace-major cache pass) in one task.  Because a key identifies
+ * the computation completely (see resultcache.hh) and a hit
+ * deserializes the exact bytes a previous identical computation
+ * produced, the trace-order merge -- and therefore every printed
+ * statistic -- is bit-identical with a cold cache, a warm cache, or
+ * no cache at all.
  */
 
 #ifndef PENELOPE_CORE_ENGINE_HH
 #define PENELOPE_CORE_ENGINE_HH
 
+#include <cassert>
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -111,7 +115,8 @@ class Engine
     }
 
     /**
-     * map() with a content-addressed cache in front of fn.
+     * map() with a content-addressed cache in front of fn: the
+     * one-variant case of mapVariantsCached().
      *
      * keyOf(item, slot) must return a Hash128 covering everything
      * that determines fn's result (the ResultCache key contract);
@@ -125,18 +130,72 @@ class Engine
     mapCached(const Items &items, ResultCache *cache, KeyFn &&keyOf,
               Fn &&fn) const
     {
-        if (!cache)
-            return map<R>(items, std::forward<Fn>(fn));
-        std::vector<R> out(items.size());
+        const std::vector<bool> one_variant(1);
+        return std::move(
+            mapVariantsCached<R>(
+                items, one_variant, cache,
+                [&](const auto &item, bool, std::size_t k) {
+                    return keyOf(item, k);
+                },
+                [&](const auto &item, std::size_t k,
+                    const std::vector<bool> &) {
+                    std::vector<R> r;
+                    r.push_back(fn(item, k));
+                    return r;
+                })
+                .front());
+    }
+
+    /**
+     * One task per item, several variants per item, every (item,
+     * variant) pair cached under its own key.
+     *
+     * keyOf(item, variant, slot) returns the pair's Hash128 (called
+     * only with a cache).  The task looks every variant up first,
+     * then -- only if some missed -- calls fn(item, slot, missing)
+     * once, with the missed variants in variant order, so they can
+     * share the item's work (one trace, one replay timing stream).
+     * fn returns one R per entry of missing, in that order; each is
+     * stored under its own key.  Returns out[variant][slot].  With a
+     * null cache every variant misses.
+     */
+    template <class R, class Items, class V, class KeyFn, class Fn>
+    std::vector<std::vector<R>>
+    mapVariantsCached(const Items &items,
+                      const std::vector<V> &variants,
+                      ResultCache *cache, KeyFn &&keyOf,
+                      Fn &&fn) const
+    {
+        std::vector<std::vector<R>> out(
+            variants.size(), std::vector<R>(items.size()));
         parallelFor(
             items.size(), jobs_,
             [&](std::size_t k) {
                 PENELOPE_OBS_COUNTER("engine.tasks", "1").add();
-                const Hash128 key = keyOf(items[k], k);
-                if (lookupCached(*cache, key, out[k]))
+                std::vector<Hash128> keys;
+                std::vector<std::size_t> missed;
+                std::vector<V> missing;
+                for (std::size_t v = 0; v < variants.size(); ++v) {
+                    if (cache) {
+                        keys.push_back(
+                            keyOf(items[k], variants[v], k));
+                        if (lookupCached(*cache, keys.back(),
+                                         out[v][k]))
+                            continue;
+                    }
+                    missed.push_back(v);
+                    missing.push_back(variants[v]);
+                }
+                if (missed.empty())
                     return;
-                out[k] = fn(items[k], k);
-                storeCached(*cache, key, out[k]);
+                std::vector<R> results = fn(items[k], k, missing);
+                assert(results.size() == missed.size());
+                for (std::size_t m = 0; m < missed.size(); ++m) {
+                    R &slot = out[missed[m]][k];
+                    slot = std::move(results[m]);
+                    if (cache)
+                        storeCached(*cache, keys[missed[m]], slot);
+                }
             },
             pool_);
         return out;

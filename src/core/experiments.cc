@@ -28,31 +28,6 @@ shardSlice(std::vector<unsigned> traces,
     return slice;
 }
 
-/** Per-trace shard of a register-file replay. */
-struct RegFileShard
-{
-    BitBiasTracker bias{1};
-    double freeFraction = 0.0;
-    IsvStats isv;
-};
-
-void
-encodeResult(ByteWriter &w, const RegFileShard &shard)
-{
-    encodeResult(w, shard.bias);
-    w.f64(shard.freeFraction);
-    encodeResult(w, shard.isv);
-}
-
-bool
-decodeResult(ByteReader &r, RegFileShard &shard)
-{
-    if (!decodeResult(r, shard.bias))
-        return false;
-    shard.freeFraction = r.f64();
-    return r.ok() && decodeResult(r, shard.isv);
-}
-
 /** Content hash of one trace's register-file replay. */
 Hash128
 regfileReplayKey(const RegFileConfig &rf_config,
@@ -149,6 +124,20 @@ schedulerProfilingSubset(const WorkloadSet &workload,
         subset.push_back(profiling_set[i]);
     }
     return subset;
+}
+
+std::vector<unsigned>
+schedulerEvaluationTraces(const WorkloadSet &workload,
+                          const ExperimentOptions &options)
+{
+    const auto complement =
+        workload.complement(profilingSample(workload, options));
+    std::vector<unsigned> eval_set;
+    for (std::size_t i = 0; i < complement.size();
+         i += std::max(1u, options.traceStride)) {
+        eval_set.push_back(complement[i]);
+    }
+    return shardSlice(std::move(eval_set), options);
 }
 
 std::vector<unsigned>
@@ -284,85 +273,139 @@ runAdderExperiment(const WorkloadSet &workload,
 
 // ------------------------------------------------------ register file
 
+namespace {
+
+/** Figure 6's register file and its calibrated replay timing. */
+struct RegFileSetup
+{
+    RegFileConfig rf;
+    RegReplayConfig replay;
+};
+
+RegFileSetup
+figure6Setup(bool fp)
+{
+    RegFileSetup setup;
+    setup.rf.name = fp ? "FP-RF" : "INT-RF";
+    setup.rf.numEntries = fp ? 64 : 128;
+    setup.rf.width = fp ? 80 : 32;
+    setup.replay.fp = fp;
+    setup.replay.portFreeProb = fp ? 0.86 : 0.92;
+    // Rename-to-commit depth calibrated so the free fractions land
+    // near the paper's 54% (INT) / 69% (FP).
+    setup.replay.commitDelay = fp ? 110 : 64;
+    return setup;
+}
+
+} // namespace
+
+std::vector<RegFileArm>
+runRegFileArms(const WorkloadSet &workload, bool fp,
+               const std::vector<bool> &isv_arms,
+               const ExperimentOptions &options)
+{
+    const Engine engine(options.jobs, options.pool);
+    const RegFileSetup setup = figure6Setup(fp);
+    const auto shards = engine.mapVariantsCached<RegFileArm>(
+        evalTraces(workload, options), isv_arms, options.cache,
+        [&](unsigned index, bool isv, std::size_t) {
+            return regfileReplayKey(setup.rf, setup.replay, isv,
+                                    options.uopsPerTrace,
+                                    workload.spec(index).seed, index);
+        },
+        [&](unsigned index, std::size_t,
+            const std::vector<bool> &missing) {
+            RegReplayConfig cfg = setup.replay;
+            cfg.seed = mixSeed(setup.replay.seed, index);
+            TraceGenerator gen = workload.generator(index);
+            return replayRegFileArms(gen, options.uopsPerTrace,
+                                     setup.rf, cfg, missing);
+        });
+
+    // Every trace ages its own register files; per arm, the per-bit
+    // duty times merge in trace order into the aggregate bias.
+    std::vector<RegFileArm> arms;
+    for (const std::vector<RegFileArm> &per_trace : shards) {
+        RegFileArm arm;
+        arm.bias = BitBiasTracker(setup.rf.width);
+        RunningStats free_frac;
+        for (const RegFileArm &shard : per_trace) {
+            arm.bias.merge(shard.bias);
+            free_frac.add(shard.freeFraction);
+            arm.isv.merge(shard.isv);
+        }
+        arm.freeFraction = free_frac.mean();
+        arms.push_back(std::move(arm));
+    }
+    return arms;
+}
+
 RegFileExperimentResult
 runRegFileExperiment(const WorkloadSet &workload, bool fp,
                      const ExperimentOptions &options)
 {
     RegFileExperimentResult result;
     const GuardbandModel model = GuardbandModel::paperCalibrated();
-    const Engine engine(options.jobs, options.pool);
+    result.name = figure6Setup(fp).rf.name;
 
-    RegFileConfig rf_config;
-    rf_config.name = fp ? "FP-RF" : "INT-RF";
-    rf_config.numEntries = fp ? 64 : 128;
-    rf_config.width = fp ? 80 : 32;
-    result.name = rf_config.name;
-
-    RegReplayConfig replay_config;
-    replay_config.fp = fp;
-    replay_config.portFreeProb = fp ? 0.86 : 0.92;
-    // Rename-to-commit depth calibrated so the free fractions land
-    // near the paper's 54% (INT) / 69% (FP).
-    replay_config.commitDelay = fp ? 110 : 64;
-
-    const auto traces = evalTraces(workload, options);
-
-    for (const bool isv : {false, true}) {
-        // Every trace ages its own register file; the per-bit duty
-        // times merge in trace order into the aggregate bias.
-        const auto shards = engine.mapCached<RegFileShard>(
-            traces, options.cache,
-            [&](unsigned index, std::size_t) {
-                return regfileReplayKey(
-                    rf_config, replay_config, isv,
-                    options.uopsPerTrace,
-                    workload.spec(index).seed, index);
-            },
-            [&](unsigned index, std::size_t) {
-                RegisterFile rf(rf_config);
-                rf.enableIsv(isv);
-                RegReplayConfig cfg = replay_config;
-                cfg.seed = mixSeed(replay_config.seed, index);
-                RegFileReplay replay(rf, cfg);
-                TraceGenerator gen = workload.generator(index);
-                const RegReplayResult r =
-                    replay.run(gen, options.uopsPerTrace);
-                RegFileShard shard;
-                shard.bias = rf.finalizeBias(r.cycles);
-                shard.freeFraction = r.freeFraction;
-                shard.isv = rf.isvStats();
-                return shard;
-            });
-
-        BitBiasTracker bias(rf_config.width);
-        RunningStats free_frac;
-        IsvStats isv_stats;
-        for (const RegFileShard &shard : shards) {
-            bias.merge(shard.bias);
-            free_frac.add(shard.freeFraction);
-            isv_stats.merge(shard.isv);
-        }
-
-        const auto vec = bias.biasVector();
-        const double worst = bias.maxWorstCaseStress();
-        if (isv) {
-            result.isvBias = vec;
-            result.isvWorst = worst;
-            result.guardbandIsv =
-                model.guardbandForZeroProb(worst);
-            result.isvStats = isv_stats;
-        } else {
-            result.baselineBias = vec;
-            result.baselineWorst = worst;
-            result.guardbandBaseline =
-                model.guardbandForZeroProb(worst);
-            result.freeFraction = free_frac.mean();
-        }
-    }
+    const auto arms =
+        runRegFileArms(workload, fp, {false, true}, options);
+    const RegFileArm &baseline = arms[0];
+    const RegFileArm &isv = arms[1];
+    result.baselineBias = baseline.bias.biasVector();
+    result.baselineWorst = baseline.bias.maxWorstCaseStress();
+    result.guardbandBaseline =
+        model.guardbandForZeroProb(result.baselineWorst);
+    result.freeFraction = baseline.freeFraction;
+    result.isvBias = isv.bias.biasVector();
+    result.isvWorst = isv.bias.maxWorstCaseStress();
+    result.guardbandIsv = model.guardbandForZeroProb(result.isvWorst);
+    result.isvStats = isv.isv;
     return result;
 }
 
 // ---------------------------------------------------------- scheduler
+
+std::vector<SchedulerStress>
+runSchedulerArms(const WorkloadSet &workload,
+                 const std::vector<std::vector<BitDecision>> &arms,
+                 const ExperimentOptions &options)
+{
+    const Engine engine(options.jobs, options.pool);
+    const SchedReplayConfig replay_config;
+    const auto shards = engine.mapVariantsCached<SchedulerStress>(
+        schedulerEvaluationTraces(workload, options), arms,
+        options.cache,
+        [&](unsigned index, const std::vector<BitDecision> &decisions,
+            std::size_t) {
+            // The installed decisions are key material: a protected
+            // replay's statistics depend on them.
+            return schedulerReplayKey(
+                SchedulerConfig(), replay_config,
+                options.uopsPerTrace, decisions,
+                workload.spec(index).seed, index);
+        },
+        [&](unsigned index, std::size_t,
+            const std::vector<std::vector<BitDecision>> &missing) {
+            SchedReplayConfig cfg = replay_config;
+            cfg.seed = mixSeed(replay_config.seed, index);
+            TraceGenerator gen = workload.generator(index);
+            return replaySchedulerArms(gen, options.uopsPerTrace,
+                                       SchedulerConfig(), cfg,
+                                       missing);
+        });
+
+    std::vector<SchedulerStress> merged;
+    for (const std::vector<SchedulerStress> &per_trace : shards) {
+        if (per_trace.empty())
+            return {};
+        SchedulerStress arm = per_trace.front();
+        for (std::size_t k = 1; k < per_trace.size(); ++k)
+            arm.merge(per_trace[k]);
+        merged.push_back(std::move(arm));
+    }
+    return merged;
+}
 
 SchedulerExperimentResult
 runSchedulerExperiment(const WorkloadSet &workload,
@@ -370,78 +413,28 @@ runSchedulerExperiment(const WorkloadSet &workload,
 {
     SchedulerExperimentResult result;
     const GuardbandModel model = GuardbandModel::paperCalibrated();
-    const Engine engine(options.jobs, options.pool);
 
-    // Paper methodology: profile K on 100 random traces...
-    const auto profiling_set = profilingSample(workload, options);
-    // ...then evaluate on the remaining traces (subsetted, and
-    // sharded when this process runs one slice of a scale-out).
-    std::vector<unsigned> eval_set;
-    {
-        const auto complement = workload.complement(profiling_set);
-        for (std::size_t i = 0; i < complement.size();
-             i += std::max(1u, options.traceStride)) {
-            eval_set.push_back(complement[i]);
-        }
-        eval_set = shardSlice(std::move(eval_set), options);
-    }
-
-    // Profiling uses a shorter run per trace: K only needs the
-    // aggregate occupancy/bias statistics.
-    const auto profile_subset =
-        schedulerProfilingSubset(workload, options);
+    // Paper methodology: profile K on a subset of the 100-trace
+    // profiling sample, with a shorter run per trace (K only needs
+    // the aggregate occupancy/bias statistics)...
     const SchedulerProfile profile = profileScheduler(
-        workload, profile_subset, options.uopsPerTrace / 2,
-        SchedulerConfig(), SchedReplayConfig(), options.jobs,
-        options.pool, options.cache);
+        workload, schedulerProfilingSubset(workload, options),
+        options.uopsPerTrace / 2, SchedulerConfig(),
+        SchedReplayConfig(), options.jobs, options.pool,
+        options.cache);
     const auto decisions = decideProtection(profile.bits);
     result.techniques = summarizeDecisions(decisions);
 
-    const std::vector<BitDecision> no_decisions;
-    for (const bool protect : {false, true}) {
-        const SchedReplayConfig replay_config;
-        const auto shards = engine.mapCached<SchedulerStress>(
-            eval_set, options.cache,
-            [&](unsigned index, std::size_t) {
-                // The installed decisions are key material: a
-                // protected replay's statistics depend on them.
-                return schedulerReplayKey(
-                    SchedulerConfig(), replay_config,
-                    options.uopsPerTrace,
-                    protect ? decisions : no_decisions,
-                    workload.spec(index).seed, index);
-            },
-            [&](unsigned index, std::size_t) {
-                Scheduler sched{SchedulerConfig{}};
-                if (protect) {
-                    sched.configureProtection(decisions);
-                    sched.enableProtection(true);
-                }
-                SchedReplayConfig cfg = replay_config;
-                cfg.seed = mixSeed(replay_config.seed, index);
-                SchedulerReplay replay(sched, cfg);
-                TraceGenerator gen = workload.generator(index);
-                const SchedReplayResult r =
-                    replay.run(gen, options.uopsPerTrace);
-                return sched.snapshotStress(r.cycles);
-            });
-
-        if (shards.empty())
-            continue;
-        SchedulerStress merged = shards.front();
-        for (std::size_t k = 1; k < shards.size(); ++k)
-            merged.merge(shards[k]);
-
-        const auto bias = merged.biasVector();
-        const double worst = merged.worstFigure8Bias();
-        if (protect) {
-            result.protectedBias = bias;
-            result.protectedWorstFig8 = worst;
-            result.occupancy = merged.occupancy();
-        } else {
-            result.baselineBias = bias;
-            result.baselineWorstFig8 = worst;
-        }
+    // ...then evaluate baseline and protected arms on the remaining
+    // traces.
+    const auto arms =
+        runSchedulerArms(workload, {{}, decisions}, options);
+    if (!arms.empty()) {
+        result.baselineBias = arms[0].biasVector();
+        result.baselineWorstFig8 = arms[0].worstFigure8Bias();
+        result.protectedBias = arms[1].biasVector();
+        result.protectedWorstFig8 = arms[1].worstFigure8Bias();
+        result.occupancy = arms[1].occupancy();
     }
 
     result.guardband =

@@ -23,6 +23,7 @@
 #include "nbti/guardband.hh"
 #include "pipeline/pipeline.hh"
 #include "regfile/driver.hh"
+#include "scheduler/driver.hh"
 #include "scheduler/profile.hh"
 #include "trace/workload.hh"
 
@@ -210,6 +211,19 @@ RegFileExperimentResult
 runRegFileExperiment(const WorkloadSet &workload, bool fp,
                      const ExperimentOptions &options);
 
+/**
+ * Figure 6's register-file replays of the evaluation traces, one arm
+ * per entry of @p isv_arms (ISV on or off), all arms of a trace in
+ * one lockstep replay (replayRegFileArms).  Per arm, the per-trace
+ * outcomes merged in trace order (freeFraction is their mean).
+ * Each (trace, arm) is cached on its own, so asking for fewer arms
+ * replays, and looks up, only those.
+ */
+std::vector<RegFileArm>
+runRegFileArms(const WorkloadSet &workload, bool fp,
+               const std::vector<bool> &isv_arms,
+               const ExperimentOptions &options);
+
 // ---------------------------------------------------------- scheduler
 
 /**
@@ -222,6 +236,28 @@ runRegFileExperiment(const WorkloadSet &workload, bool fp,
 std::vector<unsigned>
 schedulerProfilingSubset(const WorkloadSet &workload,
                          const ExperimentOptions &options);
+
+/**
+ * Figure 8's evaluation traces: every traceStride-th trace outside
+ * the 100-trace profiling sample, restricted to this process's
+ * `--shard` slice.
+ */
+std::vector<unsigned>
+schedulerEvaluationTraces(const WorkloadSet &workload,
+                          const ExperimentOptions &options);
+
+/**
+ * Figure 8's scheduler replays of schedulerEvaluationTraces(), one
+ * arm per decision vector in @p arms (empty = unprotected), all arms
+ * of a trace in one lockstep replay (replaySchedulerArms).  Per arm,
+ * the per-trace snapshots merged in trace order; empty when this
+ * process's evaluation slice is.  Each (trace, arm) is cached on its
+ * own, so asking for fewer arms replays, and looks up, only those.
+ */
+std::vector<SchedulerStress>
+runSchedulerArms(const WorkloadSet &workload,
+                 const std::vector<std::vector<BitDecision>> &arms,
+                 const ExperimentOptions &options);
 
 /** Figure 8 results. */
 struct SchedulerExperimentResult

@@ -103,6 +103,23 @@ decodeResult(ByteReader &r, BitBiasTracker &v)
 // ---------------------------------------------------- SchedulerStress
 
 void
+encodeResult(ByteWriter &w, const RegFileArm &v)
+{
+    encodeResult(w, v.bias);
+    w.f64(v.freeFraction);
+    encodeResult(w, v.isv);
+}
+
+bool
+decodeResult(ByteReader &r, RegFileArm &v)
+{
+    if (!decodeResult(r, v.bias))
+        return false;
+    v.freeFraction = r.f64();
+    return r.ok() && decodeResult(r, v.isv);
+}
+
+void
 encodeResult(ByteWriter &w, const SchedulerStress &v)
 {
     header(w, kTagSchedStress);

@@ -28,7 +28,7 @@
 #include "common/duty.hh"
 #include "core/resultcache.hh"
 #include "pipeline/pipeline.hh"
-#include "regfile/regfile.hh"
+#include "regfile/driver.hh"
 #include "scheduler/scheduler.hh"
 
 namespace penelope {
@@ -38,6 +38,11 @@ bool decodeResult(ByteReader &r, IsvStats &v);
 
 void encodeResult(ByteWriter &w, const BitBiasTracker &v);
 bool decodeResult(ByteReader &r, BitBiasTracker &v);
+
+/** No tag of its own: the tracker, the free fraction, the ISV
+ *  stats (the "regfile-replay" entry layout). */
+void encodeResult(ByteWriter &w, const RegFileArm &v);
+bool decodeResult(ByteReader &r, RegFileArm &v);
 
 void encodeResult(ByteWriter &w, const SchedulerStress &v);
 bool decodeResult(ByteReader &r, SchedulerStress &v);

@@ -1,25 +1,51 @@
 #include "driver.hh"
 
 #include <cassert>
+#include <stdexcept>
+#include <utility>
 
 namespace penelope {
 
-RegFileReplay::RegFileReplay(RegisterFile &rf,
+RegFileReplay::RegFileReplay(std::vector<RegisterFile *> files,
                              const RegReplayConfig &config)
-    : rf_(rf), config_(config), rng_(config.seed)
+    : files_(std::move(files)), config_(config), rng_(config.seed)
 {
+    if (files_.empty())
+        throw std::invalid_argument("RegFileReplay: no register file");
+    const RegisterFile &first = *files_.front();
+    for (const RegisterFile *rf : files_) {
+        if (rf->numEntries() != first.numEntries() ||
+            rf->width() != first.width())
+            throw std::invalid_argument(
+                "RegFileReplay: lockstep register files differ in "
+                "geometry");
+    }
     const unsigned arch_regs =
         config_.fp ? numArchFpRegs : numArchIntRegs;
     archMap_.assign(arch_regs, -1);
     // Architectural state starts mapped, holding zero values
     // (non-inverted), as at the start of the paper's traces.
+    const BitWord zero(first.width());
     for (unsigned r = 0; r < arch_regs; ++r) {
-        const int phys = rf_.allocate(0);
+        const int phys = allocate(0);
         assert(phys >= 0);
-        rf_.write(static_cast<unsigned>(phys),
-                  BitWord(rf_.width()), 0);
+        for (RegisterFile *rf : files_)
+            rf->write(static_cast<unsigned>(phys), zero, 0);
         archMap_[r] = phys;
     }
+}
+
+int
+RegFileReplay::allocate(Cycle now)
+{
+    const int phys = files_.front()->allocate(now);
+    for (std::size_t k = 1; k < files_.size(); ++k) {
+        if (files_[k]->allocate(now) != phys)
+            throw std::logic_error(
+                "RegFileReplay: lockstep register files allocated "
+                "different entries");
+    }
+    return phys;
 }
 
 void
@@ -29,8 +55,9 @@ RegFileReplay::drainReleases(Cycle now, bool force)
            (pending_.front().due <= now || force)) {
         const PendingRelease rel = pending_.front();
         pending_.pop_front();
-        rf_.release(rel.entry, now,
-                    rng_.nextBool(config_.portFreeProb));
+        const bool port = rng_.nextBool(config_.portFreeProb);
+        for (RegisterFile *rf : files_)
+            rf->release(rel.entry, now, port);
         ++result_.releases;
         if (force) {
             ++result_.forcedReleases;

@@ -1,15 +1,36 @@
 #include "driver.hh"
 
-#include <cassert>
+#include <stdexcept>
+#include <utility>
 
 namespace penelope {
 
-SchedulerReplay::SchedulerReplay(Scheduler &scheduler,
+SchedulerReplay::SchedulerReplay(std::vector<Scheduler *> schedulers,
                                  const SchedReplayConfig &config)
-    : sched_(scheduler), config_(config), rng_(config.seed)
+    : scheds_(std::move(schedulers)),
+      config_(config),
+      residence_(1.0 / config.meanResidence),
+      rng_(config.seed)
 {
-    releaseAt_.assign(sched_.numEntries(), 0);
-    useWheel_ = sched_.numEntries() <= 64;
+    if (scheds_.empty())
+        throw std::invalid_argument("SchedulerReplay: no scheduler");
+    const unsigned entries = scheds_.front()->numEntries();
+    for (const Scheduler *sched : scheds_) {
+        if (sched->numEntries() != entries)
+            throw std::invalid_argument(
+                "SchedulerReplay: lockstep schedulers differ in "
+                "numEntries");
+    }
+    releaseAt_.assign(entries, 0);
+    useWheel_ = entries <= 64;
+}
+
+void
+SchedulerReplay::diverged()
+{
+    throw std::logic_error(
+        "SchedulerReplay: lockstep schedulers allocated different "
+        "entries");
 }
 
 void

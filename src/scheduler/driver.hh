@@ -18,7 +18,9 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -53,20 +55,38 @@ struct SchedReplayResult
 };
 
 /**
- * Replays a uop stream against a Scheduler.
+ * Replays a uop stream against one or more Schedulers.
  *
  * The uop source is any type with a `Uop next()` member: the
  * workload's TraceGenerator, or an adversarial source such as
  * AttackTraceGenerator (trace/attack.hh).  Replay timing --
- * arrivals, residences, port availability -- is drawn from the
- * replay's own Rng either way, so two sources differ only in the
- * uops they feed the slots.
+ * arrivals, residences, rename tags, port availability -- is drawn
+ * from the replay's own Rng either way, so two sources differ only
+ * in the uops they feed the slots.
+ *
+ * Several schedulers of one geometry replay in lockstep: every
+ * allocate and release goes to each of them with the same uop, tags,
+ * entry and port bit.  Slot allocation depends only on busy/free
+ * state, which protection never changes, so each scheduler sees
+ * exactly the call sequence a solo replay with the same seed would
+ * give it -- one uop stream and one timing stream serve every arm
+ * (baseline, protected) of a trace.  A scheduler that allocates a
+ * different entry from the first one throws std::logic_error.
  */
 class SchedulerReplay
 {
   public:
-    SchedulerReplay(Scheduler &scheduler,
+    /** Lockstep replay of @p schedulers (not owned; all with the
+     *  same numEntries, else std::invalid_argument). */
+    SchedulerReplay(std::vector<Scheduler *> schedulers,
                     const SchedReplayConfig &config);
+
+    SchedulerReplay(Scheduler &scheduler,
+                    const SchedReplayConfig &config)
+        : SchedulerReplay(std::vector<Scheduler *>{&scheduler},
+                          config)
+    {
+    }
 
     template <class Gen>
     SchedReplayResult
@@ -96,18 +116,14 @@ class SchedulerReplay
                 for (; due; due &= due - 1) {
                     const unsigned e = static_cast<unsigned>(
                         std::countr_zero(due));
-                    sched_.release(
-                        e, now,
-                        rng_.nextBool(config_.portFreeProb));
+                    release(e, now);
                     releaseAt_[e] = 0;
                     ++result.released;
                 }
             } else {
                 for (unsigned e = 0; e < releaseAt_.size(); ++e) {
                     if (releaseAt_[e] != 0 && releaseAt_[e] <= now) {
-                        sched_.release(
-                            e, now,
-                            rng_.nextBool(config_.portFreeProb));
+                        release(e, now);
                         releaseAt_[e] = 0;
                         ++result.released;
                     }
@@ -125,8 +141,7 @@ class SchedulerReplay
                 } else {
                     uop = gen.next();
                 }
-                const int entry =
-                    sched_.allocate(uop, nextTags(uop), now);
+                const int entry = allocate(uop, now);
                 if (entry < 0) {
                     pending = uop;
                     stalled = true;
@@ -135,9 +150,7 @@ class SchedulerReplay
                 arrival_acc -= 1.0;
                 ++consumed;
                 ++result.allocated;
-                const Cycle residence = 1 +
-                    rng_.nextGeometric(
-                        1.0 / config_.meanResidence);
+                const Cycle residence = 1 + residence_(rng_);
                 const Cycle at = now + residence;
                 releaseAt_[static_cast<unsigned>(entry)] = at;
                 if (useWheel_) {
@@ -166,8 +179,7 @@ class SchedulerReplay
             if (releaseAt_[e] != 0) {
                 const Cycle at = std::max(now, releaseAt_[e]);
                 now = std::max(now, at);
-                sched_.release(
-                    e, at, rng_.nextBool(config_.portFreeProb));
+                release(e, at);
                 releaseAt_[e] = 0;
                 ++result.released;
             }
@@ -179,19 +191,45 @@ class SchedulerReplay
 
         clock_ = now;
         result.cycles = now;
-        result.occupancy = sched_.occupancy(now);
+        result.occupancy = scheds_.front()->occupancy(now);
         return result;
     }
 
   private:
     RenameTags nextTags(const Uop &uop);
 
+    /** Allocate @p uop in every scheduler (one tag draw); the
+     *  shared entry, or -1 when full. */
+    int
+    allocate(const Uop &uop, Cycle now)
+    {
+        const RenameTags tags = nextTags(uop);
+        const int entry = scheds_.front()->allocate(uop, tags, now);
+        for (std::size_t k = 1; k < scheds_.size(); ++k) {
+            if (scheds_[k]->allocate(uop, tags, now) != entry)
+                diverged();
+        }
+        return entry;
+    }
+
+    /** Release @p entry in every scheduler (one port draw). */
+    void
+    release(unsigned entry, Cycle now)
+    {
+        const bool port = rng_.nextBool(config_.portFreeProb);
+        for (Scheduler *sched : scheds_)
+            sched->release(entry, now, port);
+    }
+
+    [[noreturn]] static void diverged();
+
     /** Move far-off pending releases whose due cycle now falls
      *  inside the wheel window into their buckets. */
     void promoteFar(Cycle now);
 
-    Scheduler &sched_;
+    std::vector<Scheduler *> scheds_;
     SchedReplayConfig config_;
+    GeometricDist residence_; ///< cycles past the first, mean - 1
     Rng rng_;
     std::vector<Cycle> releaseAt_; ///< per entry; 0 = free
 
@@ -209,6 +247,38 @@ class SchedulerReplay
     Cycle clock_ = 0;
     double arrivalAcc_ = 0.0;
 };
+
+/**
+ * Replay @p num_uops uops of @p gen through one fresh scheduler per
+ * entry of @p arms, in lockstep: a non-empty decision vector is
+ * installed and protection enabled, an empty one leaves the arm
+ * unprotected.  Returns each arm's stress snapshot, in arm order;
+ * each equals the snapshot of a solo replay with the same seed.
+ */
+template <class Gen>
+std::vector<SchedulerStress>
+replaySchedulerArms(Gen &gen, std::size_t num_uops,
+                    const SchedulerConfig &sched_config,
+                    const SchedReplayConfig &replay_config,
+                    const std::vector<std::vector<BitDecision>> &arms)
+{
+    std::deque<Scheduler> scheds;
+    std::vector<Scheduler *> lockstep;
+    for (const std::vector<BitDecision> &decisions : arms) {
+        Scheduler &sched = scheds.emplace_back(sched_config);
+        if (!decisions.empty()) {
+            sched.configureProtection(decisions);
+            sched.enableProtection(true);
+        }
+        lockstep.push_back(&sched);
+    }
+    SchedulerReplay replay(std::move(lockstep), replay_config);
+    const SchedReplayResult r = replay.run(gen, num_uops);
+    std::vector<SchedulerStress> out;
+    for (Scheduler &sched : scheds)
+        out.push_back(sched.snapshotStress(r.cycles));
+    return out;
+}
 
 } // namespace penelope
 

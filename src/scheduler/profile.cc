@@ -46,24 +46,22 @@ profileScheduler(const WorkloadSet &workload,
                  ResultCache *cache)
 {
     const Engine engine(jobs, pool);
-    const std::vector<BitDecision> no_decisions;
+    const std::vector<std::vector<BitDecision>> unprotected(1);
     const auto shards = engine.mapCached<SchedulerStress>(
         trace_indices, cache,
         [&](unsigned index, std::size_t) {
             return schedulerReplayKey(
                 sched_config, replay_config, uops_per_trace,
-                no_decisions, workload.spec(index).seed, index);
+                unprotected.front(), workload.spec(index).seed,
+                index);
         },
         [&](unsigned index, std::size_t) {
-            Scheduler sched(sched_config);
-            sched.enableProtection(false);
             SchedReplayConfig cfg = replay_config;
             cfg.seed = mixSeed(replay_config.seed, index);
-            SchedulerReplay replay(sched, cfg);
             TraceGenerator gen = workload.generator(index);
-            const SchedReplayResult r =
-                replay.run(gen, uops_per_trace);
-            return sched.snapshotStress(r.cycles);
+            return replaySchedulerArms(gen, uops_per_trace,
+                                       sched_config, cfg, unprotected)
+                .front();
         });
 
     SchedulerProfile profile;

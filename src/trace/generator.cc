@@ -64,7 +64,8 @@ TraceGenerator::TraceGenerator(const TraceSpec &spec)
     : spec_(spec),
       profile_(suiteProfile(spec.suite)),
       params_(resolveParams(profile_, spec.seed)),
-      srcGeomP_(1.0 / std::max(1.0, profile_.ilpDistance)),
+      srcGeom_(1.0 / std::max(1.0, profile_.ilpDistance)),
+      immGeom_(1.0 / 24.0),
       rng_(spec.seed),
       intValues_(profile_.intValues, Rng(spec.seed ^ 0x1111)),
       fpValues_(profile_.fpValues, Rng(spec.seed ^ 0x2222)),
@@ -189,7 +190,7 @@ TraceGenerator::pickSourceReg(bool fp)
         return static_cast<std::uint8_t>(rng_.nextInt(arch_regs));
     // Geometric dependency distance: mean ilpDistance positions back.
     const std::size_t back = std::min<std::size_t>(
-        rng_.nextGeometric(srcGeomP_), pool - 1);
+        srcGeom_(rng_), pool - 1);
     return fp ? recentFp_[back] : recentInt_[back];
 }
 
@@ -249,7 +250,7 @@ TraceGenerator::next()
         uop.hasImm = rng_.nextBool(profile_.immFrac);
         if (uop.hasImm) {
             uop.imm = static_cast<std::uint16_t>(
-                rng_.nextGeometric(1.0 / 24.0) + 1);
+                immGeom_(rng_) + 1);
         } else {
             uop.srcReg2 = pickSourceReg(false);
             uop.srcVal2 = intRegs_[uop.srcReg2];

@@ -131,9 +131,10 @@ class TraceGenerator
     const SuiteProfile &profile_;
     TraceParams params_;
 
-    /** Precomputed 1 / max(1, ilpDistance) (same double as the
-     *  per-call expression; hoisted off the per-uop path). */
-    double srcGeomP_;
+    /** Dependency distance, mean max(1, ilpDistance) positions
+     *  back, and immediate magnitude, mean 24. */
+    GeometricDist srcGeom_;
+    GeometricDist immGeom_;
     Rng rng_;
     IntValueGen intValues_;
     FpValueGen fpValues_;

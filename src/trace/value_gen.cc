@@ -7,7 +7,7 @@ namespace penelope {
 
 IntValueGen::IntValueGen(const IntValueProfile &profile, Rng rng)
     : profile_(profile),
-      smallGeomP_(1.0 / profile.meanSmallMagnitude),
+      smallGeom_(1.0 / profile.meanSmallMagnitude),
       rng_(rng)
 {
 }
@@ -21,11 +21,11 @@ IntValueGen::next()
         return 0;
     acc += profile_.smallPosProb;
     if (u < acc)
-        return (rng_.nextGeometric(smallGeomP_) + 1) & 0xffffffffULL;
+        return (smallGeom_(rng_) + 1) & 0xffffffffULL;
     acc += profile_.smallNegProb;
     if (u < acc) {
         const std::int64_t mag = static_cast<std::int64_t>(
-            rng_.nextGeometric(smallGeomP_)) + 1;
+            smallGeom_(rng_)) + 1;
         return static_cast<std::uint32_t>(-mag);
     }
     acc += profile_.pointerProb;
@@ -104,6 +104,8 @@ FpValueGen::next()
 AddressGen::AddressGen(const AddressProfile &profile, Rng rng)
     : profile_(profile),
       rng_(rng),
+      runGeom_(1.0 / profile.meanRunLength),
+      repeatGeom_(1.0 / profile.meanAccessesPerLine),
       zipf_(std::max<std::uint64_t>(
                 1, profile.workingSetBytes / profile.lineBytes),
             profile.zipfExponent),
@@ -125,14 +127,12 @@ AddressGen::next()
             --runRemaining_;
             currentLine_ = (currentLine_ + 1) % numLines_;
         } else if (rng_.nextBool(profile_.sequentialFraction)) {
-            runRemaining_ = rng_.nextGeometric(
-                1.0 / profile_.meanRunLength);
+            runRemaining_ = runGeom_(rng_);
             currentLine_ = zipf_.sample(rng_);
         } else {
             currentLine_ = zipf_.sample(rng_);
         }
-        repeatRemaining_ = 1 + rng_.nextGeometric(
-            1.0 / profile_.meanAccessesPerLine);
+        repeatRemaining_ = 1 + repeatGeom_(rng_);
     }
     --repeatRemaining_;
     const Addr offset = rng_.nextInt(profile_.lineBytes / 4) * 4;

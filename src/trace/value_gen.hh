@@ -57,9 +57,8 @@ class IntValueGen
   private:
     IntValueProfile profile_;
 
-    /** Precomputed 1 / meanSmallMagnitude (same double as the
-     *  per-call expression; hoisted off the per-value path). */
-    double smallGeomP_;
+    /** Small-magnitude distribution, mean meanSmallMagnitude. */
+    GeometricDist smallGeom_;
     Rng rng_;
 };
 
@@ -127,6 +126,8 @@ class AddressGen
   private:
     AddressProfile profile_;
     Rng rng_;
+    GeometricDist runGeom_;    ///< lines per sequential run
+    GeometricDist repeatGeom_; ///< extra accesses to one line
     ZipfTable zipf_;
     std::uint64_t numLines_;
     std::uint64_t runRemaining_;

@@ -106,9 +106,9 @@ TEST(Rng, GeometricMean)
 {
     Rng rng(23);
     RunningStats s;
-    const double p = 0.125;
+    const GeometricDist geometric(0.125);
     for (int i = 0; i < 20000; ++i)
-        s.add(static_cast<double>(rng.nextGeometric(p)));
+        s.add(static_cast<double>(geometric(rng)));
     // Mean of failures-before-success = (1-p)/p = 7.
     EXPECT_NEAR(s.mean(), 7.0, 0.3);
 }
@@ -116,8 +116,10 @@ TEST(Rng, GeometricMean)
 TEST(Rng, GeometricWithPOneIsZero)
 {
     Rng rng(29);
+    const GeometricDist certain(1.0);
     for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(rng.nextGeometric(1.0), 0u);
+        EXPECT_EQ(certain(rng), 0u);
+    EXPECT_EQ(rng(), Rng(29)()); // and consumes no draws
 }
 
 /** FNV-1a over 64-bit words: a compact pin for a long draw stream. */
@@ -134,7 +136,7 @@ TEST(Rng, GeometricStreamPinned)
     // The first 100k draws per p from one seed, followed by one raw
     // draw (which pins how many raw draws the stream consumed).  The
     // trace generator (values, run lengths, dependency distances) and
-    // the scheduler replay draw from nextGeometric, so every
+    // the scheduler replay draw from GeometricDist, so every
     // statistic rests on this stream staying put.
     struct Case
     {
@@ -148,20 +150,23 @@ TEST(Rng, GeometricStreamPinned)
     };
     for (const Case &c : cases) {
         Rng rng(0x6e0);
+        const GeometricDist geometric(c.p);
         std::uint64_t h = kFnvBasis;
         for (int i = 0; i < 100000; ++i)
-            h = foldDraw(h, rng.nextGeometric(c.p));
+            h = foldDraw(h, geometric(rng));
         EXPECT_EQ(foldDraw(h, rng()), c.digest) << "p = " << c.p;
     }
 
     // Three p values in rotation, one of them small enough that the
     // stream regularly runs to 48 failures and beyond.
-    const double rotation[3] = {0.3, 1.0 / 24, 0.01};
+    const GeometricDist rotation[3] = {
+        GeometricDist(0.3), GeometricDist(1.0 / 24),
+        GeometricDist(0.01)};
     Rng rng(0x6e1);
     std::uint64_t h = kFnvBasis;
     std::uint64_t long_runs = 0;
     for (int i = 0; i < 100000; ++i) {
-        const std::uint64_t g = rng.nextGeometric(rotation[i % 3]);
+        const std::uint64_t g = rotation[i % 3](rng);
         h = foldDraw(h, g);
         long_runs += g >= 48 ? 1 : 0;
     }

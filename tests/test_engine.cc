@@ -21,6 +21,7 @@
 #include "core/engine.hh"
 #include "core/registry.hh"
 #include "core/resultcache.hh"
+#include "core/serialize.hh"
 #include "obs/metrics.hh"
 #include "scheduler/profile.hh"
 #include "trace/workload.hh"
@@ -190,6 +191,74 @@ TEST(Engine, MapPreservesItemOrder)
     ASSERT_EQ(squares.size(), items.size());
     for (std::size_t i = 0; i < items.size(); ++i)
         EXPECT_EQ(squares[i], items[i] * items[i]);
+}
+
+TEST(Engine, MapVariantsCachedRunsOnlyMissedVariantsOncePerItem)
+{
+    const Engine engine(4);
+    std::vector<unsigned> items(10);
+    std::iota(items.begin(), items.end(), 0u);
+    const std::vector<unsigned> variants = {1, 2, 3};
+    const auto key = [](unsigned item, unsigned variant, std::size_t) {
+        CacheKeyBuilder k("engine-variants-test");
+        k.u32(item).u32(variant);
+        return k.digest();
+    };
+    const auto result = [](unsigned item, unsigned variant) {
+        IsvStats r;
+        r.updatesApplied = item;
+        r.updatesSkipped = variant;
+        return r;
+    };
+    std::atomic<unsigned> calls{0};
+    std::vector<std::vector<unsigned>> seen(items.size());
+    const auto fn = [&](unsigned item, std::size_t slot,
+                        const std::vector<unsigned> &missing) {
+        ++calls;
+        seen[slot] = missing;
+        std::vector<IsvStats> out;
+        for (const unsigned v : missing)
+            out.push_back(result(item, v));
+        return out;
+    };
+
+    // Warm variant 2 of the even items only.
+    ResultCache cache;
+    std::vector<unsigned> even;
+    for (const unsigned item : items)
+        if (item % 2 == 0)
+            even.push_back(item);
+    engine.mapVariantsCached<IsvStats>(even, std::vector<unsigned>{2},
+                                       &cache, key, fn);
+    ASSERT_EQ(cache.stats().stores, even.size());
+
+    calls = 0;
+    const auto out =
+        engine.mapVariantsCached<IsvStats>(items, variants, &cache,
+                                           key, fn);
+    EXPECT_EQ(calls, items.size());
+    EXPECT_EQ(cache.stats().hits, even.size());
+    EXPECT_EQ(cache.stats().stores,
+              even.size() + variants.size() * items.size() -
+                  even.size());
+    ASSERT_EQ(out.size(), variants.size());
+    for (std::size_t k = 0; k < items.size(); ++k) {
+        const std::vector<unsigned> expected =
+            k % 2 == 0 ? std::vector<unsigned>{1, 3} : variants;
+        EXPECT_EQ(seen[k], expected) << "item " << k;
+        for (std::size_t v = 0; v < variants.size(); ++v) {
+            EXPECT_EQ(out[v][k].updatesApplied, items[k]);
+            EXPECT_EQ(out[v][k].updatesSkipped, variants[v]);
+        }
+    }
+
+    // Without a cache every variant misses: one call per item, all
+    // variants at once.
+    calls = 0;
+    engine.mapVariantsCached<IsvStats>(items, variants, nullptr, key,
+                                       fn);
+    EXPECT_EQ(calls, items.size());
+    EXPECT_EQ(seen[0], variants);
 }
 
 // ---------------------------------------------------------- merges
@@ -475,6 +544,129 @@ TEST(MemCells, JobsDoNotChangeSamples)
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t c = 0; c < cells.size(); ++c)
         expectSameSamples(serial[c], parallel[c]);
+}
+
+// ------------------------------------------------ lockstep arms
+
+std::string
+stressBytes(const SchedulerStress &stress)
+{
+    ByteWriter w;
+    encodeResult(w, stress);
+    return w.data();
+}
+
+void
+expectSameSchedulerResult(const SchedulerExperimentResult &a,
+                          const SchedulerExperimentResult &b)
+{
+    EXPECT_EQ(a.baselineBias, b.baselineBias);
+    EXPECT_EQ(a.protectedBias, b.protectedBias);
+    EXPECT_EQ(a.baselineWorstFig8, b.baselineWorstFig8);
+    EXPECT_EQ(a.protectedWorstFig8, b.protectedWorstFig8);
+    EXPECT_EQ(a.occupancy, b.occupancy);
+    EXPECT_EQ(a.guardband, b.guardband);
+}
+
+TEST(LockstepCache, SchedulerBaselineWarmCacheStoresOnlyProtectedArm)
+{
+    const WorkloadSet workload;
+    ExperimentOptions options = tinyOptions(1);
+    const auto cold = runSchedulerExperiment(workload, options);
+
+    ResultCache cache;
+    options.cache = &cache;
+    const auto profile_subset =
+        schedulerProfilingSubset(workload, options);
+    const std::size_t eval =
+        schedulerEvaluationTraces(workload, options).size();
+    ASSERT_GT(eval, 0u);
+
+    // Warm with unprotected keys only: the profiling pass and the
+    // evaluation set's baseline arm.
+    profileScheduler(workload, profile_subset,
+                     options.uopsPerTrace / 2, SchedulerConfig(),
+                     SchedReplayConfig(), 1, nullptr, &cache);
+    const std::vector<std::vector<BitDecision>> unprotected(1);
+    runSchedulerArms(workload, unprotected, options);
+    const ResultCache::Stats before = cache.stats();
+    EXPECT_EQ(before.stores, profile_subset.size() + eval);
+
+    // Every evaluation trace hits its baseline and replays (and
+    // stores) only its protected arm.
+    const auto warm = runSchedulerExperiment(workload, options);
+    const ResultCache::Stats after = cache.stats();
+    EXPECT_EQ(after.hits - before.hits, profile_subset.size() + eval);
+    EXPECT_EQ(after.misses - before.misses, eval);
+    EXPECT_EQ(after.stores - before.stores, eval);
+    expectSameSchedulerResult(warm, cold);
+}
+
+TEST(LockstepCache, RegFileBaselineWarmCacheStoresOnlyIsvArm)
+{
+    const WorkloadSet workload;
+    ExperimentOptions options = tinyOptions(1);
+    const auto cold = runRegFileExperiment(workload, false, options);
+
+    ResultCache cache;
+    options.cache = &cache;
+    const std::size_t eval = evaluationTraces(workload, options).size();
+    runRegFileArms(workload, false, {false}, options);
+    const ResultCache::Stats before = cache.stats();
+    EXPECT_EQ(before.stores, eval);
+
+    const auto warm = runRegFileExperiment(workload, false, options);
+    const ResultCache::Stats after = cache.stats();
+    EXPECT_EQ(after.hits - before.hits, eval);
+    EXPECT_EQ(after.stores - before.stores, eval);
+    EXPECT_EQ(warm.baselineBias, cold.baselineBias);
+    EXPECT_EQ(warm.isvBias, cold.isvBias);
+    EXPECT_EQ(warm.freeFraction, cold.freeFraction);
+    EXPECT_EQ(warm.isvStats.updatesApplied,
+              cold.isvStats.updatesApplied);
+}
+
+TEST(LockstepCache, JobsDoNotChangeArms)
+{
+    const WorkloadSet workload;
+    // Arms in reverse order: arm order is data, not a convention.
+    const auto rf = [&](unsigned jobs) {
+        return runRegFileArms(workload, true, {true, false},
+                              tinyOptions(jobs));
+    };
+    const auto rf1 = rf(1);
+    const auto rf4 = rf(4);
+    ASSERT_EQ(rf1.size(), 2u);
+    ASSERT_EQ(rf4.size(), 2u);
+    for (std::size_t a = 0; a < 2; ++a) {
+        EXPECT_EQ(rf1[a].bias.biasVector(), rf4[a].bias.biasVector());
+        EXPECT_EQ(rf1[a].bias.totalTime(), rf4[a].bias.totalTime());
+        EXPECT_EQ(rf1[a].freeFraction, rf4[a].freeFraction);
+        EXPECT_EQ(rf1[a].isv.updatesApplied, rf4[a].isv.updatesApplied);
+    }
+    EXPECT_GT(rf1[0].isv.updatesApplied, 0u);
+    EXPECT_EQ(rf1[1].isv.updatesApplied, 0u);
+
+    const auto decisions = decideProtection(
+        profileScheduler(workload, {0, 200}, 2'000).bits);
+    const std::vector<std::vector<BitDecision>> arms = {decisions, {}};
+    const auto sched1 = runSchedulerArms(workload, arms, tinyOptions(1));
+    const auto sched4 = runSchedulerArms(workload, arms, tinyOptions(4));
+    ASSERT_EQ(sched1.size(), 2u);
+    ASSERT_EQ(sched4.size(), 2u);
+    for (std::size_t a = 0; a < 2; ++a)
+        EXPECT_EQ(stressBytes(sched1[a]), stressBytes(sched4[a]));
+
+    // The attack experiment's lockstep arm pairs, end to end.
+    registerBuiltinExperiments();
+    const Experiment *attack =
+        ExperimentRegistry::instance().find("attack");
+    ASSERT_NE(attack, nullptr);
+    std::ostringstream out1;
+    std::ostringstream out4;
+    attack->run({workload, tinyOptions(1), out1});
+    attack->run({workload, tinyOptions(4), out4});
+    EXPECT_EQ(out1.str(), out4.str());
 }
 
 TEST(JobsDeterminism, PersistentPoolMatchesPerCallPools)

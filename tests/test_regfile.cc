@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "regfile/driver.hh"
 #include "regfile/regfile.hh"
 #include "trace/workload.hh"
@@ -265,6 +267,130 @@ TEST(RegReplay, IsvImprovesWorstStress)
     const double isv = run(true);
     EXPECT_GT(baseline, 0.75);
     EXPECT_LT(isv, 0.62);
+}
+
+// -------------------------------------------------------- Lockstep
+
+void
+expectSameBias(const BitBiasTracker &a, const BitBiasTracker &b)
+{
+    ASSERT_EQ(a.width(), b.width());
+    EXPECT_EQ(a.totalTime(), b.totalTime());
+    for (unsigned bit = 0; bit < a.width(); ++bit)
+        EXPECT_EQ(a.zeroTime(bit), b.zeroTime(bit)) << "bit " << bit;
+}
+
+void
+expectSameIsv(const IsvStats &a, const IsvStats &b)
+{
+    EXPECT_EQ(a.updatesApplied, b.updatesApplied);
+    EXPECT_EQ(a.updatesDiscarded, b.updatesDiscarded);
+    EXPECT_EQ(a.updatesSkipped, b.updatesSkipped);
+}
+
+void
+expectSameReplay(const RegReplayResult &a, const RegReplayResult &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.releases, b.releases);
+    EXPECT_EQ(a.forcedReleases, b.forcedReleases);
+    EXPECT_EQ(a.occupancy, b.occupancy);
+    EXPECT_EQ(a.freeFraction, b.freeFraction);
+}
+
+/**
+ * ISV-off and ISV-on files replayed in lockstep must each end
+ * exactly as a solo replay with the same seed does: over two run()
+ * calls, and through replayRegFileArms.
+ */
+void
+expectLockstepMatchesSolo(bool fp, unsigned trace)
+{
+    const WorkloadSet w;
+    RegFileConfig cfg;
+    cfg.numEntries = fp ? 64 : 128;
+    cfg.width = fp ? 80 : 32;
+    RegReplayConfig rc;
+    rc.fp = fp;
+    rc.commitDelay = fp ? 110 : 64;
+    rc.seed = mixSeed(rc.seed, trace);
+    const std::size_t runs[] = {12000, 8000};
+
+    RegisterFile baseline(cfg);
+    RegisterFile isv(cfg);
+    isv.enableIsv(true);
+    RegisterFile *const lockstep[] = {&baseline, &isv};
+    RegFileReplay replay({lockstep[0], lockstep[1]}, rc);
+    TraceGenerator gen = w.generator(trace);
+    std::vector<RegReplayResult> results;
+    for (const std::size_t n : runs)
+        results.push_back(replay.run(gen, n));
+
+    TraceGenerator arms_gen = w.generator(trace);
+    const auto arms =
+        replayRegFileArms(arms_gen, runs[0], cfg, rc, {false, true});
+    ASSERT_EQ(arms.size(), 2u);
+
+    for (const bool on : {false, true}) {
+        SCOPED_TRACE(on ? "ISV" : "baseline");
+        for (std::size_t calls = 1; calls <= 2; ++calls) {
+            RegisterFile rf(cfg);
+            rf.enableIsv(on);
+            RegFileReplay solo(rf, rc);
+            TraceGenerator solo_gen = w.generator(trace);
+            RegReplayResult r;
+            for (std::size_t k = 0; k < calls; ++k)
+                r = solo.run(solo_gen, runs[k]);
+            const BitBiasTracker &bias = rf.finalizeBias(r.cycles);
+            if (calls == 2) {
+                expectSameReplay(r, results[1]);
+                expectSameBias(
+                    bias, lockstep[on]->finalizeBias(r.cycles));
+                expectSameIsv(rf.isvStats(), lockstep[on]->isvStats());
+            } else {
+                expectSameBias(bias, arms[on].bias);
+                EXPECT_EQ(r.freeFraction, arms[on].freeFraction);
+                expectSameIsv(rf.isvStats(), arms[on].isv);
+            }
+        }
+    }
+    EXPECT_GT(isv.isvStats().updatesApplied, 0u);
+}
+
+TEST(RegLockstep, IntArmsMatchSoloReplays)
+{
+    expectLockstepMatchesSolo(false, 5);
+}
+
+TEST(RegLockstep, FpArmsMatchSoloReplays)
+{
+    const WorkloadSet w;
+    expectLockstepMatchesSolo(
+        true, w.indicesForSuite(SuiteId::SpecFp2000).front());
+}
+
+TEST(RegLockstep, MismatchedOrDivergedFileThrows)
+{
+    RegFileConfig wide;
+    wide.width = 64;
+    RegisterFile a{RegFileConfig()};
+    RegisterFile b{wide};
+    EXPECT_THROW(RegFileReplay({&a, &b}, RegReplayConfig{}),
+                 std::invalid_argument);
+    RegFileConfig fewer;
+    fewer.numEntries = 96;
+    RegisterFile c{fewer};
+    EXPECT_THROW(RegFileReplay({&a, &c}, RegReplayConfig{}),
+                 std::invalid_argument);
+
+    // Same geometry, but one entry already taken: the replay's first
+    // lockstep allocation diverges, in every build type.
+    RegisterFile d{RegFileConfig()};
+    ASSERT_GE(d.allocate(0), 0);
+    RegisterFile e{RegFileConfig()};
+    EXPECT_THROW(RegFileReplay({&e, &d}, RegReplayConfig{}),
+                 std::logic_error);
 }
 
 } // namespace

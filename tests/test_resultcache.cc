@@ -133,14 +133,25 @@ TEST(ResultCodec, BitBiasTrackerRoundTripAcrossWidths)
     Rng rng(0xc0dec);
     for (unsigned width : {1u, 7u, 32u, 64u, 65u, 80u, 128u,
                            144u, 192u}) {
+        // A BitWord holds at most 128 bits: the wider trackers (the
+        // scheduler's sliced views) are built from per-bit times.
         BitBiasTracker tracker(width);
-        for (int i = 0; i < 200; ++i) {
-            BitWord value(width);
-            for (unsigned bit = 0; bit < width; ++bit) {
-                if (rng.nextBool(0.3))
-                    value.setBit(bit, true);
+        if (width <= 128) {
+            for (int i = 0; i < 200; ++i) {
+                BitWord value(width);
+                for (unsigned bit = 0; bit < width; ++bit) {
+                    if (rng.nextBool(0.3))
+                        value.setBit(bit, true);
+                }
+                tracker.observe(value, 1 + rng.nextInt(1000));
             }
-            tracker.observe(value, 1 + rng.nextInt(1000));
+        } else {
+            const std::uint64_t total = 100'000;
+            std::vector<std::uint64_t> zeros(width);
+            for (std::uint64_t &z : zeros)
+                z = rng.nextInt(total + 1);
+            tracker =
+                BitBiasTracker::fromTimes(width, zeros.data(), total);
         }
         BitBiasTracker out(1);
         expectRoundTrip(tracker, out);

@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "core/serialize.hh"
 #include "scheduler/driver.hh"
 #include "scheduler/fields.hh"
 #include "scheduler/profile.hh"
 #include "scheduler/scheduler.hh"
 #include "scheduler/techniques.hh"
+#include "trace/attack.hh"
 #include "trace/workload.hh"
 
 namespace penelope {
@@ -353,6 +358,127 @@ TEST(SchedReplay, ClockPersists)
     const SchedReplayResult r1 = replay.run(gen, 2000);
     const SchedReplayResult r2 = replay.run(gen, 2000);
     EXPECT_GT(r2.cycles, r1.cycles);
+}
+
+// ------------------------------------------------------- Lockstep
+
+/** The bytes the result cache stores for @p stress. */
+std::string
+stressBytes(const SchedulerStress &stress)
+{
+    ByteWriter w;
+    encodeResult(w, stress);
+    return w.data();
+}
+
+void
+expectSameReplay(const SchedReplayResult &a,
+                 const SchedReplayResult &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.allocated, b.allocated);
+    EXPECT_EQ(a.released, b.released);
+    EXPECT_EQ(a.stallCycles, b.stallCycles);
+    EXPECT_EQ(a.occupancy, b.occupancy);
+}
+
+/**
+ * An unprotected and a protected scheduler replayed in lockstep on
+ * makeGen()'s stream must each end exactly as a solo replay with the
+ * same seed does: over two run() calls (the clock persists), and
+ * through replaySchedulerArms.
+ */
+template <class MakeGen>
+void
+expectLockstepMatchesSolo(MakeGen makeGen,
+                          const SchedReplayConfig &config)
+{
+    const WorkloadSet w;
+    const std::vector<std::vector<BitDecision>> arms = {
+        {}, decideProtection(profileScheduler(w, {0, 200}, 4000).bits)};
+    const std::size_t runs[] = {5000, 3000};
+
+    Scheduler unprotected{SchedulerConfig{}};
+    Scheduler protected_arm{SchedulerConfig{}};
+    protected_arm.configureProtection(arms[1]);
+    protected_arm.enableProtection(true);
+    Scheduler *const lockstep[] = {&unprotected, &protected_arm};
+    SchedulerReplay replay({lockstep[0], lockstep[1]}, config);
+    auto gen = makeGen();
+    std::vector<SchedReplayResult> results;
+    for (const std::size_t n : runs)
+        results.push_back(replay.run(gen, n));
+
+    auto arms_gen = makeGen();
+    const auto arm_stress = replaySchedulerArms(
+        arms_gen, runs[0], SchedulerConfig{}, config, arms);
+    ASSERT_EQ(arm_stress.size(), 2u);
+
+    for (std::size_t a = 0; a < 2; ++a) {
+        SCOPED_TRACE(a ? "protected" : "unprotected");
+        const auto solo_stress = [&](std::size_t calls) {
+            Scheduler sched{SchedulerConfig{}};
+            if (a) {
+                sched.configureProtection(arms[1]);
+                sched.enableProtection(true);
+            }
+            SchedulerReplay solo(sched, config);
+            auto solo_gen = makeGen();
+            Cycle end = 0;
+            for (std::size_t k = 0; k < calls; ++k) {
+                const SchedReplayResult r =
+                    solo.run(solo_gen, runs[k]);
+                expectSameReplay(r, results[k]);
+                end = r.cycles;
+            }
+            return stressBytes(sched.snapshotStress(end));
+        };
+        EXPECT_EQ(solo_stress(2),
+                  stressBytes(
+                      lockstep[a]->snapshotStress(results[1].cycles)));
+        EXPECT_EQ(solo_stress(1), stressBytes(arm_stress[a]));
+    }
+}
+
+TEST(SchedLockstep, ArmsMatchSoloReplaysOnWorkloadTrace)
+{
+    const WorkloadSet w;
+    SchedReplayConfig config;
+    config.seed = mixSeed(config.seed, 77);
+    expectLockstepMatchesSolo([&] { return w.generator(77); },
+                              config);
+}
+
+TEST(SchedLockstep, ArmsMatchSoloReplaysOnAttackStream)
+{
+    AttackConfig attack;
+    attack.dataValue = 0xaaaaaaaaULL;
+    attack.imm = 0xaaaa;
+    SchedReplayConfig config;
+    config.arrivalRate = 4.0; // saturated: allocation stalls too
+    expectLockstepMatchesSolo(
+        [&] { return AttackTraceGenerator(attack); }, config);
+}
+
+TEST(SchedLockstep, MismatchedOrDivergedSchedulerThrows)
+{
+    SchedulerConfig small;
+    small.numEntries = 16;
+    Scheduler a{SchedulerConfig{}};
+    Scheduler b{small};
+    EXPECT_THROW(SchedulerReplay({&a, &b}, SchedReplayConfig{}),
+                 std::invalid_argument);
+    EXPECT_THROW(SchedulerReplay({}, SchedReplayConfig{}),
+                 std::invalid_argument);
+
+    // Same geometry, but one slot already taken: the first lockstep
+    // allocation returns different entries, in every build type.
+    Scheduler c{SchedulerConfig{}};
+    ASSERT_GE(c.allocate(makeAluUop(1, 0), RenameTags{}, 0), 0);
+    SchedulerReplay replay({&a, &c}, SchedReplayConfig{});
+    const WorkloadSet w;
+    TraceGenerator gen = w.generator(0);
+    EXPECT_THROW(replay.run(gen, 100), std::logic_error);
 }
 
 // -------------------------------------------------------- Profile

@@ -491,10 +491,11 @@ TEST(Service, HungWorkerForfeitsByHeartbeatDeadline)
     good.host = "127.0.0.1";
     good.port = coordinator.port();
     good.heartbeatIntervalMs = 50;
-    // Stretch each slice well past the heartbeat interval: the
-    // rescuer is slow but heartbeating, so the deadline must not
-    // forfeit it -- and the coordinator must see its beats.
-    good.slowFactor = 20.0;
+    // Stretch each slice well past the heartbeat interval (a slice
+    // of this plan computes in a few milliseconds): the rescuer is
+    // slow but heartbeating, so the deadline must not forfeit it --
+    // and the coordinator must see its beats.
+    good.slowFactor = 100.0;
     ResultCache good_cache;
     WorkerStats good_stats;
     WorkerOutcome good_outcome = WorkerOutcome::Aborted;

@@ -364,6 +364,33 @@ BM_CacheAccessLineFixed(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccessLineFixed);
 
+/** Real cache traffic: one MemTimingSim replay of a MemStream
+ *  drawn from workload trace 0 (20k uops; 91% DL0 and 98% DTLB
+ *  hits, where BM_CacheAccess almost always misses).  Arg 0:
+ *  None/None; arg 1: LineFixed50 on the DL0.  items/s counts uops.
+ */
+void
+BM_MemStreamReplay(benchmark::State &state)
+{
+    WorkloadSet workload;
+    TraceGenerator gen = workload.generator(0);
+    const MemStream stream = MemStream::generate(gen, 20000);
+    const MechanismKind dl0 = state.range(0) == 0
+        ? MechanismKind::None
+        : MechanismKind::LineFixed50;
+    double cycles = 0.0;
+    for (auto _ : state) {
+        MemTimingSim sim(CacheConfig(), CacheConfig::tlb(128, 8),
+                         MemTimingParams(), dl0, MechanismKind::None,
+                         ExperimentOptions().mechanismTimeScale);
+        cycles += sim.run(stream).cycles;
+    }
+    benchmark::DoNotOptimize(cycles);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(stream.size()));
+}
+BENCHMARK(BM_MemStreamReplay)->Arg(0)->Arg(1);
+
 /** The duty-accounting kernel itself: observe values of mixed
  *  density at mixed dt, the pattern the replay drivers produce.
  *  Arg = tracker width (32 = INT RF / scheduler fields, 64 = cache

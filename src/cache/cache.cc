@@ -1,6 +1,7 @@
 #include "cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "inversion.hh"
@@ -22,17 +23,22 @@ CacheConfig::tlb(std::uint32_t entries, std::uint32_t ways,
 Cache::Cache(const CacheConfig &config)
     : config_(config),
       numSets_(config.numSets()),
-      lines_(static_cast<std::size_t>(config.numSets()) *
-             config.ways),
+      lineShift_(static_cast<unsigned>(
+          std::countr_zero(config.lineBytes))),
+      match_(static_cast<std::size_t>(config.numSets()) * config.ways,
+             kNoLine),
+      lastUse_(match_.size(), 0),
+      lines_(match_.size()),
       mruHits_(config.ways),
       usableSetCount_(config.numSets()),
+      usableSetsPow2_(std::has_single_bit(config.numSets())),
       usableWayCount_(config.ways),
       dataBias_(64),
       rng_(0xcac4e + config.sizeBytes + config.ways)
 {
     assert(numSets_ >= 1);
     assert(config_.ways >= 1);
-    assert((config_.lineBytes & (config_.lineBytes - 1)) == 0);
+    assert(std::has_single_bit(config_.lineBytes));
 }
 
 Cache::~Cache() = default;
@@ -45,22 +51,10 @@ Cache::setPolicy(std::unique_ptr<InversionPolicy> policy)
         policy_->attach(*this, lastRatioUpdate_);
 }
 
-Cache::Line &
-Cache::lineAt(unsigned set, unsigned way)
+void
+Cache::policyCycle(Cycle now)
 {
-    return lines_[static_cast<std::size_t>(set) * config_.ways + way];
-}
-
-const Cache::Line &
-Cache::lineAt(unsigned set, unsigned way) const
-{
-    return lines_[static_cast<std::size_t>(set) * config_.ways + way];
-}
-
-unsigned
-Cache::indexOf(std::uint64_t line_no) const
-{
-    return (usableSetFirst_ + line_no % usableSetCount_) % numSets_;
+    policy_->onCycle(*this, now);
 }
 
 double
@@ -99,131 +93,93 @@ Cache::flushImage(Line &line, Cycle now)
     }
 }
 
-void
-Cache::sampleRinv(Word value)
-{
-    // RINV samples (and inverts) a value flowing through a write
-    // port periodically (Section 3.2, situation I).
-    if ((rinvUpdateCounter_++ & 0x3ff) == 0)
-        rinv_ = ~value;
-}
-
-unsigned
-Cache::recencyPosition(unsigned set, unsigned way) const
-{
-    const Line &ref = lineAt(set, way);
-    unsigned pos = 0;
-    for (unsigned w = 0; w < config_.ways; ++w) {
-        if (w == way)
-            continue;
-        const Line &other = lineAt(set, w);
-        if (other.valid && other.lastUse > ref.lastUse)
-            ++pos;
-    }
-    return pos;
-}
-
 int
-Cache::lruValidWay(unsigned set, bool skip_shadow) const
+Cache::inversionTarget(unsigned set, bool skip_shadow) const
 {
-    int best = -1;
-    Cycle best_use = ~Cycle(0);
+    // Plain-invalid lines hold dead data: inverting one is free.
+    // Only a fully valid set sacrifices its LRU line, which is the
+    // steady-state case the paper describes (most cache contents
+    // are useless and about to be evicted anyway).
+    const std::size_t base = slot(set, 0);
+    int lru = -1;
+    Cycle lru_use = ~Cycle(0);
     for (unsigned i = 0; i < usableWayCount_; ++i) {
-        const unsigned w = (usableWayFirst_ + i) % config_.ways;
-        const Line &line = lineAt(set, w);
-        if (!line.valid || line.inverted)
+        const unsigned w = windowWay(i);
+        const Line &line = lines_[base + w];
+        if (line.inverted || (skip_shadow && line.shadow))
             continue;
-        if (skip_shadow && line.shadow)
-            continue;
-        if (line.lastUse < best_use) {
-            best_use = line.lastUse;
-            best = static_cast<int>(w);
+        if (match_[base + w] == kNoLine)
+            return static_cast<int>(w);
+        if (lastUse_[base + w] < lru_use) {
+            lru_use = lastUse_[base + w];
+            lru = static_cast<int>(w);
         }
     }
-    return best;
+    return lru;
 }
 
 unsigned
-Cache::pickVictim(unsigned set, Cycle now)
+Cache::pickVictim(unsigned set)
 {
-    (void)now;
-    // Invalid (including inverted) lines first: consuming an
-    // inverted line is the designed refill path (Section 3.2.1).
-    for (unsigned i = 0; i < usableWayCount_; ++i) {
-        const unsigned w = (usableWayFirst_ + i) % config_.ways;
-        if (!lineAt(set, w).valid)
-            return w;
+    // One branch-free pass over the window, walked backwards so the
+    // first way in window order wins: the first invalid (including
+    // inverted) line, and the LRU line (<= backwards is < forwards,
+    // so a tie keeps the first way).
+    const std::size_t base = slot(set, 0);
+    unsigned invalid = config_.ways;
+    unsigned lru = windowWay(0);
+    for (unsigned i = usableWayCount_; i-- > 0;) {
+        const unsigned w = windowWay(i);
+        invalid = match_[base + w] == kNoLine ? w : invalid;
+        lru = lastUse_[base + w] <= lastUse_[base + lru] ? w : lru;
     }
+    // Consuming an inverted line is the designed refill path
+    // (Section 3.2.1).
+    if (invalid != config_.ways)
+        return invalid;
 
-    switch (config_.replacement) {
-      case ReplacementPolicy::Random: {
-        const unsigned i =
-            static_cast<unsigned>(rng_.nextInt(usableWayCount_));
-        return (usableWayFirst_ + i) % config_.ways;
-      }
-      case ReplacementPolicy::PseudoLru:
-      case ReplacementPolicy::Lru:
-      default: {
-        // True LRU over the usable window; pLRU approximated by
-        // sampling two candidates and taking the older (tree pLRU
-        // behaves statistically like this at our granularity).
-        if (config_.replacement == ReplacementPolicy::PseudoLru &&
-            usableWayCount_ > 2) {
-            unsigned w1 = (usableWayFirst_ +
-                           static_cast<unsigned>(
-                               rng_.nextInt(usableWayCount_))) %
-                config_.ways;
-            unsigned w2 = (usableWayFirst_ +
-                           static_cast<unsigned>(
-                               rng_.nextInt(usableWayCount_))) %
-                config_.ways;
-            return lineAt(set, w1).lastUse <= lineAt(set, w2).lastUse
-                ? w1 : w2;
-        }
-        const int lru = lruValidWay(set, false);
-        assert(lru >= 0);
-        return static_cast<unsigned>(lru);
-      }
+    if (config_.replacement == ReplacementPolicy::Random)
+        return windowWay(
+            static_cast<unsigned>(rng_.nextInt(usableWayCount_)));
+    // pLRU is approximated by sampling two candidates and taking the
+    // older (tree pLRU behaves statistically like this at our
+    // granularity).
+    if (config_.replacement == ReplacementPolicy::PseudoLru &&
+        usableWayCount_ > 2) {
+        const unsigned w1 = windowWay(
+            static_cast<unsigned>(rng_.nextInt(usableWayCount_)));
+        const unsigned w2 = windowWay(
+            static_cast<unsigned>(rng_.nextInt(usableWayCount_)));
+        return lastUse_[base + w1] <= lastUse_[base + w2] ? w1 : w2;
     }
+    return lru;
+}
+
+bool
+Cache::touchHitLine(unsigned set, unsigned way, Cycle now, bool store,
+                    Word data)
+{
+    Line &line = lines_[slot(set, way)];
+    if (store) {
+        flushImage(line, now);
+        line.image = data;
+    }
+    if (!line.shadow)
+        return false;
+    if (policy_)
+        policy_->onShadowHit(*this, set, way, now);
+    return true;
 }
 
 AccessResult
-Cache::access(Addr addr, bool is_write, Cycle now,
-              std::optional<Word> data)
+Cache::fill(unsigned set, std::uint64_t line_no, Cycle now,
+            bool has_data, Word data)
 {
-    const std::uint64_t line_no = addr / config_.lineBytes;
-    const unsigned set = indexOf(line_no);
-
     AccessResult result;
-
-    // Lookup in the usable ways.
-    for (unsigned i = 0; i < usableWayCount_; ++i) {
-        const unsigned w = (usableWayFirst_ + i) % config_.ways;
-        Line &line = lineAt(set, w);
-        if (line.valid && !line.inverted && line.tag == line_no) {
-            result.hit = true;
-            result.mruPosition = recencyPosition(set, w);
-            ++hits_;
-            mruHits_.add(result.mruPosition);
-            line.lastUse = now;
-            if (is_write && data) {
-                flushImage(line, now);
-                line.image = *data;
-                sampleRinv(*data);
-            }
-            if (line.shadow) {
-                result.shadowExtraMiss = true;
-                if (policy_)
-                    policy_->onShadowHit(*this, set, w, now);
-            }
-            return result;
-        }
-    }
-
-    // Miss: allocate.
     ++misses_;
-    const unsigned victim = pickVictim(set, now);
-    Line &line = lineAt(set, victim);
+    const unsigned victim = pickVictim(set);
+    const std::size_t at = slot(set, victim);
+    Line &line = lines_[at];
     if (line.inverted) {
         // Ratio bookkeeping before the state change.
         invertRatioIntegral_ += invertRatio() *
@@ -232,17 +188,16 @@ Cache::access(Addr addr, bool is_write, Cycle now,
         --invertedCount_;
         result.consumedInvertedLine = true;
     }
-    if (line.shadow) {
-        line.shadow = false;
-        --shadowCount_;
-    }
+    setShadow(set, victim, false);
     flushImage(line, now);
-    line.tag = line_no;
-    line.valid = true;
+    match_[at] = line_no;
     line.inverted = false;
-    line.lastUse = now;
-    line.image = data.value_or(rng_());
-    sampleRinv(line.image);
+    lastUse_[at] = now;
+    // Every fill draws from rng_, even when data is given.  The
+    // draw is deliberate: the mechanisms share rng_, so every
+    // result depends on it (README, "Known deviations").
+    const Word drawn = rng_();
+    line.image = has_data ? data : drawn;
 
     if (policy_)
         policy_->onFill(*this, set, victim, now,
@@ -250,17 +205,10 @@ Cache::access(Addr addr, bool is_write, Cycle now,
     return result;
 }
 
-void
-Cache::tick(Cycle now)
-{
-    if (policy_)
-        policy_->onCycle(*this, now);
-}
-
 bool
 Cache::invertLine(unsigned set, unsigned way, Cycle now)
 {
-    Line &line = lineAt(set, way);
+    Line &line = lines_[slot(set, way)];
     if (line.inverted)
         return false;
     invertRatioIntegral_ += invertRatio() *
@@ -270,12 +218,9 @@ Cache::invertLine(unsigned set, unsigned way, Cycle now)
     // Invalidate and store complemented contents so the opposite
     // PMOS of every bit cell ages during the inverted residence.
     line.image = ~line.image;
-    line.valid = false;
+    match_[slot(set, way)] = kNoLine;
     line.inverted = true;
-    if (line.shadow) {
-        line.shadow = false;
-        --shadowCount_;
-    }
+    setShadow(set, way, false);
     ++invertedCount_;
     return true;
 }
@@ -283,20 +228,8 @@ Cache::invertLine(unsigned set, unsigned way, Cycle now)
 bool
 Cache::invertLruLineOfSet(unsigned set, Cycle now)
 {
-    // Plain-invalid lines hold dead data: inverting one is free.
-    // Only a fully valid set sacrifices its LRU line, which is the
-    // steady-state case the paper describes (most cache contents
-    // are useless and about to be evicted anyway).
-    for (unsigned i = 0; i < usableWayCount_; ++i) {
-        const unsigned w = (usableWayFirst_ + i) % config_.ways;
-        const Line &line = lineAt(set, w);
-        if (!line.valid && !line.inverted)
-            return invertLine(set, w, now);
-    }
-    const int way = lruValidWay(set, false);
-    if (way < 0)
-        return false;
-    return invertLine(set, static_cast<unsigned>(way), now);
+    const int way = inversionTarget(set, false);
+    return way >= 0 && invertLine(set, static_cast<unsigned>(way), now);
 }
 
 void
@@ -306,6 +239,7 @@ Cache::setUsableSets(unsigned first, unsigned count, Cycle now)
     assert(first < numSets_);
     usableSetFirst_ = first;
     usableSetCount_ = count;
+    usableSetsPow2_ = std::has_single_bit(count);
     // Every line in the now-unusable sets becomes inverted (valid
     // contents are complemented in place; dead lines hold inverted
     // garbage, which balances their cells just the same).
@@ -314,11 +248,8 @@ Cache::setUsableSets(unsigned first, unsigned count, Cycle now)
             ((s + numSets_ - first) % numSets_) < count;
         if (usable)
             continue;
-        for (unsigned w = 0; w < config_.ways; ++w) {
-            Line &line = lineAt(s, w);
-            if (!line.inverted)
-                invertLine(s, w, now);
-        }
+        for (unsigned w = 0; w < config_.ways; ++w)
+            invertLine(s, w, now);
     }
 }
 
@@ -333,10 +264,7 @@ Cache::setUsableWays(unsigned first, unsigned count, Cycle now)
         for (unsigned w = 0; w < config_.ways; ++w) {
             const bool usable =
                 ((w + config_.ways - first) % config_.ways) < count;
-            if (usable)
-                continue;
-            Line &line = lineAt(s, w);
-            if (!line.inverted)
+            if (!usable)
                 invertLine(s, w, now);
         }
     }
@@ -345,7 +273,7 @@ Cache::setUsableWays(unsigned first, unsigned count, Cycle now)
 void
 Cache::setShadow(unsigned set, unsigned way, bool shadow)
 {
-    Line &line = lineAt(set, way);
+    Line &line = lines_[slot(set, way)];
     if (line.shadow == shadow)
         return;
     line.shadow = shadow;
@@ -358,7 +286,7 @@ Cache::setShadow(unsigned set, unsigned way, bool shadow)
 bool
 Cache::isShadow(unsigned set, unsigned way) const
 {
-    return lineAt(set, way).shadow;
+    return lines_[slot(set, way)].shadow;
 }
 
 void
@@ -372,18 +300,10 @@ Cache::clearShadows()
 bool
 Cache::shadowMarkLruLineOfSet(unsigned set)
 {
-    // Mirror invertLruLineOfSet: the shadow test must model the
-    // same target preference (dead lines first) or it would
+    // The same target as invertLruLineOfSet: the shadow test must
+    // model the real preference (dead lines first) or it would
     // overestimate the induced extra misses.
-    for (unsigned i = 0; i < usableWayCount_; ++i) {
-        const unsigned w = (usableWayFirst_ + i) % config_.ways;
-        const Line &line = lineAt(set, w);
-        if (!line.valid && !line.inverted && !line.shadow) {
-            setShadow(set, w, true);
-            return true;
-        }
-    }
-    const int way = lruValidWay(set, true);
+    const int way = inversionTarget(set, true);
     if (way < 0)
         return false;
     setShadow(set, static_cast<unsigned>(way), true);
@@ -393,13 +313,13 @@ Cache::shadowMarkLruLineOfSet(unsigned set)
 bool
 Cache::lineValid(unsigned set, unsigned way) const
 {
-    return lineAt(set, way).valid;
+    return match_[slot(set, way)] != kNoLine;
 }
 
 bool
 Cache::lineInverted(unsigned set, unsigned way) const
 {
-    return lineAt(set, way).inverted;
+    return lines_[slot(set, way)].inverted;
 }
 
 const BitBiasTracker &

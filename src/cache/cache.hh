@@ -14,11 +14,22 @@
  * complement of a sampled value so both PMOS devices of every cell
  * age evenly.  The valid/state bits encode valid+non-inverted or
  * invalid+inverted, exactly as the paper describes.
+ *
+ * Kernel layout: each set keeps two parallel per-way arrays, the
+ * line number while valid (else a sentinel) and the last-use cycle,
+ * so a lookup reads 16 bytes per way and never the cold per-line
+ * record (data image, inverted/shadow bits).  Only ways of the
+ * usable window ever hold valid lines -- fills pick window ways,
+ * and setUsableSets/setUsableWays invert every line outside the
+ * window -- so a branch-free scan of the whole set finds exactly
+ * the hits a window-order scan would.
  */
 
 #ifndef PENELOPE_CACHE_CACHE_HH
 #define PENELOPE_CACHE_CACHE_HH
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -72,10 +83,11 @@ struct CacheConfig
 /** Result of one cache access. */
 struct AccessResult
 {
-    bool hit = false;
-
-    /** Recency position of the hit way (0 = MRU). */
+    /** Recency position of the hit way (0 = MRU).  First, so the
+     *  struct packs into 8 bytes and returns in one register. */
     unsigned mruPosition = 0;
+
+    bool hit = false;
 
     /** The replaced victim was an inverted line (on miss). */
     bool consumedInvertedLine = false;
@@ -111,7 +123,12 @@ class Cache
                         std::optional<Word> data = std::nullopt);
 
     /** Advance policy machinery by one cycle. */
-    void tick(Cycle now);
+    void
+    tick(Cycle now)
+    {
+        if (policy_)
+            policyCycle(now);
+    }
 
     /** @name Inversion manipulators (used by policies) */
     /// @{
@@ -178,40 +195,77 @@ class Cache
     /// @}
 
   private:
+    /** The cold per-line record; tags and recency live in match_
+     *  and lastUse_. */
     struct Line
     {
-        std::uint64_t tag = 0; ///< full line number
-        bool valid = false;
-        bool inverted = false;
-        bool shadow = false;
-        Cycle lastUse = 0;
         Word image = 0;        ///< stored data image (bias only)
         Cycle imageSince = 0;
+        bool inverted = false;
+        bool shadow = false;
     };
 
-    Line &lineAt(unsigned set, unsigned way);
-    const Line &lineAt(unsigned set, unsigned way) const;
+    /** match_ entry of a line that is not valid. */
+    static constexpr std::uint64_t kNoLine = ~std::uint64_t(0);
+
+    std::size_t
+    slot(unsigned set, unsigned way) const
+    {
+        return static_cast<std::size_t>(set) * config_.ways + way;
+    }
+
+    /** Way at position @p i (< usableWayCount_) of the window. */
+    unsigned
+    windowWay(unsigned i) const
+    {
+        const unsigned w = usableWayFirst_ + i;
+        return w >= config_.ways ? w - config_.ways : w;
+    }
+
+    /** Miss half of access(): allocate @p line_no in @p set. */
+    AccessResult fill(unsigned set, std::uint64_t line_no, Cycle now,
+                      bool has_data, Word data);
+
+    /** Cold half of a hit: store @p data if @p store, and run the
+     *  shadow-hit test; returns whether the line was shadowed. */
+    bool touchHitLine(unsigned set, unsigned way, Cycle now,
+                      bool store, Word data);
+
+    /** Out-of-line half of tick(). */
+    void policyCycle(Cycle now);
 
     /** Map a line number to its (possibly remapped) set. */
-    unsigned indexOf(std::uint64_t line_no) const;
+    unsigned
+    indexOf(std::uint64_t line_no) const
+    {
+        // The window offset is below usableSetCount_ <= numSets_
+        // and usableSetFirst_ < numSets_: one subtract wraps.
+        const std::uint64_t offset = usableSetsPow2_
+            ? line_no & (usableSetCount_ - 1)
+            : line_no % usableSetCount_;
+        const unsigned set =
+            usableSetFirst_ + static_cast<unsigned>(offset);
+        return set >= numSets_ ? set - numSets_ : set;
+    }
 
     /** Pick a victim way among usable ways of @p set. */
-    unsigned pickVictim(unsigned set, Cycle now);
+    unsigned pickVictim(unsigned set);
 
-    /** Recency position of @p way within @p set (0 = MRU). */
-    unsigned recencyPosition(unsigned set, unsigned way) const;
-
-    /** LRU valid non-inverted way of @p set, or -1. */
-    int lruValidWay(unsigned set, bool skip_shadow) const;
+    /** The way of @p set's window to invert (or shadow-mark, with
+     *  @p skip_shadow): the first plain-invalid line in window
+     *  order, else the LRU valid one (first on a tie); lines
+     *  already inverted, or shadowed if @p skip_shadow, never
+     *  qualify.  -1 if no line does. */
+    int inversionTarget(unsigned set, bool skip_shadow) const;
 
     /** Account the line's image residency up to @p now. */
     void flushImage(Line &line, Cycle now);
 
-    /** Update RINV with the inversion of a value being stored. */
-    void sampleRinv(Word value);
-
     CacheConfig config_;
     unsigned numSets_;
+    unsigned lineShift_;             ///< log2(lineBytes)
+    std::vector<std::uint64_t> match_; ///< line number or kNoLine
+    std::vector<Cycle> lastUse_;
     std::vector<Line> lines_;
     std::unique_ptr<InversionPolicy> policy_;
 
@@ -224,12 +278,9 @@ class Cache
     /** Rotating usable windows (set/way fixed mechanisms). */
     unsigned usableSetFirst_ = 0;
     unsigned usableSetCount_;
+    bool usableSetsPow2_;            ///< mask instead of modulo
     unsigned usableWayFirst_ = 0;
     unsigned usableWayCount_;
-
-    /** Inverted sampled value register (Section 3.2). */
-    Word rinv_ = ~Word(0);
-    std::uint64_t rinvUpdateCounter_ = 0;
 
     /** Invert-ratio time integral for averageInvertRatio(). */
     double invertRatioIntegral_ = 0.0;
@@ -239,6 +290,48 @@ class Cache
 
     Rng rng_;
 };
+
+/**
+ * The hit path is inline: about nine accesses in ten hit, and the
+ * timing sims call access() once or twice per memory uop.  Misses
+ * (fill) and writes or shadow tests on a hit (touchHitLine) go out
+ * of line.
+ */
+inline AccessResult
+Cache::access(Addr addr, bool is_write, Cycle now,
+              std::optional<Word> data)
+{
+    const std::uint64_t line_no = addr >> lineShift_;
+    assert(line_no != kNoLine);
+    const unsigned set = indexOf(line_no);
+    const unsigned ways = config_.ways;
+    const std::size_t base = slot(set, 0);
+    const std::uint64_t *match = &match_[base];
+    Cycle *last_use = &lastUse_[base];
+
+    // Lookup over the whole set (exact by the window invariant;
+    // a line number is held at most once per set).
+    unsigned way = ways;
+    for (unsigned w = 0; w < ways; ++w)
+        way = match[w] == line_no ? w : way;
+    if (way == ways)
+        return fill(set, line_no, now, data.has_value(),
+                    data.value_or(0));
+
+    // Recency position: valid lines used strictly later.
+    const Cycle ref = last_use[way];
+    unsigned pos = 0;
+    for (unsigned w = 0; w < ways; ++w)
+        pos += (match[w] != kNoLine) & (last_use[w] > ref);
+    ++hits_;
+    mruHits_.add(pos);
+    last_use[way] = now;
+    AccessResult result{pos, true};
+    if ((is_write && data) || shadowCount_ != 0)
+        result.shadowExtraMiss = touchHitLine(
+            set, way, now, is_write && data, data.value_or(0));
+    return result;
+}
 
 } // namespace penelope
 

@@ -33,18 +33,17 @@ class InversionPolicy
     virtual ~InversionPolicy() = default;
 
     /** Called once when installed. */
-    virtual void attach(Cache &cache, Cycle now);
+    virtual void attach(Cache &, Cycle) {}
 
     /** Called every cycle by Cache::tick. */
-    virtual void onCycle(Cache &cache, Cycle now);
+    virtual void onCycle(Cache &, Cycle) {}
 
-    /** Called after a miss fill. */
-    virtual void onFill(Cache &cache, unsigned set, unsigned way,
-                        Cycle now, bool consumed_inverted);
+    /** Called after a miss fill (the last flag: the victim was an
+     *  inverted line). */
+    virtual void onFill(Cache &, unsigned, unsigned, Cycle, bool) {}
 
     /** Called on a hit to a shadow-marked line (test phase). */
-    virtual void onShadowHit(Cache &cache, unsigned set,
-                             unsigned way, Cycle now);
+    virtual void onShadowHit(Cache &, unsigned, unsigned, Cycle) {}
 
     virtual std::string name() const = 0;
 

@@ -6,6 +6,7 @@
 #ifndef PENELOPE_COMMON_STATS_HH
 #define PENELOPE_COMMON_STATS_HH
 
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -90,7 +91,13 @@ class CategoryCounter
         : counts_(categories, 0), total_(0)
     {}
 
-    void add(std::size_t category, std::uint64_t weight = 1);
+    void
+    add(std::size_t category, std::uint64_t weight = 1)
+    {
+        assert(category < counts_.size());
+        counts_[category] += weight;
+        total_ += weight;
+    }
 
     std::size_t categories() const { return counts_.size(); }
     std::uint64_t count(std::size_t i) const { return counts_.at(i); }

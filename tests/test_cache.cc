@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "cache/inversion.hh"
@@ -118,6 +123,83 @@ TEST(Cache, RandomReplacementStillCorrect)
     for (int i = 0; i < 100; ++i)
         resident += c.access(i * 1024, false, 200 + i).hit;
     EXPECT_LE(resident, 4u);
+}
+
+TEST(Cache, FillDrawsRngEvenWithData)
+{
+    // A fill evaluates data.value_or(rng_()) eagerly, so it draws
+    // from the cache's Rng even when the caller supplies the data.
+    // The mechanisms share that Rng, so the draw is part of every
+    // pinned result.
+    const CacheConfig cfg = smallCache();
+    Cache c(cfg);
+    EXPECT_FALSE(c.access(0x40, true, 1, Word(5)).hit);
+    Rng expected(0xcac4e + cfg.sizeBytes + cfg.ways);
+    expected();
+    EXPECT_EQ(c.rng()(), expected());
+}
+
+/** Whether (set, way) lies in the usable window that a SetFixed
+ *  (@p by_sets) or WayFixed mechanism of @p ratio, rotating every
+ *  @p period cycles, holds at @p now -- recomputed here from the
+ *  mechanism's definition, not read back from the cache. */
+bool
+inUsableWindow(const Cache &c, bool by_sets, double ratio,
+               Cycle period, Cycle now, unsigned set, unsigned way)
+{
+    const unsigned n = by_sets ? c.numSets() : c.numWays();
+    const unsigned usable =
+        n - std::min<unsigned>(
+                n - 1, static_cast<unsigned>(std::lround(ratio * n)));
+    const unsigned first = static_cast<unsigned>(now / period) % n;
+    const unsigned i = by_sets ? set : way;
+    return (i + n - first) % n < usable;
+}
+
+TEST(Cache, ValidLinesStayInUsableWindow)
+{
+    // The kernel's whole-set hit scan relies on this: only ways of
+    // the usable window ever hold valid lines.  A quarter of 16
+    // sets leaves 12 usable, which takes the modulo (not mask)
+    // set index.
+    struct Case
+    {
+        bool bySets; ///< SetFixed, else WayFixed
+        double ratio;
+    };
+    const Case cases[] = {{true, 0.5}, {false, 0.5}, {true, 0.25}};
+    constexpr Cycle period = 500;
+    for (const Case &tc : cases) {
+        SCOPED_TRACE(std::string(tc.bySets ? "SetFixed" : "WayFixed") +
+                     " ratio " + std::to_string(tc.ratio));
+        const CacheConfig cfg = smallCache();
+        Cache c(cfg);
+        if (tc.bySets)
+            c.setPolicy(
+                std::make_unique<SetFixedInversion>(tc.ratio, period));
+        else
+            c.setPolicy(
+                std::make_unique<WayFixedInversion>(tc.ratio, period));
+        Rng rng(11);
+        unsigned valid_seen = 0;
+        for (Cycle now = 1; now <= 40 * period; ++now) {
+            c.tick(now);
+            const Addr addr = rng.nextInt(4 * cfg.sizeBytes / 64) * 64;
+            c.access(addr, rng.nextBool(0.3), now, rng());
+            for (unsigned s = 0; s < c.numSets(); ++s) {
+                for (unsigned w = 0; w < c.numWays(); ++w) {
+                    if (!c.lineValid(s, w))
+                        continue;
+                    ++valid_seen;
+                    ASSERT_TRUE(inUsableWindow(c, tc.bySets, tc.ratio,
+                                               period, now, s, w))
+                        << "valid line at set " << s << " way " << w
+                        << ", cycle " << now;
+                }
+            }
+        }
+        EXPECT_GT(valid_seen, 0u);
+    }
 }
 
 // ------------------------------------------------------- Inversion
@@ -489,6 +571,182 @@ TEST(Timing, DynamicLosesLessThanFixed)
         w, traces, 20000, CacheConfig(), CacheConfig::tlb(128, 8),
         MechanismKind::LineDynamic60, true);
     EXPECT_LT(dynamic.meanLoss, fixed.meanLoss);
+}
+
+
+// ------------------------------------------------ Kernel identity
+
+/** FNV-1a over a bias tracker's integer state (total time, then
+ *  every bit's zero time): everything its bias vector derives
+ *  from. */
+std::uint64_t
+biasDigest(const BitBiasTracker &bias)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    mix(bias.totalTime());
+    for (unsigned b = 0; b < bias.width(); ++b)
+        mix(bias.zeroTime(b));
+    return h;
+}
+
+/** Exact statistics of one pinned MemTimingSim replay; the MRU
+ *  histogram and invert ratio belong to the cache carrying the
+ *  mechanism. */
+struct PinnedRun
+{
+    std::uint64_t dl0Hits;
+    std::uint64_t dl0Misses;
+    std::uint64_t dtlbHits;
+    std::uint64_t dtlbMisses;
+    std::vector<std::uint64_t> mruHits;
+    double avgInvertRatio;
+    std::uint64_t dl0Bias;
+    std::uint64_t dtlbBias;
+};
+
+TEST(Cache, KernelPinned)
+{
+    // Absolute pins of the cache kernel: every mechanism on five
+    // geometries, replaying one stream of workload trace 0.  The
+    // values were recorded on the division-per-access, array-of-
+    // structs kernel; any change to hits, recency, victim choice,
+    // RNG draws or bias accounting moves at least one of them.
+    WorkloadSet w;
+    TraceGenerator gen = w.generator(0);
+    const MemStream stream = MemStream::generate(gen, 30000);
+
+    CacheConfig dl0_small;
+    dl0_small.sizeBytes = 8 * 1024;
+    dl0_small.ways = 4;
+    CacheConfig dl0_plru;
+    dl0_plru.replacement = ReplacementPolicy::PseudoLru;
+    CacheConfig dl0_random;
+    dl0_random.replacement = ReplacementPolicy::Random;
+    struct Geometry
+    {
+        const char *name;
+        CacheConfig dl0;
+        CacheConfig dtlb;
+        bool onDl0;
+    };
+    const Geometry geometries[] = {
+        {"DL0 8-way 32KB", CacheConfig(), CacheConfig::tlb(128, 8),
+         true},
+        {"DL0 4-way 8KB", dl0_small, CacheConfig::tlb(128, 8), true},
+        {"DTLB 32-entry", CacheConfig(), CacheConfig::tlb(32, 8),
+         false},
+        {"DL0 8-way 32KB pLRU", dl0_plru, CacheConfig::tlb(128, 8),
+         true},
+        {"DL0 8-way 32KB random", dl0_random,
+         CacheConfig::tlb(128, 8), true},
+    };
+    const MechanismKind kinds[] = {
+        MechanismKind::None, MechanismKind::SetFixed50,
+        MechanismKind::WayFixed50, MechanismKind::LineFixed50,
+        MechanismKind::LineDynamic60};
+
+    // [geometry][mechanism]
+    const PinnedRun pinned[5][5] = {
+        {// DL0 8-way 32KB
+         {10542, 858, 11260, 140, {9395, 401, 235, 140, 104, 103, 95, 69},
+          0x0p+0, 0x83f9240934ae5f28ull, 0x1f29a58bf4bdcad6ull},
+         {10098, 1302, 11260, 140, {8800, 486, 243, 231, 125, 100, 56, 57},
+          0x1.00b52fd5eb53p-1, 0x41fb1aeac4221929ull, 0xb330f5dfcecbc337ull},
+         {10156, 1244, 11260, 140, {9397, 396, 235, 128, 0, 0, 0, 0},
+          0x1.02522dc147714p-1, 0x0cc2a52562e33109ull, 0x751f851f5040ed9eull},
+         {10124, 1276, 11260, 140, {9377, 368, 191, 92, 50, 29, 14, 3},
+          0x1.fa13e56fcaa9dp-2, 0x95ebf4ad58d8372aull, 0x5d5480adb0d4807dull},
+         {10234, 1166, 11260, 140, {9366, 372, 192, 96, 66, 60, 50, 32},
+          0x1.8ba4257dc2389p-2, 0xc76e1d442be5787dull, 0x515a73acdda0e0fdull},
+        },
+        {// DL0 4-way 8KB
+         {9782, 1618, 11260, 140, {8801, 489, 252, 240},
+          0x0p+0, 0x8eeec4d99d2d005bull, 0xf32c56a475bc5d32ull},
+         {9216, 2184, 11260, 140, {8623, 119, 149, 325},
+          0x1.00e625cb2ff33p-1, 0xe55f1ed7b6fbda9aull, 0xc1d06105680ad411ull},
+         {9285, 2115, 11260, 140, {8806, 479, 0, 0},
+          0x1.039abf5d183e7p-1, 0x8b329b695371690bull, 0x040dd875088c3d55ull},
+         {9304, 2096, 11260, 140, {8757, 375, 124, 48},
+          0x1.fa1d430e1b602p-2, 0xbbf05063b42c58a9ull, 0x9398adaf32a173dcull},
+         {9504, 1896, 11260, 140, {8771, 392, 183, 158},
+          0x1.119025bd61dacp-2, 0x40e7c863ae819e1aull, 0x2fa3832049e410adull},
+        },
+        {// DTLB 32-entry
+         {10542, 858, 11066, 334, {10731, 103, 66, 52, 41, 28, 27, 18},
+          0x0p+0, 0xd7cb58e3292cc630ull, 0x271629c28652d591ull},
+         {10542, 858, 10941, 459, {10650, 70, 69, 39, 41, 27, 32, 13},
+          0x1.02af460827f53p-1, 0x86f25ac340c3265full, 0xebe610b093cfedfeull},
+         {10542, 858, 10950, 450, {10730, 103, 67, 50, 0, 0, 0, 0},
+          0x1.00d4024540245p-1, 0x6c0b265257b2eb5aull, 0x511305b24ec57822ull},
+         {10542, 858, 10914, 486, {10716, 89, 49, 29, 13, 8, 8, 2},
+          0x1.f2dcb1c62065ep-2, 0x87b676bc7eef6313ull, 0x7e090eabdf7a68a6ull},
+         {10542, 858, 10964, 436, {10719, 92, 47, 37, 27, 16, 14, 12},
+          0x1.33d9803a15417p-2, 0xdfd127efb73241bcull, 0x88bda560b7dc50ebull},
+        },
+        {// DL0 8-way 32KB pLRU
+         {10523, 877, 11260, 140, {9395, 403, 233, 138, 116, 98, 88, 52},
+          0x0p+0, 0x253dec4e9503c857ull, 0x02d6af04c936a40cull},
+         {10058, 1342, 11260, 140, {8800, 487, 248, 212, 132, 77, 57, 45},
+          0x1.00b7f0f9d9fa1p-1, 0x96a8c1fd08c5537full, 0xb1585029ff29b5f6ull},
+         {10131, 1269, 11260, 140, {9396, 383, 219, 133, 0, 0, 0, 0},
+          0x1.024b366610343p-1, 0x45c1edecc2c1b65bull, 0xb53f69622f08ac52ull},
+         {10134, 1266, 11260, 140, {9378, 372, 198, 91, 46, 32, 13, 4},
+          0x1.fa116e1538afep-2, 0xe3d8b655ec328a67ull, 0x24949bc430242743ull},
+         {10233, 1167, 11260, 140, {9365, 369, 193, 102, 61, 59, 54, 30},
+          0x1.8bb9f18d2c0d4p-2, 0xdd2b5bc1293f16a4ull, 0x458875a97060d1acull},
+        },
+        {// DL0 8-way 32KB random
+         {10514, 886, 11260, 140, {9395, 397, 227, 137, 110, 103, 87, 58},
+          0x0p+0, 0x32b4f30113cf4e87ull, 0x53c24f71ee3234aeull},
+         {9969, 1431, 11260, 140, {8792, 495, 229, 194, 119, 54, 46, 40},
+          0x1.00e04827af6d5p-1, 0x44178dd3d1d86b1full, 0x3459340ba8f4a4e3ull},
+         {10083, 1317, 11260, 140, {9396, 366, 191, 130, 0, 0, 0, 0},
+          0x1.026c2eddae16ap-1, 0xf66edce45c0a191cull, 0x246698ee44559cd8ull},
+         {10115, 1285, 11260, 140, {9376, 367, 195, 88, 45, 27, 15, 2},
+          0x1.fa1617a9b96e1p-2, 0x0f8f8f9f993cb037ull, 0x717291d754acc5edull},
+         {10216, 1184, 11260, 140, {9364, 369, 184, 97, 67, 61, 46, 28},
+          0x1.8ae9e3da4a49p-2, 0x486549c46b21a6c2ull, 0xdfc0c61fe5a2109eull},
+        },
+    };
+
+    for (std::size_t g = 0; g < 5; ++g) {
+        const Geometry &geo = geometries[g];
+        for (std::size_t k = 0; k < 5; ++k) {
+            SCOPED_TRACE(std::string(geo.name) + " " +
+                         mechanismName(kinds[k]));
+            MemTimingSim sim(
+                geo.dl0, geo.dtlb, MemTimingParams(),
+                geo.onDl0 ? kinds[k] : MechanismKind::None,
+                geo.onDl0 ? MechanismKind::None : kinds[k], 0.002);
+            const MemSimResult r = sim.run(stream);
+            const Cycle end = static_cast<Cycle>(r.cycles);
+            Cache &mech = geo.onDl0 ? sim.dl0() : sim.dtlb();
+            std::vector<std::uint64_t> mru;
+            for (std::size_t i = 0;
+                 i < mech.mruHitPositions().categories(); ++i)
+                mru.push_back(mech.mruHitPositions().count(i));
+            const PinnedRun actual{
+                r.dl0Hits, r.dl0Misses, r.dtlbHits, r.dtlbMisses, mru,
+                mech.averageInvertRatio(end),
+                biasDigest(sim.dl0().finalizeDataBias(end)),
+                biasDigest(sim.dtlb().finalizeDataBias(end))};
+            const PinnedRun &want = pinned[g][k];
+            EXPECT_EQ(actual.dl0Hits, want.dl0Hits);
+            EXPECT_EQ(actual.dl0Misses, want.dl0Misses);
+            EXPECT_EQ(actual.dtlbHits, want.dtlbHits);
+            EXPECT_EQ(actual.dtlbMisses, want.dtlbMisses);
+            EXPECT_EQ(actual.mruHits, want.mruHits);
+            EXPECT_EQ(actual.avgInvertRatio, want.avgInvertRatio);
+            EXPECT_EQ(actual.dl0Bias, want.dl0Bias);
+            EXPECT_EQ(actual.dtlbBias, want.dtlbBias);
+        }
+    }
 }
 
 

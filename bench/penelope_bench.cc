@@ -27,19 +27,6 @@
  *       shard files into statistics bit-identical to an unsharded
  *       run.
  *
- * Networked scale-out (see src/net/coordinator.hh): the same
- * slices, assigned and collected over TCP instead of by hand.
- *
- *   penelope_bench --all --serve 9077 --workers-expected 2
- *       carve the run into slices, serve them to connecting
- *       workers, reassign the slices of workers that die, then
- *       render the full statistics -- stdout is byte-identical to
- *       an unsharded run.
- *
- *   penelope_bench --worker host:9077
- *       connect to a coordinator and run assigned slices until
- *       released (experiment names and options come from the wire).
- *
  * Replaces the thirteen per-figure benchmark binaries.  Option
  * values are validated (the old harness fed `--stride x` through
  * atoi and silently ran with stride 0).
@@ -59,15 +46,10 @@
 #include "adder/adder.hh"
 #include "circuit/netlist_opt.hh"
 #include "common/buildinfo.hh"
-#include "common/shutdown.hh"
 #include "common/threadpool.hh"
 #include "core/registry.hh"
 #include "core/resultcache.hh"
-#include "core/shardplan.hh"
 #include "core/surrogate_sweep.hh"
-#include "net/coordinator.hh"
-#include "net/faultinject.hh"
-#include "net/worker.hh"
 #include "obs/exposition.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -159,94 +141,6 @@ usage(std::ostream &os, int exit_code)
           "arguments) and render the\n"
           "               full statistics from them, bit-identical "
           "to an unsharded run\n"
-          "  --serve PORT\n"
-          "               coordinate a distributed run: carve the "
-          "experiments into\n"
-          "               slices, assign them to connecting "
-          "--worker processes,\n"
-          "               reassign the slices of workers that "
-          "disconnect or time out,\n"
-          "               then render the full statistics "
-          "(byte-identical to an\n"
-          "               unsharded run); port 0 picks an "
-          "ephemeral port (printed on\n"
-          "               stderr)\n"
-          "  --workers-expected N\n"
-          "               workers the operator will attach "
-          "(default 1; sizes the\n"
-          "               default slice carving; the run completes "
-          "with any number)\n"
-          "  --slices N   slice count for --serve (default "
-          "4x workers-expected,\n"
-          "               clamped to [workers-expected, 32])\n"
-          "  --slice-timeout SECONDS\n"
-          "               reassign a slice not completed within "
-          "this budget\n"
-          "               (default 600)\n"
-          "  --worker HOST:PORT\n"
-          "               run as a worker for the coordinator at "
-          "HOST:PORT\n"
-          "               (experiment names/options come from the "
-          "wire; local flags\n"
-          "               --jobs and --cache-dir still apply)\n"
-          "  --worker-abort-after N\n"
-          "               testing hook: drop the connection on "
-          "receiving the N-th\n"
-          "               assignment without replying (exercises "
-          "reassignment)\n"
-          "\n"
-          "service mode (see src/net/coordinator.hh):\n"
-          "  --serve PORT with no experiments named runs a "
-          "resident service: jobs\n"
-          "  arrive from --client processes and the service runs "
-          "until SIGINT/SIGTERM\n"
-          "  (drains bounded, flushes --cache-dir, exits 0).\n"
-          "  --client HOST:PORT\n"
-          "               submit the selected experiments as a job "
-          "to a coordinator,\n"
-          "               stream partial results, then render "
-          "locally -- stdout is\n"
-          "               byte-identical to a local run\n"
-          "  --retry-budget N\n"
-          "               re-dispatches allowed per slice before "
-          "the job degrades to\n"
-          "               a partial result with an explicit "
-          "incomplete-slice manifest\n"
-          "               (default 3)\n"
-          "  --heartbeat-timeout MS\n"
-          "               forfeit a slice whose worker went silent "
-          "this long\n"
-          "               (default 5000; workers heartbeat while "
-          "running)\n"
-          "  --heartbeat-interval MS\n"
-          "               worker heartbeat cadence (default 1000)\n"
-          "  --drain-timeout MS\n"
-          "               shutdown grace for in-flight slices "
-          "(default 5000)\n"
-          "  --worker-reconnect MS\n"
-          "               worker budget for re-connecting after a "
-          "lost coordinator\n"
-          "               (survives coordinator restarts; 0 = exit "
-          "on loss, default)\n"
-          "  --connect-budget MS\n"
-          "               total wall-clock budget for the worker's "
-          "initial connect\n"
-          "               loop (default 30000)\n"
-          "  --worker-hang-after N\n"
-          "               testing hook: go silent on the N-th "
-          "assignment, keeping the\n"
-          "               connection open (only a heartbeat "
-          "deadline catches this)\n"
-          "  --worker-slow-factor F\n"
-          "               testing hook: stretch each slice by F "
-          "while heartbeating\n"
-          "               (a slow-but-healthy worker must NOT be "
-          "forfeited)\n"
-          "  --fault-inject SPEC\n"
-          "               deterministic protocol fault injection "
-          "(also via the\n"
-          "               PENELOPE_FAULTS env var), e.g. "
-          "'seed=7,drop=0.03,flip=0.02'\n"
           "  --metrics-dump\n"
           "               enable the metrics registry and print a "
           "sorted 'obs: name value'\n"
@@ -256,17 +150,11 @@ usage(std::ostream &os, int exit_code)
           "               serve Prometheus text exposition over "
           "HTTP while running\n"
           "               (0 = ephemeral; the port is announced on "
-          "stderr); under --serve\n"
-          "               the exposition includes per-worker "
-          "series\n"
+          "stderr)\n"
           "  --trace-out FILE\n"
           "               write a Chrome trace_event JSON span "
           "trace (load it in\n"
           "               Perfetto or chrome://tracing)\n"
-          "  --metrics-query HOST:PORT\n"
-          "               fetch a running coordinator's aggregated "
-          "metrics as\n"
-          "               Prometheus text on stdout, then exit\n"
           "  --version    print the build configuration and exit\n"
           "  --help       this message\n";
     return exit_code;
@@ -343,31 +231,7 @@ parseShard(const char *text, unsigned &index, unsigned &count)
     return true;
 }
 
-/** Parse "HOST:PORT" for --worker / --client. */
-bool
-parseHostPort(const char *flag, const char *text,
-              std::string &host, std::uint16_t &port)
-{
-    if (!text || !*text) {
-        std::cerr << "penelope_bench: " << flag
-                  << " requires HOST:PORT\n";
-        return false;
-    }
-    const char *colon = std::strrchr(text, ':');
-    if (!colon || colon == text || !colon[1]) {
-        std::cerr << "penelope_bench: " << flag
-                  << " expects HOST:PORT, got '" << text << "'\n";
-        return false;
-    }
-    std::uint64_t value = 0;
-    if (!parseCount(flag, colon + 1, 1, 65535, value))
-        return false;
-    host.assign(text, colon);
-    port = static_cast<std::uint16_t>(value);
-    return true;
-}
-
-/** Parse a decimal factor in [min, max] for --worker-slow-factor. */
+/** Parse a decimal factor in [min, max] for --surrogate-audit. */
 bool
 parseFactor(const char *flag, const char *text, double min,
             double max, double &out)
@@ -387,114 +251,6 @@ parseFactor(const char *flag, const char *text, double min,
     }
     out = value;
     return true;
-}
-
-const char *
-jobStateName(net::JobState state)
-{
-    switch (state) {
-      case net::JobState::Rejected: return "rejected";
-      case net::JobState::Accepted: return "accepted";
-      case net::JobState::Running: return "running";
-      case net::JobState::Complete: return "complete";
-      case net::JobState::Partial: return "partial";
-      case net::JobState::Cancelled: return "cancelled";
-    }
-    return "unknown";
-}
-
-/** One stderr line of fired-fault accounting when injection is on
- *  (CI's chaos step asserts the chaos actually happened). */
-void
-printFaultSummary()
-{
-    const net::FaultInjector &injector =
-        net::FaultInjector::instance();
-    if (!injector.enabled())
-        return;
-    const net::FaultStats s = net::FaultInjector::instance().stats();
-    std::cerr << "penelope_bench: fault injection: " << s.total()
-              << " faults fired (" << s.drops << " drops, "
-              << s.flips << " flips, " << s.truncates
-              << " truncates, " << s.halfCloses << " half-closes, "
-              << s.delays << " delays, " << s.stalls
-              << " stalls)\n";
-}
-
-/**
- * The --client conversation: submit @p plan as one job, import the
- * streamed entry payloads into @p cache, report progress on
- * stderr.  Returns 0 when the caller should render (including a
- * lost coordinator: whatever arrived renders and the rest
- * recomputes locally, keeping stdout byte-identical), or a
- * non-zero exit code for hard failures.
- */
-int
-runClient(const std::string &host, std::uint16_t port,
-          const ShardPlan &plan, ResultCache &cache)
-{
-    std::string error;
-    net::Socket sock = net::Socket::connectTo(host, port, &error);
-    if (!sock.valid()) {
-        std::cerr << "penelope_bench: --client: " << error << "\n";
-        return 4;
-    }
-    net::SubmitJobMessage submit;
-    submit.plan = plan;
-    ByteWriter w;
-    submit.encode(w);
-    if (!net::sendFrame(sock, net::MessageType::SubmitJob,
-                        w.view())) {
-        std::cerr
-            << "penelope_bench: --client: submitting job failed\n";
-        return 1;
-    }
-    for (;;) {
-        if (shutdownRequested()) {
-            std::cerr << "penelope_bench: client: interrupted; "
-                         "rendering what arrived\n";
-            return 0;
-        }
-        if (!sock.waitReadable(100))
-            continue;
-        net::Frame frame;
-        if (net::recvFrame(sock, frame, 30'000) !=
-            net::RecvStatus::Ok) {
-            std::cerr
-                << "penelope_bench: client: connection to "
-                   "coordinator lost; rendering what arrived "
-                   "(missing entries recompute locally)\n";
-            return 0;
-        }
-        if (frame.type != net::MessageType::JobUpdate)
-            continue;
-        net::JobUpdateMessage update;
-        ByteReader r(frame.payload);
-        if (!update.decode(r))
-            continue;
-        if (update.state == net::JobState::Rejected) {
-            std::cerr << "penelope_bench: --client: job rejected "
-                         "by coordinator\n";
-            return 5;
-        }
-        if (!update.entries.empty())
-            cache.importFromBytes(update.entries);
-        std::cerr << "penelope_bench: client: job " << update.jobId
-                  << " " << jobStateName(update.state) << ", "
-                  << update.slicesDone << "/" << update.slicesTotal
-                  << " slices, " << update.retries << " retries\n";
-        if (net::jobStateFinal(update.state)) {
-            if (update.state == net::JobState::Partial) {
-                std::cerr << "penelope_bench: client: partial "
-                             "result; incomplete slices:";
-                for (const std::uint32_t s :
-                     update.incompleteSlices)
-                    std::cerr << ' ' << s;
-                std::cerr << " (recomputed locally)\n";
-            }
-            return 0;
-        }
-    }
 }
 
 void
@@ -725,15 +481,6 @@ int
 main(int argc, char **argv)
 {
     registerBuiltinExperiments();
-    {
-        std::string fault_error;
-        if (!net::FaultInjector::instance().configureFromEnv(
-                &fault_error)) {
-            std::cerr << "penelope_bench: PENELOPE_FAULTS: "
-                      << fault_error << "\n";
-            return 2;
-        }
-    }
 
     ExperimentOptions options;
     options.traceStride = 16;
@@ -753,37 +500,10 @@ main(int argc, char **argv)
     bool opt_stats_mode = false;
     bool surrogate_stats_mode = false;
 
-    bool serve_mode = false;
-    std::uint16_t serve_port = 0;
-    unsigned workers_expected = 1;
-    unsigned slices = 0; // 0 = derive from workers_expected
-    int slice_timeout_ms = 600'000;
-
-    bool worker_mode = false;
-    std::string worker_host;
-    std::uint16_t worker_port = 0;
-    unsigned worker_abort_after = 0;
-    unsigned worker_hang_after = 0;
-    double worker_slow_factor = 1.0;
-    int worker_reconnect_ms = 0;
-    int connect_budget_ms = 30'000;
-
-    bool client_mode = false;
-    std::string client_host;
-    std::uint16_t client_port = 0;
-
-    unsigned retry_budget = 3;
-    int heartbeat_timeout_ms = 5'000;
-    int heartbeat_interval_ms = 1'000;
-    int drain_timeout_ms = 5'000;
-
     bool metrics_dump = false;
     bool metrics_port_set = false;
     std::uint16_t metrics_port = 0;
     std::string trace_out;
-    bool metrics_query_mode = false;
-    std::string metrics_query_host;
-    std::uint16_t metrics_query_port = 0;
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -809,13 +529,6 @@ main(int argc, char **argv)
                 return 2;
             }
             trace_out = argv[++i];
-        } else if (!std::strcmp(arg, "--metrics-query")) {
-            if (!parseHostPort("--metrics-query",
-                               i + 1 < argc ? argv[++i] : nullptr,
-                               metrics_query_host,
-                               metrics_query_port))
-                return 2;
-            metrics_query_mode = true;
         } else if (!std::strcmp(arg, "--list")) {
             listExperiments(std::cout);
             return 0;
@@ -882,111 +595,6 @@ main(int argc, char **argv)
                 return 2;
             }
             shard_out = argv[++i];
-        } else if (!std::strcmp(arg, "--serve")) {
-            if (!parseCount("--serve", i + 1 < argc ? argv[++i]
-                                                    : nullptr,
-                            0, 65535, value))
-                return 2;
-            serve_port = static_cast<std::uint16_t>(value);
-            serve_mode = true;
-        } else if (!std::strcmp(arg, "--workers-expected")) {
-            if (!parseCount("--workers-expected",
-                            i + 1 < argc ? argv[++i] : nullptr, 1,
-                            1024, value))
-                return 2;
-            workers_expected = static_cast<unsigned>(value);
-        } else if (!std::strcmp(arg, "--slices")) {
-            if (!parseCount("--slices", i + 1 < argc ? argv[++i]
-                                                     : nullptr,
-                            1, 531, value))
-                return 2;
-            slices = static_cast<unsigned>(value);
-        } else if (!std::strcmp(arg, "--slice-timeout")) {
-            if (!parseCount("--slice-timeout",
-                            i + 1 < argc ? argv[++i] : nullptr, 1,
-                            86'400, value))
-                return 2;
-            slice_timeout_ms = static_cast<int>(value) * 1000;
-        } else if (!std::strcmp(arg, "--worker")) {
-            if (!parseHostPort("--worker",
-                               i + 1 < argc ? argv[++i] : nullptr,
-                               worker_host, worker_port))
-                return 2;
-            worker_mode = true;
-        } else if (!std::strcmp(arg, "--worker-abort-after")) {
-            if (!parseCount("--worker-abort-after",
-                            i + 1 < argc ? argv[++i] : nullptr, 1,
-                            1'000, value))
-                return 2;
-            worker_abort_after = static_cast<unsigned>(value);
-        } else if (!std::strcmp(arg, "--worker-hang-after")) {
-            if (!parseCount("--worker-hang-after",
-                            i + 1 < argc ? argv[++i] : nullptr, 1,
-                            1'000, value))
-                return 2;
-            worker_hang_after = static_cast<unsigned>(value);
-        } else if (!std::strcmp(arg, "--worker-slow-factor")) {
-            if (!parseFactor("--worker-slow-factor",
-                             i + 1 < argc ? argv[++i] : nullptr,
-                             1.0, 100.0, worker_slow_factor))
-                return 2;
-        } else if (!std::strcmp(arg, "--worker-reconnect")) {
-            if (!parseCount("--worker-reconnect",
-                            i + 1 < argc ? argv[++i] : nullptr, 0,
-                            3'600'000, value))
-                return 2;
-            worker_reconnect_ms = static_cast<int>(value);
-        } else if (!std::strcmp(arg, "--connect-budget")) {
-            if (!parseCount("--connect-budget",
-                            i + 1 < argc ? argv[++i] : nullptr, 1,
-                            3'600'000, value))
-                return 2;
-            connect_budget_ms = static_cast<int>(value);
-        } else if (!std::strcmp(arg, "--client")) {
-            if (!parseHostPort("--client",
-                               i + 1 < argc ? argv[++i] : nullptr,
-                               client_host, client_port))
-                return 2;
-            client_mode = true;
-        } else if (!std::strcmp(arg, "--retry-budget")) {
-            if (!parseCount("--retry-budget",
-                            i + 1 < argc ? argv[++i] : nullptr, 0,
-                            100, value))
-                return 2;
-            retry_budget = static_cast<unsigned>(value);
-        } else if (!std::strcmp(arg, "--heartbeat-timeout")) {
-            if (!parseCount("--heartbeat-timeout",
-                            i + 1 < argc ? argv[++i] : nullptr, 1,
-                            3'600'000, value))
-                return 2;
-            heartbeat_timeout_ms = static_cast<int>(value);
-        } else if (!std::strcmp(arg, "--heartbeat-interval")) {
-            if (!parseCount("--heartbeat-interval",
-                            i + 1 < argc ? argv[++i] : nullptr, 1,
-                            3'600'000, value))
-                return 2;
-            heartbeat_interval_ms = static_cast<int>(value);
-        } else if (!std::strcmp(arg, "--drain-timeout")) {
-            if (!parseCount("--drain-timeout",
-                            i + 1 < argc ? argv[++i] : nullptr, 0,
-                            3'600'000, value))
-                return 2;
-            drain_timeout_ms = static_cast<int>(value);
-        } else if (!std::strcmp(arg, "--fault-inject")) {
-            if (i + 1 >= argc) {
-                std::cerr << "penelope_bench: --fault-inject "
-                             "requires a spec\n";
-                return 2;
-            }
-            net::FaultConfig fault_config;
-            std::string fault_error;
-            if (!net::FaultConfig::parse(argv[++i], fault_config,
-                                         &fault_error)) {
-                std::cerr << "penelope_bench: --fault-inject: "
-                          << fault_error << "\n";
-                return 2;
-            }
-            net::FaultInjector::instance().configure(fault_config);
         } else if (!std::strcmp(arg, "--merge")) {
             // --merge consumes every remaining argument as a
             // shard file (experiment names go before it).
@@ -1010,12 +618,8 @@ main(int argc, char **argv)
     // Observability session: emission stays runtime-off unless a
     // flag asks for it, and every sink writes to stderr, a file or
     // a socket -- stdout carries only experiment statistics either
-    // way.  The guard tears everything down on *every* exit path
-    // (worker, serve, client, local) in declaration order:
-    // coordinator_for_metrics outlives the guard, whose destructor
-    // joins the server thread before anything else unwinds.
-    std::atomic<net::Coordinator *> coordinator_for_metrics{
-        nullptr};
+    // way.  The guard tears everything down on every exit path; its
+    // destructor joins the server thread first.
     struct ObsGuard
     {
         bool dump = false;
@@ -1043,59 +647,13 @@ main(int argc, char **argv)
     }
     if (metrics_port_set) {
         std::string error;
-        const auto provider =
-            [&coordinator_for_metrics]() -> obs::LabeledSnapshots {
-            net::Coordinator *c = coordinator_for_metrics.load(
-                std::memory_order_acquire);
-            return c ? c->workerSnapshots()
-                     : obs::LabeledSnapshots{};
-        };
-        if (!obs_guard.server.start(metrics_port, provider,
-                                    &error)) {
+        if (!obs_guard.server.start(metrics_port, &error)) {
             std::cerr << "penelope_bench: --metrics-port: "
                       << error << "\n";
             return 2;
         }
         std::cerr << "penelope_bench: metrics on port "
                   << obs_guard.server.port() << "\n";
-    }
-
-    if (metrics_query_mode) {
-        std::string error;
-        net::Socket sock = net::Socket::connectTo(
-            metrics_query_host, metrics_query_port, &error);
-        if (!sock.valid()) {
-            std::cerr << "penelope_bench: --metrics-query: "
-                      << error << "\n";
-            return 4;
-        }
-        net::MetricsQueryMessage query;
-        ByteWriter w;
-        query.encode(w);
-        if (!net::sendFrame(sock, net::MessageType::MetricsQuery,
-                            w.view())) {
-            std::cerr << "penelope_bench: --metrics-query: send "
-                         "failed\n";
-            return 1;
-        }
-        net::Frame frame;
-        if (net::recvFrame(sock, frame, 10'000) !=
-                net::RecvStatus::Ok ||
-            frame.type != net::MessageType::MetricsSnapshot) {
-            std::cerr << "penelope_bench: --metrics-query: no "
-                         "snapshot (coordinator without metrics "
-                         "support?)\n";
-            return 1;
-        }
-        net::MetricsSnapshotMessage snapshot;
-        ByteReader r(frame.payload);
-        if (!snapshot.decode(r)) {
-            std::cerr << "penelope_bench: --metrics-query: "
-                         "undecodable snapshot\n";
-            return 1;
-        }
-        std::cout << snapshot.text;
-        return 0;
     }
 
     if (opt_stats_mode) {
@@ -1121,92 +679,6 @@ main(int argc, char **argv)
         }
     }
 
-    if (worker_mode) {
-        // A worker's run is defined entirely by the coordinator:
-        // local experiment selection or scale-out flags would be
-        // silently ignored, so reject them loudly instead.
-        if (!names.empty() || run_all || shard_mode ||
-            merge_mode || serve_mode || client_mode || cache_gc) {
-            std::cerr << "penelope_bench: --worker takes no "
-                         "experiment names and cannot be combined "
-                         "with --all/--shard/--merge/--serve/"
-                         "--client/--cache-gc (the coordinator "
-                         "decides the run)\n";
-            return 2;
-        }
-        installShutdownHandlers();
-        std::optional<ThreadPool> worker_pool;
-        if (options.jobs > 1)
-            worker_pool.emplace(options.jobs);
-
-        net::WorkerConfig config;
-        config.host = worker_host;
-        config.port = worker_port;
-        config.jobs = options.jobs;
-        config.pool = worker_pool ? &*worker_pool : nullptr;
-        config.hostCpus = defaultJobs();
-        config.connectBudgetMs = connect_budget_ms;
-        config.heartbeatIntervalMs = heartbeat_interval_ms;
-        config.reconnectBudgetMs = worker_reconnect_ms;
-        config.stopRequested = [] { return shutdownRequested(); };
-        config.abortAfterAssignments = worker_abort_after;
-        config.hangAfterAssignments = worker_hang_after;
-        config.slowFactor = worker_slow_factor;
-
-        // Disk-backed when --cache-dir is given: a restarted
-        // worker then answers re-assigned slices from its store.
-        ResultCache cache(cache_dir);
-        const WorkloadSet workload;
-        net::WorkerStats stats;
-        std::string error;
-        const net::WorkerOutcome outcome = net::runWorker(
-            config, workload, cache, &stats, &error);
-        std::cerr << "penelope_bench: worker: ran "
-                  << stats.slicesRun << " slices in "
-                  << stats.simSeconds << " s, sent "
-                  << stats.sentBytes << " entry bytes ("
-                  << stats.fullExportBytes
-                  << " if resent in full), "
-                  << stats.heartbeatsSent << " heartbeats, "
-                  << stats.reconnects << " reconnects\n";
-        printFaultSummary();
-        switch (outcome) {
-          case net::WorkerOutcome::Finished:
-            return 0;
-          case net::WorkerOutcome::Drained:
-            std::cerr << "penelope_bench: worker: drained after "
-                         "stop request\n";
-            return 0;
-          case net::WorkerOutcome::Aborted:
-          case net::WorkerOutcome::Hung:
-            std::cerr << "penelope_bench: worker: " << error
-                      << "\n";
-            return 3;
-          case net::WorkerOutcome::ConnectFailed:
-            // Distinct from protocol-level rejection: the operator
-            // fixes an address/firewall here, a version skew there.
-            std::cerr << "penelope_bench: worker: coordinator "
-                         "unreachable: "
-                      << error << "\n";
-            return 4;
-          case net::WorkerOutcome::BadAssignment:
-            std::cerr << "penelope_bench: worker: protocol "
-                         "rejection: "
-                      << error << "\n";
-            return 5;
-          case net::WorkerOutcome::ConnectionLost:
-            break;
-        }
-        std::cerr << "penelope_bench: worker: " << error << "\n";
-        return 1;
-    }
-
-    // --serve with no experiments named: a resident service.  No
-    // plan of its own -- every job arrives over the wire via
-    // --client -- and it runs until SIGINT/SIGTERM.
-    const bool resident_serve =
-        serve_mode && names.empty() && !run_all;
-
     const ExperimentRegistry &registry =
         ExperimentRegistry::instance();
     if (run_all) {
@@ -1214,7 +686,7 @@ main(int argc, char **argv)
         for (const Experiment &e : registry.experiments())
             names.push_back(e.name);
     }
-    if (names.empty() && !resident_serve) {
+    if (names.empty()) {
         std::cerr << "penelope_bench: no experiment given\n\n";
         listExperiments(std::cerr);
         std::cerr << '\n';
@@ -1241,20 +713,6 @@ main(int argc, char **argv)
                      "mutually exclusive\n";
         return 2;
     }
-    if (serve_mode && (shard_mode || merge_mode || cache_gc)) {
-        std::cerr << "penelope_bench: --serve cannot be combined "
-                     "with --shard/--merge/--cache-gc (the "
-                     "coordinator carves and merges itself)\n";
-        return 2;
-    }
-    if (client_mode &&
-        (serve_mode || shard_mode || merge_mode || cache_gc)) {
-        std::cerr << "penelope_bench: --client cannot be combined "
-                     "with --serve/--shard/--merge/--cache-gc "
-                     "(the coordinator carves and the client "
-                     "merges from the stream)\n";
-        return 2;
-    }
     if (!shard_out.empty() && !shard_mode) {
         std::cerr << "penelope_bench: --shard-out requires "
                      "--shard I/N\n";
@@ -1275,19 +733,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // A shard run's statistic-steering options flow through the
-    // same ShardPlan the networked coordinator ships to workers:
-    // one definition of "slice i of N of this run" for the manual
-    // and the distributed path alike.
-    if (shard_mode) {
-        const ShardPlan plan = ShardPlan::fromOptions(
-            names, options, options.shardCount);
-        ExperimentOptions derived =
-            plan.sliceOptions(options.shardIndex);
-        derived.jobs = options.jobs;
-        options = derived;
-    }
-
     // One persistent worker pool for the whole run: every parallel
     // region of every experiment reuses it instead of spinning its
     // own (measurable for --all, which strings many small regions
@@ -1299,14 +744,13 @@ main(int argc, char **argv)
     }
 
     // The content-addressed result layer: disk-backed for
-    // --cache-dir, memory-backed for shard/merge/serve runs (whose
-    // entries travel through shard files or the wire instead).
+    // --cache-dir, memory-backed for shard/merge runs (whose
+    // entries travel through shard files instead).
     // Without any of the flags the run is cache-free,
     // byte-identical to the cached paths by the resultcache.hh
     // contract.
     std::optional<ResultCache> cache;
-    if (!cache_dir.empty() || shard_mode || merge_mode ||
-        serve_mode || client_mode) {
+    if (!cache_dir.empty() || shard_mode || merge_mode) {
         cache.emplace(cache_dir);
         options.cache = &*cache;
     }
@@ -1319,144 +763,6 @@ main(int argc, char **argv)
                       << file << "' (entries will be "
                                  "recomputed)\n";
         }
-    }
-
-    if (serve_mode) {
-        installShutdownHandlers();
-
-        net::CoordinatorConfig config;
-        config.port = serve_port;
-        config.workersExpected = workers_expected;
-        config.sliceTimeoutMs = slice_timeout_ms;
-        config.heartbeatTimeoutMs = heartbeat_timeout_ms;
-        config.retryBudget = retry_budget;
-        config.drainTimeoutMs = drain_timeout_ms;
-        config.stopRequested = [] { return shutdownRequested(); };
-
-        std::optional<net::Coordinator> coordinator;
-        if (resident_serve) {
-            coordinator.emplace(*cache, config);
-        } else {
-            // Carve the run.  More slices than workers smooths
-            // load imbalance and shrinks the redo unit when a
-            // worker dies; 4x is plenty without inflating
-            // per-slice shared-phase overhead (workers cache
-            // shared phases across slices).  Capped at the trace
-            // count's slice bound (531): a plan with more slices
-            // would fail every worker's validation.
-            if (slices == 0)
-                slices = std::min(4 * workers_expected, 32u);
-            slices = std::min(std::max(slices, workers_expected),
-                              531u);
-            const ShardPlan plan =
-                ShardPlan::fromOptions(names, options, slices);
-            coordinator.emplace(plan, *cache, config);
-        }
-
-        coordinator_for_metrics.store(&*coordinator,
-                                      std::memory_order_release);
-        std::string error;
-        if (!coordinator->start(&error)) {
-            std::cerr << "penelope_bench: --serve: " << error
-                      << "\n";
-            return 1;
-        }
-        std::cerr << "penelope_bench: coordinator listening on "
-                     "port "
-                  << coordinator->port();
-        if (resident_serve) {
-            std::cerr << " (resident service; submit jobs with: "
-                         "penelope_bench <experiments> --client "
-                         "<host>:"
-                      << coordinator->port()
-                      << "; stop with SIGINT/SIGTERM)";
-        } else {
-            std::cerr << " (" << slices << " slices, expecting "
-                      << workers_expected
-                      << " workers; attach with: penelope_bench "
-                         "--worker <host>:"
-                      << coordinator->port() << ")";
-        }
-        std::cerr << "\n";
-        coordinator->run();
-
-        // The coordinator leaves scope on both exits below: stop
-        // serving its per-worker view first (stop() joins, so no
-        // provider call is in flight afterwards).
-        coordinator_for_metrics.store(nullptr,
-                                      std::memory_order_release);
-        obs_guard.server.stop();
-
-        const net::CoordinatorStats &cs = coordinator->stats();
-        std::cerr << "penelope_bench: coordinator: " << cs.slices
-                  << " slices done, " << cs.assignments
-                  << " assignments (" << cs.reassignments
-                  << " reassigned, " << cs.duplicateResults
-                  << " duplicate results), " << cs.workersSeen
-                  << " workers (host_cpus:";
-        for (std::uint32_t cpus : cs.workerCpus)
-            std::cerr << ' ' << cpus;
-        std::cerr << "), " << cs.resultBytes
-                  << " entry bytes received\n";
-        std::cerr << "penelope_bench: coordinator: wall "
-                  << cs.wallSeconds << " s, worker simulation "
-                  << cs.workerSimSeconds << " s, entry import "
-                  << cs.importSeconds
-                  << " s (local host_cpus: " << defaultJobs()
-                  << ")\n";
-        std::cerr << "penelope_bench: coordinator: "
-                  << cs.heartbeats << " heartbeats, "
-                  << cs.hungForfeits << " hung-worker forfeits, "
-                  << cs.slicesFailed
-                  << " slices failed (retry budget "
-                  << retry_budget << "), " << cs.jobsSubmitted
-                  << " jobs submitted, " << cs.jobsFinished
-                  << " finished\n";
-        if (!resident_serve) {
-            const std::vector<std::uint32_t> manifest =
-                coordinator->incompleteSlices(0);
-            if (!manifest.empty()) {
-                std::cerr << "penelope_bench: coordinator: "
-                             "partial result; incomplete slices:";
-                for (const std::uint32_t s : manifest)
-                    std::cerr << ' ' << s;
-                std::cerr << " (recomputed locally below)\n";
-            }
-        }
-        if (resident_serve || shutdownRequested()) {
-            // Graceful service exit: everything collected so far
-            // is persisted (when --cache-dir is attached), so a
-            // restarted service serves it warm; no local render.
-            const std::size_t flushed = cache->flushToDisk();
-            if (flushed)
-                std::cerr << "penelope_bench: coordinator: "
-                             "flushed "
-                          << flushed
-                          << " imported entries to the cache "
-                             "store\n";
-            printFaultSummary();
-            return 0;
-        }
-        // Fall through: the render below draws every per-trace
-        // result from the collected entries (the --merge path), so
-        // stdout is byte-identical to an unsharded run -- even for
-        // a Partial job, whose missing slices recompute locally.
-    }
-
-    if (client_mode) {
-        if (slices == 0)
-            slices = std::min(4 * workers_expected, 32u);
-        slices = std::min(std::max(slices, workers_expected),
-                          531u);
-        const ShardPlan plan =
-            ShardPlan::fromOptions(names, options, slices);
-        installShutdownHandlers();
-        const int rc =
-            runClient(client_host, client_port, plan, *cache);
-        if (rc != 0)
-            return rc;
-        // Fall through to the render: streamed entries serve as
-        // the cache, anything missing recomputes locally.
     }
 
     const WorkloadSet workload;
@@ -1523,6 +829,5 @@ main(int argc, char **argv)
         }
         std::cerr << "\n";
     }
-    printFaultSummary();
     return 0;
 }

@@ -725,7 +725,7 @@ BM_ObsHistogramRecord(benchmark::State &state)
 BENCHMARK(BM_ObsHistogramRecord);
 
 /** A full scrape: merge every live shard + retired totals into a
- *  sorted snapshot.  Cold-path (heartbeats, --metrics-port
+ *  sorted snapshot.  Cold-path (--metrics-dump, --metrics-port
  *  requests), so ms-scale is acceptable; track it anyway. */
 void
 BM_ObsScrape(benchmark::State &state)

@@ -158,7 +158,7 @@ struct NetlistOptStats
  * Defaults to enabled unless the PENELOPE_NO_NETLIST_OPT
  * environment variable is set (to anything but "0").  The toggle
  * only changes how the op stream is compiled, never any statistic,
- * so it is deliberately NOT part of ShardPlan or any cache key:
+ * so it is deliberately NOT part of any cache key:
  * optimized and unoptimized runs share result-cache entries.
  */
 bool netlistOptEnabled();

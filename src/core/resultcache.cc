@@ -322,15 +322,11 @@ parseRecords(std::string_view body, Sink &&sink,
 struct ResultCache::Stripe
 {
     /** One cached payload plus its GC mark: an entry is live once
-     *  this process has looked it up or stored it (see compact()).
-     *  onDisk tracks whether the attached stripe file already holds
-     *  the record (loads and store() appends do; imports do not
-     *  until flushToDisk()). */
+     *  this process has looked it up or stored it (see compact()). */
     struct Entry
     {
         std::string payload;
         bool live = false;
-        bool onDisk = false;
     };
 
     std::mutex mutex;
@@ -413,7 +409,7 @@ ResultCache::ensureLoaded(unsigned index, Stripe &stripe)
                         stripe.map.emplace(
                             key,
                             Stripe::Entry{std::string(payload),
-                                          false, true});
+                                          false});
                     },
                     parsed_end);
                 if (parsed_end < body.size()) {
@@ -522,7 +518,6 @@ ResultCache::store(const Hash128 &key, std::string_view payload)
                 stripe.append = nullptr;
             } else {
                 std::fflush(stripe.append);
-                it->second.onDisk = true;
             }
         }
     }
@@ -540,94 +535,18 @@ ResultCache::store(const Hash128 &key, std::string_view payload)
     }
 }
 
-void
-ResultCache::exportToBytes(std::string &out)
-{
-    out = fileHeader();
-    for (unsigned i = 0; i < kStripes; ++i) {
-        Stripe &stripe = stripes_[i];
-        std::lock_guard<std::mutex> lock(stripe.mutex);
-        ensureLoaded(i, stripe);
-        for (const auto &[key, entry] : stripe.map)
-            out += encodeRecord(key, entry.payload);
-    }
-}
-
-void
-ResultCache::exportNewEntries(
-    std::unordered_set<Hash128, Hash128Hasher> &already,
-    std::string &out)
-{
-    out = fileHeader();
-    for (unsigned i = 0; i < kStripes; ++i) {
-        Stripe &stripe = stripes_[i];
-        std::lock_guard<std::mutex> lock(stripe.mutex);
-        ensureLoaded(i, stripe);
-        for (const auto &[key, entry] : stripe.map) {
-            if (!already.insert(key).second)
-                continue;
-            out += encodeRecord(key, entry.payload);
-        }
-    }
-}
-
-std::size_t
-ResultCache::exportByteSize()
-{
-    // Header + per-record framing: key (16) + length (4) +
-    // checksum (8) around each payload (see encodeRecord).
-    std::size_t bytes = fileHeader().size();
-    for (unsigned i = 0; i < kStripes; ++i) {
-        Stripe &stripe = stripes_[i];
-        std::lock_guard<std::mutex> lock(stripe.mutex);
-        ensureLoaded(i, stripe);
-        for (const auto &[key, entry] : stripe.map)
-            bytes += 28 + entry.payload.size();
-    }
-    return bytes;
-}
-
-std::size_t
-ResultCache::flushToDisk()
-{
-    obs::ScopedSpan span("cache.flush", "cache-io");
-    if (dir_.empty())
-        return 0;
-    std::size_t appended = 0;
-    for (unsigned i = 0; i < kStripes; ++i) {
-        Stripe &stripe = stripes_[i];
-        std::lock_guard<std::mutex> lock(stripe.mutex);
-        ensureLoaded(i, stripe);
-        if (!stripe.append)
-            continue;
-        bool dirty = false;
-        for (auto &[key, entry] : stripe.map) {
-            if (entry.onDisk)
-                continue;
-            const std::string record =
-                encodeRecord(key, entry.payload);
-            if (std::fwrite(record.data(), 1, record.size(),
-                            stripe.append) != record.size()) {
-                std::fclose(stripe.append);
-                stripe.append = nullptr;
-                break;
-            }
-            entry.onDisk = true;
-            dirty = true;
-            ++appended;
-        }
-        if (dirty && stripe.append)
-            std::fflush(stripe.append);
-    }
-    return appended;
-}
-
 bool
 ResultCache::exportTo(const std::string &path)
 {
     obs::ScopedSpan span("cache.export", "cache-io");
-    std::string bytes;
-    exportToBytes(bytes);
+    std::string bytes = fileHeader();
+    for (unsigned i = 0; i < kStripes; ++i) {
+        Stripe &stripe = stripes_[i];
+        std::lock_guard<std::mutex> lock(stripe.mutex);
+        ensureLoaded(i, stripe);
+        for (const auto &[key, entry] : stripe.map)
+            bytes += encodeRecord(key, entry.payload);
+    }
     std::ofstream out(path,
                       std::ios::binary | std::ios::trunc);
     if (!out)
@@ -639,18 +558,25 @@ ResultCache::exportTo(const std::string &path)
 }
 
 bool
-ResultCache::importFromBytes(std::string_view bytes)
+ResultCache::importFrom(const std::string &path)
 {
+    obs::ScopedSpan span("cache.import", "cache-io");
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return false;
+    const std::string contents(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
     const std::string header = fileHeader();
-    if (bytes.size() < header.size() ||
-        bytes.compare(0, header.size(), header) != 0) {
+    if (contents.size() < header.size() ||
+        contents.compare(0, header.size(), header) != 0) {
         std::lock_guard<std::mutex> lock(statsMutex_);
         ++stats_.badRecords;
         return false;
     }
     std::size_t parsed_end = 0;
     const std::uint64_t dropped = parseRecords(
-        bytes.substr(header.size()),
+        std::string_view(contents).substr(header.size()),
         [&](const Hash128 &key, std::string_view payload) {
             Stripe &stripe = stripeFor(key);
             std::lock_guard<std::mutex> lock(stripe.mutex);
@@ -666,19 +592,6 @@ ResultCache::importFromBytes(std::string_view bytes)
         stats_.badRecords += dropped;
     }
     return true;
-}
-
-bool
-ResultCache::importFrom(const std::string &path)
-{
-    obs::ScopedSpan span("cache.import", "cache-io");
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    const std::string contents(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    return importFromBytes(contents);
 }
 
 std::size_t
@@ -739,12 +652,6 @@ ResultCache::compact()
             std::filesystem::rename(tmp, path, ec);
             if (ec)
                 rewritten = false;
-        }
-        if (rewritten) {
-            // The rewrite persisted every survivor, including ones
-            // that had only been imported into memory before.
-            for (auto &[key, entry] : stripe.map)
-                entry.onDisk = true;
         }
         if (!rewritten) {
             // The original (uncompacted) file still holds every

@@ -43,7 +43,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace penelope {
@@ -265,46 +264,6 @@ class ResultCache
      *  truncated tails are dropped silently; returns false only
      *  when the file cannot be opened or has a foreign header. */
     bool importFrom(const std::string &path);
-
-    /** Serialize every in-memory entry into @p out in the shard
-     *  file format (header + records).  This is the merge-ready
-     *  byte stream `--shard` writes to disk and the networked
-     *  coordinator/worker protocol carries over the wire. */
-    void exportToBytes(std::string &out);
-
-    /**
-     * Delta variant: serialize only the entries whose key is not in
-     * @p already, and add every exported key to @p already.  The
-     * worker protocol uses this to resend, per connection, only
-     * what the coordinator has not acknowledged yet (a received
-     * Result on a live connection is the acknowledgement; a
-     * reconnect resets the set, and the resulting duplicates
-     * deduplicate on import).
-     */
-    void exportNewEntries(
-        std::unordered_set<Hash128, Hash128Hasher> &already,
-        std::string &out);
-
-    /** Serialized size of exportToBytes() without building it
-     *  (accounting: what a full resend would have cost). */
-    std::size_t exportByteSize();
-
-    /** Import entries from a shard-format byte buffer: the memory
-     *  side of importFrom(), with the same contract (corrupt or
-     *  truncated tails dropped, duplicate keys deduplicated
-     *  first-write-wins, false only on a foreign header). */
-    bool importFromBytes(std::string_view bytes);
-
-    /**
-     * Append every entry that is not yet in the attached disk store
-     * to its stripe file.  store() persists as it goes, but
-     * imported entries (importFrom/importFromBytes -- the
-     * coordinator's collected worker results) live in memory only;
-     * a resident service flushes before exiting so a restart
-     * serves them warm.  No-op without a directory.  Returns the
-     * number of entries appended.
-     */
-    std::size_t flushToDisk();
 
     /**
      * Garbage-collect the store: drop every entry that has not

@@ -1,9 +1,13 @@
 #include "obs/exposition.hh"
 
-#include <algorithm>
-#include <set>
+#include <cerrno>
+#include <cstring>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 namespace penelope {
 namespace obs {
@@ -33,35 +37,15 @@ promType(MetricKind kind)
     return "untyped";
 }
 
-std::string
-withLabels(const std::string &base, const std::string &labels,
-           const std::string &extra = "")
-{
-    std::string out = base;
-    if (labels.empty() && extra.empty())
-        return out;
-    out.push_back('{');
-    out += labels;
-    if (!labels.empty() && !extra.empty())
-        out.push_back(',');
-    out += extra;
-    out.push_back('}');
-    return out;
-}
-
 void
-renderMetric(std::string &out, const SnapshotMetric &m,
-             const std::string &labels,
-             std::set<std::string> *typesSeen)
+renderMetric(std::string &out, const SnapshotMetric &m)
 {
     const std::string base = promName(m.name);
-    if (typesSeen == nullptr || typesSeen->insert(base).second) {
-        out += "# TYPE ";
-        out += base;
-        out.push_back(' ');
-        out += promType(m.kind);
-        out.push_back('\n');
-    }
+    out += "# TYPE ";
+    out += base;
+    out.push_back(' ');
+    out += promType(m.kind);
+    out.push_back('\n');
     if (m.kind == MetricKind::Histogram) {
         std::uint64_t cum = 0;
         for (std::size_t b = 0; b < kHistBuckets; ++b) {
@@ -73,29 +57,27 @@ renderMetric(std::string &out, const SnapshotMetric &m,
                 (b >= m.values.size() || m.values[b] == 0) &&
                 b != 0)
                 continue;
-            out += withLabels(
-                base + "_bucket", labels,
-                "le=\"" + std::to_string(bucketBound(b)) + "\"");
+            out += base + "_bucket{le=\"" +
+                std::to_string(bucketBound(b)) + "\"}";
             out.push_back(' ');
             out += std::to_string(cum);
             out.push_back('\n');
         }
-        out += withLabels(base + "_bucket", labels,
-                          "le=\"+Inf\"");
+        out += base + "_bucket{le=\"+Inf\"}";
         out.push_back(' ');
         out += std::to_string(m.count());
         out.push_back('\n');
-        out += withLabels(base + "_sum", labels);
+        out += base + "_sum";
         out.push_back(' ');
         out += std::to_string(m.sum());
         out.push_back('\n');
-        out += withLabels(base + "_count", labels);
+        out += base + "_count";
         out.push_back(' ');
         out += std::to_string(m.count());
         out.push_back('\n');
         return;
     }
-    out += withLabels(base, labels);
+    out += base;
     out.push_back(' ');
     if (m.kind == MetricKind::Gauge)
         out += std::to_string(
@@ -108,26 +90,11 @@ renderMetric(std::string &out, const SnapshotMetric &m,
 } // namespace
 
 std::string
-renderPrometheus(const Snapshot &snap, const std::string &labels)
+renderPrometheus(const Snapshot &snap)
 {
     std::string out;
-    std::set<std::string> types;
     for (const auto &m : snap.metrics)
-        renderMetric(out, m, labels, &types);
-    return out;
-}
-
-std::string
-renderPrometheusAll(const Snapshot &local,
-                    const LabeledSnapshots &extras)
-{
-    std::string out;
-    std::set<std::string> types;
-    for (const auto &m : local.metrics)
-        renderMetric(out, m, "", &types);
-    for (const auto &[labels, snap] : extras)
-        for (const auto &m : snap.metrics)
-            renderMetric(out, m, labels, &types);
+        renderMetric(out, m);
     return out;
 }
 
@@ -157,14 +124,36 @@ renderDump(const Snapshot &snap, const std::string &prefix)
 }
 
 bool
-MetricsServer::start(std::uint16_t port, Provider provider,
-                     std::string *error)
+MetricsServer::start(std::uint16_t port, std::string *error)
 {
-    listener_ = net::Socket::listenOn(port, error);
-    if (!listener_.valid())
+    const auto fail = [&](const char *what) {
+        if (error)
+            *error = std::string(what) + ": " + std::strerror(errno);
+        if (listenFd_ >= 0)
+            ::close(listenFd_);
+        listenFd_ = -1;
         return false;
-    port_ = listener_.boundPort();
-    provider_ = std::move(provider);
+    };
+    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (listenFd_ < 0)
+        return fail("socket");
+    const int one = 1;
+    ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
+                 sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_ANY);
+    addr.sin_port = htons(port);
+    if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
+               sizeof(addr)) != 0)
+        return fail("bind");
+    if (::listen(listenFd_, 16) != 0)
+        return fail("listen");
+    socklen_t len = sizeof(addr);
+    if (::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&addr),
+                      &len) != 0)
+        return fail("getsockname");
+    port_ = ntohs(addr.sin_port);
     stop_.store(false);
     thread_ = std::thread([this] { serveLoop(); });
     return true;
@@ -177,30 +166,47 @@ MetricsServer::stop()
         return;
     stop_.store(true);
     thread_.join();
-    listener_.close();
+    ::close(listenFd_);
+    listenFd_ = -1;
 }
 
 void
 MetricsServer::serveLoop()
 {
     while (!stop_.load()) {
-        net::Socket conn = listener_.accept(100);
-        if (!conn.valid())
+        // Poll in 100 ms slices so stop() is honoured promptly.
+        pollfd listen_poll{listenFd_, POLLIN, 0};
+        if (::poll(&listen_poll, 1, 100) <= 0 ||
+            !(listen_poll.revents & POLLIN))
+            continue;
+        const int conn = ::accept(listenFd_, nullptr, nullptr);
+        if (conn < 0)
             continue;
         // Drain whatever request line arrived; the response is
         // the same for every path.
         char buf[512];
-        conn.waitReadable(50);
-        (void)::recv(conn.fd(), buf, sizeof buf, MSG_DONTWAIT);
-        const Snapshot snap = Registry::instance().scrape();
-        const std::string body = renderPrometheusAll(
-            snap, provider_ ? provider_() : LabeledSnapshots{});
-        std::string resp = "HTTP/1.0 200 OK\r\n"
-                           "Content-Type: text/plain; "
-                           "version=0.0.4\r\n"
-                           "Content-Length: " +
+        pollfd conn_poll{conn, POLLIN, 0};
+        ::poll(&conn_poll, 1, 50);
+        (void)::recv(conn, buf, sizeof buf, MSG_DONTWAIT);
+        const std::string body =
+            renderPrometheus(Registry::instance().scrape());
+        const std::string resp = "HTTP/1.0 200 OK\r\n"
+                                 "Content-Type: text/plain; "
+                                 "version=0.0.4\r\n"
+                                 "Content-Length: " +
             std::to_string(body.size()) + "\r\n\r\n" + body;
-        conn.sendAll(resp.data(), resp.size());
+        const char *p = resp.data();
+        std::size_t left = resp.size();
+        while (left > 0) {
+            const ssize_t sent = ::send(conn, p, left, MSG_NOSIGNAL);
+            if (sent < 0 && errno == EINTR)
+                continue;
+            if (sent <= 0)
+                break;
+            p += sent;
+            left -= static_cast<std::size_t>(sent);
+        }
+        ::close(conn);
     }
 }
 

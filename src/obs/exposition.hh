@@ -5,15 +5,12 @@
  *
  *  - renderPrometheus(): Prometheus text exposition (`# TYPE`
  *    lines, `penelope_`-prefixed underscore names, cumulative
- *    `_bucket{le="..."}` series for histograms).  An optional
- *    label set (e.g. `worker="2"`) scopes a snapshot, which is
- *    how the coordinator exposes per-worker series side by side.
+ *    `_bucket{le="..."}` series for histograms).
  *  - renderDump(): the sorted human-readable `obs: name value`
  *    listing `--metrics-dump` prints to stderr after a run.
  *  - MetricsServer: a one-thread HTTP/1.0 responder on
  *    `--metrics-port` (port 0 = ephemeral, announced on stderr).
- *    Every request gets the current scrape; a provider hook adds
- *    extra labeled snapshots (the coordinator's per-worker view).
+ *    Every request gets the current scrape.
  *
  * All output paths here write to stderr or a socket -- never
  * stdout, which carries the byte-identical experiment statistics.
@@ -24,63 +21,43 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <thread>
-#include <utility>
-#include <vector>
 
-#include "net/socket.hh"
 #include "obs/metrics.hh"
 
 namespace penelope {
 namespace obs {
 
-/** Extra labeled snapshots appended to an exposition (label text
- *  like `worker="1"`, inserted verbatim into the braces). */
-using LabeledSnapshots =
-    std::vector<std::pair<std::string, Snapshot>>;
-
-std::string renderPrometheus(const Snapshot &snap,
-                             const std::string &labels = "");
-
-/** Multi-source exposition: the local snapshot plus labeled
- *  extras, deduplicating `# TYPE` headers. */
-std::string
-renderPrometheusAll(const Snapshot &local,
-                    const LabeledSnapshots &extras);
+std::string renderPrometheus(const Snapshot &snap);
 
 /** Sorted `prefix name value` lines (one metric per line;
  *  histograms as `.count` / `.sum`). */
 std::string renderDump(const Snapshot &snap,
                        const std::string &prefix = "obs: ");
 
-/** Serves renderPrometheusAll() over HTTP/1.0 on a dedicated
- *  thread.  Provider runs per request (may be empty). */
+/** Serves renderPrometheus() of the live registry over HTTP/1.0
+ *  on a dedicated thread. */
 class MetricsServer
 {
   public:
-    using Provider = std::function<LabeledSnapshots()>;
-
     MetricsServer() = default;
     ~MetricsServer() { stop(); }
     MetricsServer(const MetricsServer &) = delete;
     MetricsServer &operator=(const MetricsServer &) = delete;
 
     /** Bind and start serving; false (error filled) on failure. */
-    bool start(std::uint16_t port, Provider provider,
-               std::string *error);
+    bool start(std::uint16_t port, std::string *error);
     std::uint16_t port() const { return port_; }
     void stop();
 
   private:
     void serveLoop();
 
-    net::Socket listener_;
+    int listenFd_ = -1;
     std::thread thread_;
     std::atomic<bool> stop_{false};
     std::uint16_t port_ = 0;
-    Provider provider_;
 };
 
 } // namespace obs

@@ -8,16 +8,13 @@
 #include <memory>
 #include <mutex>
 
-#include "core/resultcache.hh"
-
 namespace penelope {
 namespace obs {
 namespace {
 
 /** One thread's slot array.  Only the owning thread writes; a
  *  scrape reads relaxed.  ~32 KiB apiece, reused via a free list
- *  when threads exit (the coordinator spawns a thread per
- *  connection -- shards must not leak with connection count). */
+ *  when threads exit (shards must not leak with thread churn). */
 struct Shard
 {
     std::array<std::atomic<std::uint64_t>, kSlotCapacity> slots{};
@@ -122,10 +119,6 @@ registerMetric(MetricKind kind, const std::string &name,
     return def.slot;
 }
 
-constexpr std::uint8_t kSnapshotVersion = 1;
-constexpr std::size_t kMaxSnapshotMetrics = 4096;
-constexpr std::size_t kMaxNameLen = 256;
-
 } // namespace
 
 namespace detail {
@@ -222,90 +215,6 @@ Snapshot::find(std::string_view name) const
         if (m.name == name)
             return &m;
     return nullptr;
-}
-
-void
-Snapshot::encode(ByteWriter &w) const
-{
-    w.u8(kSnapshotVersion);
-    w.u32(static_cast<std::uint32_t>(metrics.size()));
-    for (const auto &m : metrics) {
-        w.u8(static_cast<std::uint8_t>(m.kind));
-        w.u32(static_cast<std::uint32_t>(m.name.size()));
-        w.bytes(m.name.data(), m.name.size());
-        w.u32(static_cast<std::uint32_t>(m.unit.size()));
-        w.bytes(m.unit.data(), m.unit.size());
-        w.u32(static_cast<std::uint32_t>(m.values.size()));
-        for (const std::uint64_t v : m.values)
-            w.u64(v);
-    }
-}
-
-bool
-Snapshot::decode(ByteReader &r, Snapshot &out)
-{
-    out.metrics.clear();
-    if (r.u8() != kSnapshotVersion) {
-        r.fail();
-        return false;
-    }
-    const std::uint32_t count = r.u32();
-    if (!r.ok() || count > kMaxSnapshotMetrics) {
-        r.fail();
-        return false;
-    }
-    out.metrics.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        SnapshotMetric m;
-        const std::uint8_t kind = r.u8();
-        if (kind > static_cast<std::uint8_t>(
-                       MetricKind::Histogram)) {
-            r.fail();
-            return false;
-        }
-        m.kind = static_cast<MetricKind>(kind);
-        const std::uint32_t nameLen = r.u32();
-        if (!r.ok() || nameLen == 0 || nameLen > kMaxNameLen) {
-            r.fail();
-            return false;
-        }
-        m.name = std::string(r.bytesView(nameLen));
-        const std::uint32_t unitLen = r.u32();
-        if (!r.ok() || unitLen > kMaxNameLen) {
-            r.fail();
-            return false;
-        }
-        m.unit = std::string(r.bytesView(unitLen));
-        const std::uint32_t nValues = r.u32();
-        const std::size_t expect =
-            m.kind == MetricKind::Histogram ? kHistSlots : 1;
-        if (!r.ok() || nValues != expect) {
-            r.fail();
-            return false;
-        }
-        m.values.resize(nValues);
-        for (std::uint32_t k = 0; k < nValues; ++k)
-            m.values[k] = r.u64();
-        if (!r.ok())
-            return false;
-        out.metrics.push_back(std::move(m));
-    }
-    return r.ok();
-}
-
-std::string
-Snapshot::encodeToBytes() const
-{
-    ByteWriter w;
-    encode(w);
-    return w.data();
-}
-
-bool
-Snapshot::decodeFromBytes(std::string_view bytes, Snapshot &out)
-{
-    ByteReader r(bytes);
-    return decode(r, out) && r.ok() && r.atEnd();
 }
 
 Registry &

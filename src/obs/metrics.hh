@@ -17,7 +17,7 @@
  *    "last write wins" has no meaningful per-thread merge.
  *  - The *runtime-off* fast path is one relaxed atomic-bool load
  *    per site; until something enables the registry (a `--metrics-*`
- *    flag, `--trace-out`, or a metrics-capable service peer) no
+ *    flag or `--trace-out`) no
  *    shard is ever allocated and no slot is ever touched.
  *  - The *compile-out* path (`PENELOPE_NO_OBS`) turns every
  *    emission body into nothing; registration still works so the
@@ -44,10 +44,6 @@
 #include <vector>
 
 namespace penelope {
-
-class ByteWriter;
-class ByteReader;
-
 namespace obs {
 
 enum class MetricKind : std::uint8_t
@@ -195,8 +191,8 @@ class Histogram
     std::uint32_t base_ = kInvalidSlot;
 };
 
-/** Process-global instantaneous value (workers connected, jobs
- *  active).  Not sharded; set/add are rare control-plane events. */
+/** Process-global instantaneous value.  Not sharded; set/add are
+ *  meant for rare control-plane events. */
 class Gauge
 {
   public:
@@ -231,29 +227,16 @@ struct SnapshotMetric
     std::uint64_t count() const;
     /** Histogram raw sum slot. */
     std::uint64_t sum() const;
-
-    bool operator==(const SnapshotMetric &) const = default;
 };
 
 /** A merged point-in-time view of every registered metric, sorted
- *  by name.  This is what --metrics-dump prints, what workers
- *  piggyback on heartbeats, and what the coordinator aggregates. */
+ *  by name.  This is what --metrics-dump prints and what
+ *  --metrics-port serves. */
 struct Snapshot
 {
     std::vector<SnapshotMetric> metrics;
 
     const SnapshotMetric *find(std::string_view name) const;
-
-    void encode(ByteWriter &w) const;
-    /** Strict decode: any truncation or malformed field clears
-     *  the reader and returns false. */
-    static bool decode(ByteReader &r, Snapshot &out);
-
-    std::string encodeToBytes() const;
-    static bool decodeFromBytes(std::string_view bytes,
-                                Snapshot &out);
-
-    bool operator==(const Snapshot &) const = default;
 };
 
 /** The process-wide registry.  Registration is cold (mutexed map

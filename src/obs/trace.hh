@@ -12,8 +12,8 @@
  * missing terminator).
  *
  * Every timestamp comes from the one process-wide monotonic clock
- * (obs::monotonicMicros), so spans from the coordinator handler
- * threads, the worker replay, and cache I/O all line up on a
+ * (obs::monotonicMicros), so spans from the experiment driver,
+ * the engine's pool threads, and cache I/O all line up on a
  * shared axis.  Thread ids are small dense integers assigned per
  * thread on first emission.
  *

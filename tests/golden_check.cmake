@@ -3,8 +3,14 @@
 # for byte with GOLDEN_DIR/<experiment>_<SUFFIX>.txt.
 #
 #   cmake -DBENCH=<penelope_bench> -DGOLDEN_DIR=<dir> -DSUFFIX=<tag>
-#         -DOUT_DIR=<dir> "-DEXPERIMENTS=a b" "-DARGS=--x 1"
-#         -P golden_check.cmake
+#         -DOUT_DIR=<dir> -DNAME=<test> [-DSHARD=ON]
+#         "-DEXPERIMENTS=a b" "-DARGS=--x 1" -P golden_check.cmake
+#
+# With SHARD on, each experiment instead runs as `--shard 0/2` and
+# `--shard 1/2` (writing shard files) and is rendered by `--merge` of
+# the two files; the merged stdout must equal the golden and the
+# merge run must report `0 stores` (the shards covered every
+# per-trace result, so nothing was recomputed).
 #
 # A mismatch leaves the rendered output in OUT_DIR beside the golden
 # path it should equal.  A deliberate change to a statistic updates
@@ -15,23 +21,42 @@ separate_arguments(ARGS UNIX_COMMAND "${ARGS}")
 set(failed "")
 foreach(experiment IN LISTS EXPERIMENTS)
   set(golden "${GOLDEN_DIR}/${experiment}_${SUFFIX}.txt")
-  set(actual "${OUT_DIR}/golden_actual_${experiment}_${SUFFIX}.txt")
+  set(out "${OUT_DIR}/golden_actual_${NAME}_${experiment}")
+  set(command "${BENCH}" ${experiment} ${ARGS})
+  if(SHARD)
+    foreach(index 0 1)
+      execute_process(
+        COMMAND ${command} --shard ${index}/2
+                --shard-out "${out}_shard${index}.bin"
+        OUTPUT_QUIET ERROR_QUIET
+        RESULT_VARIABLE status)
+      if(NOT status EQUAL 0)
+        list(APPEND failed "${experiment} --shard ${index}/2 (exit ${status})")
+      endif()
+    endforeach()
+    list(APPEND command --merge "${out}_shard0.bin" "${out}_shard1.bin")
+  endif()
   execute_process(
-    COMMAND "${BENCH}" ${experiment} ${ARGS}
-    OUTPUT_FILE "${actual}"
+    COMMAND ${command}
+    OUTPUT_FILE "${out}.txt"
+    ERROR_VARIABLE log
     RESULT_VARIABLE status)
   if(NOT status EQUAL 0)
     list(APPEND failed "${experiment} (exit ${status})")
     continue()
   endif()
   execute_process(
-    COMMAND "${CMAKE_COMMAND}" -E compare_files "${golden}" "${actual}"
+    COMMAND "${CMAKE_COMMAND}" -E compare_files "${golden}" "${out}.txt"
     RESULT_VARIABLE differs)
   if(differs)
-    list(APPEND failed "${experiment} (${actual} != ${golden})")
+    list(APPEND failed "${experiment} (${out}.txt != ${golden})")
+  endif()
+  if(SHARD AND NOT log MATCHES "result cache: [0-9]+ hits, [0-9]+ misses, 0 stores")
+    string(REGEX MATCH "result cache: [^\n]*" stats "${log}")
+    list(APPEND failed "${experiment} merge recomputed (${stats})")
   endif()
 endforeach()
 if(failed)
   list(JOIN failed ", " failed)
-  message(FATAL_ERROR "stdout differs from the golden: ${failed}")
+  message(FATAL_ERROR "golden check failed: ${failed}")
 endif()

@@ -2,7 +2,7 @@
  * @file
  * The observability layer: thread-local shard merge determinism,
  * histogram bucket laws, the span tracer's Chrome-trace output,
- * the snapshot wire codec, and the runtime-off guarantees.
+ * the Prometheus endpoint, and the runtime-off guarantees.
  *
  * Every count assertion is gated on obs::kCompiledIn so the suite
  * also passes -- exercising the empty inline bodies -- under a
@@ -21,8 +21,13 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include "common/threadpool.hh"
-#include "core/resultcache.hh"
 #include "obs/exposition.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -254,7 +259,7 @@ TEST(ObsHistogram, RecordFillsBucketAndSum)
     EXPECT_EQ(m->sum() - b0->sum(), 10u);
 }
 
-// ------------------------------------------------- snapshot codec
+// ------------------------------------------------------ exposition
 
 obs::Snapshot
 sampleSnapshot()
@@ -283,63 +288,6 @@ sampleSnapshot()
     return snap;
 }
 
-TEST(ObsSnapshotCodec, RoundTrips)
-{
-    const obs::Snapshot snap = sampleSnapshot();
-    const std::string bytes = snap.encodeToBytes();
-    obs::Snapshot back;
-    ASSERT_TRUE(obs::Snapshot::decodeFromBytes(bytes, back));
-    EXPECT_EQ(snap, back);
-}
-
-TEST(ObsSnapshotCodec, EveryTruncationIsRejected)
-{
-    const std::string bytes = sampleSnapshot().encodeToBytes();
-    ASSERT_GT(bytes.size(), 1u);
-    for (std::size_t len = 0; len < bytes.size(); ++len) {
-        obs::Snapshot out;
-        EXPECT_FALSE(obs::Snapshot::decodeFromBytes(
-            std::string_view(bytes).substr(0, len), out))
-            << "prefix of " << len << " bytes decoded";
-    }
-}
-
-TEST(ObsSnapshotCodec, TrailingGarbageIsRejected)
-{
-    std::string bytes = sampleSnapshot().encodeToBytes();
-    bytes.push_back('\0');
-    obs::Snapshot out;
-    EXPECT_FALSE(obs::Snapshot::decodeFromBytes(bytes, out));
-}
-
-TEST(ObsSnapshotCodec, ForeignVersionAndBadKindRejected)
-{
-    std::string bytes = sampleSnapshot().encodeToBytes();
-    obs::Snapshot out;
-    {
-        std::string v = bytes;
-        v[0] = 99; // version byte
-        EXPECT_FALSE(obs::Snapshot::decodeFromBytes(v, out));
-    }
-    {
-        std::string v = bytes;
-        v[5] = 17; // first metric's kind byte
-        EXPECT_FALSE(obs::Snapshot::decodeFromBytes(v, out));
-    }
-}
-
-TEST(ObsSnapshotCodec, EmptySnapshotRoundTrips)
-{
-    const obs::Snapshot snap;
-    obs::Snapshot back;
-    back.metrics.push_back(obs::SnapshotMetric{});
-    ASSERT_TRUE(
-        obs::Snapshot::decodeFromBytes(snap.encodeToBytes(), back));
-    EXPECT_TRUE(back.metrics.empty());
-}
-
-// ------------------------------------------------------ exposition
-
 TEST(ObsExposition, PrometheusRendering)
 {
     const std::string text =
@@ -360,25 +308,6 @@ TEST(ObsExposition, PrometheusRendering)
               std::string::npos);
 }
 
-TEST(ObsExposition, LabeledSeriesSitSideBySide)
-{
-    const obs::LabeledSnapshots extras = {
-        {"worker=\"0\"", sampleSnapshot()},
-        {"worker=\"1\"", sampleSnapshot()},
-    };
-    const std::string text =
-        obs::renderPrometheusAll(obs::Snapshot{}, extras);
-    EXPECT_NE(text.find("penelope_a_counter{worker=\"0\"} 123"),
-              std::string::npos);
-    EXPECT_NE(text.find("penelope_a_counter{worker=\"1\"} 123"),
-              std::string::npos);
-    // One TYPE header per metric, not per label set.
-    const std::string type_line = "# TYPE penelope_a_counter";
-    const std::size_t first = text.find(type_line);
-    ASSERT_NE(first, std::string::npos);
-    EXPECT_EQ(text.find(type_line, first + 1), std::string::npos);
-}
-
 TEST(ObsExposition, DumpIsSortedAndPrefixed)
 {
     const std::string text = obs::renderDump(sampleSnapshot());
@@ -391,6 +320,86 @@ TEST(ObsExposition, DumpIsSortedAndPrefixed)
     }
     ASSERT_GE(lines.size(), 3u);
     EXPECT_TRUE(std::is_sorted(lines.begin(), lines.end()));
+}
+
+/** Connect to 127.0.0.1:@p port; -1 when refused. */
+int
+connectLoopback(std::uint16_t port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** One HTTP GET over loopback; the whole response (the server
+ *  closes after replying), or what arrived within 5 s. */
+std::string
+httpGet(std::uint16_t port)
+{
+    const int fd = connectLoopback(port);
+    if (fd < 0)
+        return {};
+    const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+    (void)::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
+    std::string response;
+    char buf[4096];
+    for (;;) {
+        pollfd pfd{fd, POLLIN, 0};
+        if (::poll(&pfd, 1, 5000) <= 0)
+            break;
+        const ssize_t got = ::recv(fd, buf, sizeof buf, 0);
+        if (got <= 0)
+            break;
+        response.append(buf, static_cast<std::size_t>(got));
+    }
+    ::close(fd);
+    return response;
+}
+
+TEST(ObsExposition, MetricsServerServesPrometheusOverLoopback)
+{
+    const obs::ScopedEnable enable;
+    const obs::Counter c = obs::Registry::instance().counter(
+        "test.endpoint_counter");
+    c.add(7);
+
+    obs::MetricsServer server;
+    std::string error;
+    ASSERT_TRUE(server.start(0, &error)) << error;
+    const std::uint16_t port = server.port();
+    ASSERT_NE(port, 0u);
+
+    const std::string response = httpGet(port);
+    EXPECT_EQ(response.rfind("HTTP/1.0 200 OK\r\n", 0), 0u)
+        << response;
+    const std::size_t body = response.find("\r\n\r\n");
+    ASSERT_NE(body, std::string::npos);
+    // The body is the live scrape: the series carries the
+    // counter's current value (0 with emission compiled out).
+    const std::uint64_t value = counterValue(
+        obs::Registry::instance().scrape(), "test.endpoint_counter");
+    EXPECT_NE(response.find("\n# TYPE penelope_test_endpoint_counter "
+                            "counter\npenelope_test_endpoint_counter " +
+                                std::to_string(value) + "\n",
+                            body),
+              std::string::npos)
+        << response;
+
+    // stop() joins the serving thread and closes the listener; a
+    // second stop() is a no-op.
+    server.stop();
+    server.stop();
+    EXPECT_EQ(connectLoopback(port), -1);
 }
 
 // ------------------------------------------------------ span tracer

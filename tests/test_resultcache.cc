@@ -355,6 +355,61 @@ TEST(ResultCache, ExportImportMovesEntries)
     EXPECT_FALSE(dest.importFrom(file + ".does-not-exist"));
 }
 
+TEST(ResultCache, ImportDedupsAndRejectsCorruptOrForeignShardFiles)
+{
+    const std::string dir = tempDir("import_damage");
+    const std::string file = dir + "/entries.bin";
+    const Hash128 k1{0x1111, 0x2222};
+    const Hash128 k2{0x3333, 0x4444};
+    {
+        ResultCache source;
+        source.store(k1, "first payload");
+        source.store(k2, "second payload");
+        ASSERT_TRUE(source.exportTo(file));
+    }
+
+    // Importing the same shard file twice deduplicates.
+    ResultCache twice;
+    ASSERT_TRUE(twice.importFrom(file));
+    ASSERT_TRUE(twice.importFrom(file));
+    EXPECT_EQ(twice.size(), 2u);
+
+    // A flipped byte drops a record, never yields a wrong payload.
+    std::string bytes;
+    {
+        std::ifstream in(file, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(bytes.size(), 2u);
+    std::string corrupt = bytes;
+    corrupt[corrupt.size() / 2] ^= 0x10;
+    const std::string corrupt_file = dir + "/corrupt.bin";
+    std::ofstream(corrupt_file, std::ios::binary) << corrupt;
+    ResultCache damaged;
+    ASSERT_TRUE(damaged.importFrom(corrupt_file));
+    EXPECT_GT(damaged.stats().badRecords, 0u);
+    std::string p1;
+    std::string p2;
+    const bool has1 = damaged.lookup(k1, p1);
+    const bool has2 = damaged.lookup(k2, p2);
+    if (has1) {
+        EXPECT_EQ(p1, "first payload");
+    }
+    if (has2) {
+        EXPECT_EQ(p2, "second payload");
+    }
+    EXPECT_LT(static_cast<int>(has1) + static_cast<int>(has2), 2);
+
+    // A foreign header is rejected outright.
+    const std::string foreign_file = dir + "/foreign.bin";
+    std::ofstream(foreign_file, std::ios::binary)
+        << "not a shard stream";
+    ResultCache foreign;
+    EXPECT_FALSE(foreign.importFrom(foreign_file));
+    EXPECT_EQ(foreign.size(), 0u);
+}
+
 TEST(ResultCache, SaltUnchangedByBatchedNetlistEngine)
 {
     // The PR that introduced the word-parallel netlist engine kept

@@ -745,10 +745,11 @@ main(int argc, char **argv)
 
     // The content-addressed result layer: disk-backed for
     // --cache-dir, memory-backed for shard/merge runs (whose
-    // entries travel through shard files instead).
-    // Without any of the flags the run is cache-free,
-    // byte-identical to the cached paths by the resultcache.hh
-    // contract.
+    // entries travel through shard files instead).  Without any of
+    // the flags the runners use the options' own in-memory memo
+    // (ExperimentOptions::results()), so each keyed result is still
+    // computed once per process; stdout is byte-identical on every
+    // path by the resultcache.hh contract.
     std::optional<ResultCache> cache;
     if (!cache_dir.empty() || shard_mode || merge_mode) {
         cache.emplace(cache_dir);
@@ -817,7 +818,7 @@ main(int argc, char **argv)
     }
     if (cache) {
         // Stats go to stderr: stdout must stay byte-identical
-        // across cold, warm, sharded and cache-free runs.
+        // across cold, warm, sharded and memo-only runs.
         const ResultCache::Stats s = cache->stats();
         std::cerr << "penelope_bench: result cache: " << s.hits
                   << " hits, " << s.misses << " misses, "

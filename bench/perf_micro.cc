@@ -508,7 +508,9 @@ BENCHMARK(BM_RegFileReplay);
 
 /** Engine sizing for the serial-vs-parallel comparisons: small
  *  enough to iterate, large enough that per-trace work dominates
- *  the pool overhead. */
+ *  the pool overhead.  Each iteration builds fresh options: copies
+ *  share one in-memory result memo, so reusing an options object
+ *  would time memo hits instead of simulations. */
 ExperimentOptions
 engineOptions(unsigned jobs)
 {
@@ -524,11 +526,10 @@ void
 BM_EngineRegFileExperiment(benchmark::State &state)
 {
     WorkloadSet workload;
-    const ExperimentOptions options =
-        engineOptions(static_cast<unsigned>(state.range(0)));
+    const auto jobs = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
-        const auto r =
-            runRegFileExperiment(workload, false, options);
+        const auto r = runRegFileExperiment(workload, false,
+                                            engineOptions(jobs));
         benchmark::DoNotOptimize(r.baselineWorst);
     }
 }
@@ -545,10 +546,10 @@ BM_Table3Grid(benchmark::State &state)
     // All 29 Table-3 cells (27 grid, WayFixed, combined CPI) over
     // the strided traces: one trace-major pass.
     WorkloadSet workload;
-    const ExperimentOptions options =
-        engineOptions(static_cast<unsigned>(state.range(0)));
+    const auto jobs = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
-        const Table3Result r = runTable3Experiment(workload, options);
+        const Table3Result r =
+            runTable3Experiment(workload, engineOptions(jobs));
         benchmark::DoNotOptimize(r.combinedCpi);
     }
 }

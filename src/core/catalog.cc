@@ -975,7 +975,7 @@ runAttack(const ExperimentContext &ctx)
     const SchedulerProfile profile = profileScheduler(
         workload, profile_subset, options.uopsPerTrace / 2,
         SchedulerConfig(), SchedReplayConfig(), options.jobs,
-        options.pool, options.cache);
+        options.pool, options.results());
     const auto decisions = decideProtection(profile.bits);
     // Arm 0 unprotected, arm 1 under the deployed protection.
     const std::vector<std::vector<BitDecision>> arms = {{}, decisions};
@@ -984,7 +984,7 @@ runAttack(const ExperimentContext &ctx)
     // Normal-workload reference: one trace per suite, unprotected.
     const SchedReplayConfig normal_replay;
     const auto normal_shards = engine.mapCached<SchedulerStress>(
-        workload.firstPerSuite(), options.cache,
+        workload.firstPerSuite(), options.results(),
         [&](unsigned index, std::size_t) {
             return schedulerReplayKey(
                 SchedulerConfig(), normal_replay,
@@ -1032,7 +1032,7 @@ runAttack(const ExperimentContext &ctx)
 
     // stresses[arm][variant]
     const auto stresses = engine.mapVariantsCached<SchedulerStress>(
-        runs, arms, options.cache,
+        runs, arms, options.results(),
         [&](const AttackRun &run,
             const std::vector<BitDecision> &arm, std::size_t) {
             return attackReplayKey(attack_replay,
@@ -1206,7 +1206,7 @@ runAttack(const ExperimentContext &ctx)
     // and ISV-protected, merged in suite order.
     const auto normal_rf_shards =
         engine.mapVariantsCached<RfAttackShard>(
-            workload.firstPerSuite(), isv_arms, options.cache,
+            workload.firstPerSuite(), isv_arms, options.results(),
             [&](unsigned index, bool isv, std::size_t) {
                 return regfileNormalKey(
                     rf_config, rf_replay, isv, options.uopsPerTrace,
@@ -1253,7 +1253,7 @@ runAttack(const ExperimentContext &ctx)
 
     // rf_results[arm][variant]; ISV is the defence here.
     const auto rf_results = engine.mapVariantsCached<RfAttackShard>(
-        rf_runs, isv_arms, options.cache,
+        rf_runs, isv_arms, options.results(),
         [&](const AttackRun &run, bool isv, std::size_t) {
             return regfileAttackKey(rf_config, rf_replay, isv,
                                     options.uopsPerTrace, run.attack,
@@ -1360,7 +1360,7 @@ runAttackSearch(const ExperimentContext &ctx)
         fit_config.seed = mixSeed(options.surrogateSeed, 0xf17);
         fit = trainAttackSurrogate(
             analysis, options.surrogateTrainCandidates, fit_config,
-            sweep_config.exactSamples, engine, options.cache,
+            sweep_config.exactSamples, engine, options.results(),
             stats);
     }
 
@@ -1382,7 +1382,7 @@ runAttackSearch(const ExperimentContext &ctx)
         AttackConfig current = randomAttackCandidate(search);
         const CandidateSweepResult seed_eval = sweepAttackCandidates(
             analysis, {current}, nullptr, exact_config, engine,
-            options.cache);
+            options.results());
         stats.merge(seed_eval.stats);
         CandidateEval current_eval = seed_eval.best;
 
@@ -1397,7 +1397,7 @@ runAttackSearch(const ExperimentContext &ctx)
             }
             const CandidateSweepResult sr = sweepAttackCandidates(
                 analysis, proposals, triage ? &fit : nullptr,
-                sweep_config, engine, options.cache);
+                sweep_config, engine, options.results());
             stats.merge(sr.stats);
             if (!sr.evals.empty() &&
                 sr.best.score > current_eval.score) {

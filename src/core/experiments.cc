@@ -10,6 +10,11 @@
 
 namespace penelope {
 
+ExperimentOptions::ExperimentOptions()
+    : memo_(std::make_shared<ResultCache>())
+{
+}
+
 namespace {
 
 /** The shardIndex-th round-robin slice of an evaluation set (the
@@ -174,7 +179,7 @@ collectWorkloadAdderOperands(const WorkloadSet &workload,
             1, firsts.size());
     const auto chunks =
         engine.mapCached<std::vector<OperandSample>>(
-            firsts, options.cache,
+            firsts, options.results(),
             [&](unsigned index, std::size_t) {
                 CacheKeyBuilder key("adder-operands");
                 key.u64(per_suite)
@@ -232,7 +237,7 @@ runAdderExperiment(const WorkloadSet &workload,
         PipelineConfig cfg;
         cfg.adderPolicy = policy;
         const auto shards = engine.mapCached<PipelineStats>(
-            firsts, options.cache,
+            firsts, options.results(),
             [&](unsigned index, std::size_t) {
                 return pipelineRunKey(
                     cfg, options.uopsPerTrace / 4,
@@ -307,7 +312,7 @@ runRegFileArms(const WorkloadSet &workload, bool fp,
     const Engine engine(options.jobs, options.pool);
     const RegFileSetup setup = figure6Setup(fp);
     const auto shards = engine.mapVariantsCached<RegFileArm>(
-        evalTraces(workload, options), isv_arms, options.cache,
+        evalTraces(workload, options), isv_arms, options.results(),
         [&](unsigned index, bool isv, std::size_t) {
             return regfileReplayKey(setup.rf, setup.replay, isv,
                                     options.uopsPerTrace,
@@ -375,7 +380,7 @@ runSchedulerArms(const WorkloadSet &workload,
     const SchedReplayConfig replay_config;
     const auto shards = engine.mapVariantsCached<SchedulerStress>(
         schedulerEvaluationTraces(workload, options), arms,
-        options.cache,
+        options.results(),
         [&](unsigned index, const std::vector<BitDecision> &decisions,
             std::size_t) {
             // The installed decisions are key material: a protected
@@ -421,7 +426,7 @@ runSchedulerExperiment(const WorkloadSet &workload,
         workload, schedulerProfilingSubset(workload, options),
         options.uopsPerTrace / 2, SchedulerConfig(),
         SchedReplayConfig(), options.jobs, options.pool,
-        options.cache);
+        options.results());
     const auto decisions = decideProtection(profile.bits);
     result.techniques = summarizeDecisions(decisions);
 
@@ -512,7 +517,7 @@ runTable3Experiment(const WorkloadSet &workload,
     const auto samples = simulateMemCells(
         workload, traces, options.cacheUops, cells, MemTimingParams(),
         options.mechanismTimeScale, options.jobs, options.pool,
-        options.cache);
+        options.results());
 
     std::size_t c = 0;
     for (Table3Row &row : rows) {
@@ -555,7 +560,7 @@ buildProcessorSummary(const AdderExperimentResult &adder,
          {dl0, dtlb, MechanismKind::LineDynamic60,
           MechanismKind::LineDynamic60}},
         MemTimingParams(), options.mechanismTimeScale, options.jobs,
-        options.pool, options.cache);
+        options.pool, options.results());
     summary.combinedCpi = meanNormalizedCycles(samples[0]);
     summary.combinedCpiDynamic = meanNormalizedCycles(samples[1]);
 
@@ -610,7 +615,7 @@ runPipelineSurvey(const WorkloadSet &workload,
     const Engine engine(options.jobs, options.pool);
 
     const auto shards = engine.mapCached<PipelineStats>(
-        workload.firstPerSuite(), options.cache,
+        workload.firstPerSuite(), options.results(),
         [&](unsigned index, std::size_t) {
             return pipelineRunKey(cfg, options.uopsPerTrace / 2,
                                   workload.spec(index).seed,

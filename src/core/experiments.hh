@@ -14,6 +14,7 @@
 #define PENELOPE_CORE_EXPERIMENTS_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,9 +33,21 @@ namespace penelope {
 class ThreadPool;
 class ResultCache;
 
-/** Experiment sizing knobs. */
+/**
+ * Experiment sizing knobs, plus the result store the runners share.
+ *
+ * Each default-constructed options object owns a memory-only
+ * ResultCache (the memo), and copies share it.  Runners look every
+ * keyed per-trace result up in results() and store it there, so
+ * within one process no result is simulated twice -- table4 reuses
+ * what fig5/fig6/fig8 computed, sec11 what fig6 and fig8 did.
+ * Sharing across copies is safe because every key covers every
+ * option the runner reads (see resultcache.hh).
+ */
 struct ExperimentOptions
 {
+    ExperimentOptions();
+
     /** Use every n-th trace of the 531 (1 = full workload). */
     unsigned traceStride = 8;
 
@@ -55,12 +68,16 @@ struct ExperimentOptions
     ThreadPool *pool = nullptr;
 
     /**
-     * Optional content-addressed result cache (not owned).  Every
-     * runner looks each per-trace result up by content hash before
-     * simulating and stores it after; statistics are bit-identical
-     * with or without a cache (see resultcache.hh).
+     * Optional external result store (not owned): a `--cache-dir`
+     * store or a shard/merge cache.  When set it replaces the memo,
+     * so every entry lands where it can be exported or persisted;
+     * statistics are bit-identical either way (see resultcache.hh).
      */
     ResultCache *cache = nullptr;
+
+    /** The store runners use: the external cache when attached,
+     *  else the in-memory memo. */
+    ResultCache *results() const { return cache ? cache : memo_.get(); }
 
     /**
      * Suite-level scale-out: run only the shardIndex-th round-robin
@@ -136,6 +153,9 @@ struct ExperimentOptions
 
     /** Operand samples per exact candidate evaluation. */
     std::size_t attackSearchExactSamples = 2048;
+
+  private:
+    std::shared_ptr<ResultCache> memo_;
 };
 
 /**

@@ -29,8 +29,6 @@ promType(MetricKind kind)
     switch (kind) {
       case MetricKind::Counter:
         return "counter";
-      case MetricKind::Gauge:
-        return "gauge";
       case MetricKind::Histogram:
         return "histogram";
     }
@@ -79,11 +77,7 @@ renderMetric(std::string &out, const SnapshotMetric &m)
     }
     out += base;
     out.push_back(' ');
-    if (m.kind == MetricKind::Gauge)
-        out += std::to_string(
-            static_cast<std::int64_t>(m.scalar()));
-    else
-        out += std::to_string(m.scalar());
+    out += std::to_string(m.scalar());
     out.push_back('\n');
 }
 
@@ -110,12 +104,7 @@ renderDump(const Snapshot &snap, const std::string &prefix)
                 std::to_string(m.sum()) + " " + m.unit + "\n";
             continue;
         }
-        out += prefix + m.name + " ";
-        if (m.kind == MetricKind::Gauge)
-            out += std::to_string(
-                static_cast<std::int64_t>(m.scalar()));
-        else
-            out += std::to_string(m.scalar());
+        out += prefix + m.name + " " + std::to_string(m.scalar());
         if (m.unit != "1")
             out += " " + m.unit;
         out.push_back('\n');
@@ -142,7 +131,9 @@ MetricsServer::start(std::uint16_t port, std::string *error)
                  sizeof(one));
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_ANY);
+    // Loopback only: run metrics are for the local operator, not
+    // for every network the host is attached to.
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(port);
     if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
                sizeof(addr)) != 0)

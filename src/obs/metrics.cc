@@ -26,7 +26,7 @@ struct MetricDef
     MetricKind kind = MetricKind::Counter;
     std::string unit;
     std::string help;
-    std::uint32_t slot = kInvalidSlot; ///< shard base / gauge index
+    std::uint32_t slot = kInvalidSlot; ///< shard base
 };
 
 struct State
@@ -40,10 +40,6 @@ struct State
     std::array<std::uint64_t, kSlotCapacity> retired{};
     /** First unallocated shard slot (after the sink region). */
     std::uint32_t nextSlot = kHistSlots;
-    std::vector<std::atomic<std::int64_t>> gauges;
-    std::uint32_t nextGauge = 0;
-
-    State() : gauges(256) {}
 };
 
 State &
@@ -103,17 +99,11 @@ registerMetric(MetricKind kind, const std::string &name,
     def.kind = kind;
     def.unit = unit;
     def.help = help;
-    if (kind == MetricKind::Gauge) {
-        if (s.nextGauge >= s.gauges.size())
-            std::abort();
-        def.slot = s.nextGauge++;
-    } else {
-        const std::size_t need = slotCount(kind);
-        if (s.nextSlot + need > kSlotCapacity)
-            std::abort();
-        def.slot = s.nextSlot;
-        s.nextSlot += static_cast<std::uint32_t>(need);
-    }
+    const std::size_t need = slotCount(kind);
+    if (s.nextSlot + need > kSlotCapacity)
+        std::abort();
+    def.slot = s.nextSlot;
+    s.nextSlot += static_cast<std::uint32_t>(need);
     s.byName.emplace(name, s.defs.size());
     s.defs.push_back(def);
     return def.slot;
@@ -167,31 +157,6 @@ monotonicMicros()
             .count());
 }
 
-void
-Gauge::set(std::int64_t v) const
-{
-#ifndef PENELOPE_NO_OBS
-    if (!enabled())
-        return;
-    state().gauges[index_].store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
-}
-
-void
-Gauge::add(std::int64_t d) const
-{
-#ifndef PENELOPE_NO_OBS
-    if (!enabled())
-        return;
-    state().gauges[index_].fetch_add(d,
-                                     std::memory_order_relaxed);
-#else
-    (void)d;
-#endif
-}
-
 std::uint64_t
 SnapshotMetric::count() const
 {
@@ -233,14 +198,6 @@ Registry::counter(const std::string &name,
         registerMetric(MetricKind::Counter, name, unit, help));
 }
 
-Gauge
-Registry::gauge(const std::string &name, const std::string &unit,
-                const std::string &help)
-{
-    return Gauge(
-        registerMetric(MetricKind::Gauge, name, unit, help));
-}
-
 Histogram
 Registry::histogram(const std::string &name,
                     const std::string &unit,
@@ -266,7 +223,6 @@ Registry::scrape() const
     State &s = state();
     std::array<std::uint64_t, kSlotCapacity> merged{};
     std::vector<MetricDef> defs;
-    std::vector<std::uint64_t> gauges;
     {
         std::lock_guard<std::mutex> lock(s.mutex);
         defs = s.defs;
@@ -275,10 +231,6 @@ Registry::scrape() const
             for (std::size_t i = 0; i < s.nextSlot; ++i)
                 merged[i] += shard->slots[i].load(
                     std::memory_order_relaxed);
-        gauges.resize(s.nextGauge);
-        for (std::size_t g = 0; g < gauges.size(); ++g)
-            gauges[g] = static_cast<std::uint64_t>(
-                s.gauges[g].load(std::memory_order_relaxed));
     }
     Snapshot snap;
     snap.metrics.reserve(defs.size());
@@ -287,13 +239,9 @@ Registry::scrape() const
         m.name = def.name;
         m.kind = def.kind;
         m.unit = def.unit;
-        if (def.kind == MetricKind::Gauge) {
-            m.values.push_back(gauges[def.slot]);
-        } else {
-            const std::size_t n = slotCount(def.kind);
-            m.values.assign(merged.begin() + def.slot,
-                            merged.begin() + def.slot + n);
-        }
+        const std::size_t n = slotCount(def.kind);
+        m.values.assign(merged.begin() + def.slot,
+                        merged.begin() + def.slot + n);
         snap.metrics.push_back(std::move(m));
     }
     std::sort(snap.metrics.begin(), snap.metrics.end(),
@@ -312,8 +260,6 @@ Registry::resetValuesForTest()
     for (const auto &shard : s.shards)
         for (auto &cell : shard->slots)
             cell.store(0, std::memory_order_relaxed);
-    for (auto &g : s.gauges)
-        g.store(0, std::memory_order_relaxed);
 }
 
 std::size_t

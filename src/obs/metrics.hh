@@ -2,8 +2,8 @@
  * @file
  * Zero-cost-when-off metrics registry.
  *
- * A process-wide registry of named counters, gauges and
- * power-of-two histograms, built for instrumenting hot loops that
+ * A process-wide registry of named counters and power-of-two
+ * histograms, built for instrumenting hot loops that
  * must stay bit-identical and fast whether observability is on or
  * off:
  *
@@ -13,8 +13,6 @@
  *    plain add).  A scrape merges every live shard plus the
  *    retired totals of exited threads, the same merge discipline
  *    the ISV statistics use: writers never contend, readers sum.
- *  - Gauges are process-global atomics (set/add), not sharded:
- *    "last write wins" has no meaningful per-thread merge.
  *  - The *runtime-off* fast path is one relaxed atomic-bool load
  *    per site; until something enables the registry (a `--metrics-*`
  *    flag or `--trace-out`) no
@@ -49,8 +47,7 @@ namespace obs {
 enum class MetricKind : std::uint8_t
 {
     Counter = 0,
-    Gauge = 1,
-    Histogram = 2,
+    Histogram = 1,
 };
 
 /** True when the emission paths are compiled in at all. */
@@ -191,25 +188,8 @@ class Histogram
     std::uint32_t base_ = kInvalidSlot;
 };
 
-/** Process-global instantaneous value.  Not sharded; set/add are
- *  meant for rare control-plane events. */
-class Gauge
-{
-  public:
-    Gauge() = default;
-
-    void set(std::int64_t v) const;
-    void add(std::int64_t d) const;
-
-  private:
-    friend class Registry;
-    explicit Gauge(std::uint32_t index) : index_(index) {}
-    std::uint32_t index_ = kInvalidSlot;
-};
-
 /** One scraped metric: name, kind, unit and its merged value
- *  slots (1 for counters/gauges, kHistSlots for histograms;
- *  gauges carry the int64 bit pattern). */
+ *  slots (1 for counters, kHistSlots for histograms). */
 struct SnapshotMetric
 {
     std::string name;
@@ -249,9 +229,6 @@ class Registry
     Counter counter(const std::string &name,
                     const std::string &unit = "1",
                     const std::string &help = "");
-    Gauge gauge(const std::string &name,
-                const std::string &unit = "1",
-                const std::string &help = "");
     Histogram histogram(const std::string &name,
                         const std::string &unit = "1",
                         const std::string &help = "");
@@ -261,11 +238,11 @@ class Registry
      *  accumulated values. */
     void setEnabled(bool on);
 
-    /** Merge every live shard + retired totals + gauges into a
+    /** Merge every live shard + retired totals into a
      *  name-sorted snapshot. */
     Snapshot scrape() const;
 
-    /** Zero every slot and gauge (registrations survive).  Only
+    /** Zero every slot (registrations survive).  Only
      *  meaningful while no other thread is emitting. */
     void resetValuesForTest();
 

@@ -1,6 +1,7 @@
 #include "pipeline.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace penelope {
@@ -86,32 +87,33 @@ Pipeline::sourcesReady(const InFlight &f) const
 
 namespace {
 
-/** Can @p cls issue on @p port under the given binding? */
-bool
-canIssueOn(UopClass cls, int bound_port, unsigned port)
+/** Issue ports (bit p = port p) open to @p cls under the given
+ *  binding. */
+unsigned
+issuePorts(UopClass cls, int bound_port)
 {
     if (bound_port >= 0)
-        return static_cast<unsigned>(bound_port) == port;
+        return 1u << bound_port;
     switch (cls) {
       case UopClass::IntAlu:
-        return port == 0 || port == 1;
+        return 0b00011;
       case UopClass::IntMul:
       case UopClass::Branch:
-        return port == 1;
+        return 0b00010;
       case UopClass::Load:
-        return port == 2;
+        return 0b00100;
       case UopClass::Store:
-        return port == 3;
+        return 0b01000;
       case UopClass::FpAdd:
-        return port == 4;
+        return 0b10000;
       case UopClass::FpMul:
         // FP multiply issues on port 0 (Core-style split of the FP
         // stack across ports) so FP-heavy traces are not serialised
         // behind a single port.
-        return port == 0;
+        return 0b00001;
       case UopClass::Nop:
       default:
-        return port == 0;
+        return 0b00001;
     }
 }
 
@@ -147,57 +149,71 @@ Pipeline::doCommit(Cycle now)
 void
 Pipeline::doIssue(Cycle now)
 {
-    for (unsigned port = 0; port < 5; ++port) {
-        for (std::size_t i = 0; i < rob_.size(); ++i) {
-            InFlight &f = rob_[i];
-            if (f.issued)
-                continue;
-            if (!canIssueOn(f.uop.cls, f.boundPort, port))
-                continue;
-            if (!sourcesReady(f))
-                continue;
+    // One oldest-first ROB pass: each ready, un-issued uop takes the
+    // lowest free port it may issue on (one issue per port per
+    // cycle).  Every port ends up with its oldest eligible uop --
+    // an unbound IntAlu is the only multi-port class, and it only
+    // reaches port 1 once port 0 is taken -- and readiness cannot
+    // change mid-cycle, so the picks equal a port-by-port scan.
+    constexpr unsigned kPorts = 5;
+    std::size_t picked[kPorts];
+    unsigned free_ports = (1u << kPorts) - 1;
+    for (std::size_t i = 0; i < rob_.size() && free_ports; ++i) {
+        const InFlight &f = rob_[i];
+        if (f.issued)
+            continue;
+        const unsigned open =
+            issuePorts(f.uop.cls, f.boundPort) & free_ports;
+        if (!open || !sourcesReady(f))
+            continue;
+        const unsigned port =
+            static_cast<unsigned>(std::countr_zero(open));
+        picked[port] = i;
+        free_ports &= ~(1u << port);
+    }
 
-            // Issue.  Memory uops live in the MOB, not the
-            // scheduler (Table 2), so they have no entry to free.
-            f.issued = true;
-            if (f.schedEntry >= 0) {
-                const bool alloc_port_free =
-                    allocsThisCycle_ < config_.allocWidth;
-                sched_.release(
-                    static_cast<unsigned>(f.schedEntry), now,
-                    alloc_port_free);
-                ++schedReleaseTotal_;
-                if (alloc_port_free)
-                    ++schedReleaseFree_;
-                f.schedEntry = -1;
-            }
+    // Side effects in port order, so the scheduler free list and
+    // the DTLB/DL0 state evolve as if each port issued in turn.
+    for (unsigned port = 0; port < kPorts; ++port) {
+        if (free_ports & (1u << port))
+            continue;
+        InFlight &f = rob_[picked[port]];
 
-            unsigned latency = f.uop.latency;
-            if (f.uop.cls == UopClass::Load ||
-                f.uop.cls == UopClass::Store) {
-                const bool is_write =
-                    f.uop.cls == UopClass::Store;
-                const Word data =
-                    is_write ? f.uop.srcVal1 : f.uop.dstVal;
-                const AccessResult tlb = dtlb_.access(
-                    f.uop.addr, false, now, f.uop.addr >> 12);
-                if (!tlb.hit)
-                    latency += config_.dtlbMissPenalty;
-                const AccessResult l1 =
-                    dl0_.access(f.uop.addr, is_write, now, data);
-                if (!l1.hit)
-                    latency += config_.dl0MissPenalty;
-                if (f.uop.cls == UopClass::Load)
-                    latency += config_.loadHitLatency - 1;
-            }
-            f.completeAt = now + std::max(1u, latency);
-
-            // Adder accounting: integer ALU ports and AGUs.
-            if (port < 4 &&
-                (f.uop.cls == UopClass::IntAlu || port >= 2))
-                ++adderBusy_[port];
-            break; // one issue per port per cycle
+        // Issue.  Memory uops live in the MOB, not the scheduler
+        // (Table 2), so they have no entry to free.
+        f.issued = true;
+        if (f.schedEntry >= 0) {
+            const bool alloc_port_free =
+                allocsThisCycle_ < config_.allocWidth;
+            sched_.release(static_cast<unsigned>(f.schedEntry), now,
+                           alloc_port_free);
+            ++schedReleaseTotal_;
+            if (alloc_port_free)
+                ++schedReleaseFree_;
+            f.schedEntry = -1;
         }
+
+        unsigned latency = f.uop.latency;
+        if (f.uop.cls == UopClass::Load ||
+            f.uop.cls == UopClass::Store) {
+            const bool is_write = f.uop.cls == UopClass::Store;
+            const Word data = is_write ? f.uop.srcVal1 : f.uop.dstVal;
+            const AccessResult tlb = dtlb_.access(
+                f.uop.addr, false, now, f.uop.addr >> 12);
+            if (!tlb.hit)
+                latency += config_.dtlbMissPenalty;
+            const AccessResult l1 =
+                dl0_.access(f.uop.addr, is_write, now, data);
+            if (!l1.hit)
+                latency += config_.dl0MissPenalty;
+            if (f.uop.cls == UopClass::Load)
+                latency += config_.loadHitLatency - 1;
+        }
+        f.completeAt = now + std::max(1u, latency);
+
+        // Adder accounting: integer ALU ports and AGUs.
+        if (port < 4 && (f.uop.cls == UopClass::IntAlu || port >= 2))
+            ++adderBusy_[port];
     }
 }
 

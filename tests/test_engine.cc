@@ -571,9 +571,9 @@ expectSameSchedulerResult(const SchedulerExperimentResult &a,
 TEST(LockstepCache, SchedulerBaselineWarmCacheStoresOnlyProtectedArm)
 {
     const WorkloadSet workload;
-    ExperimentOptions options = tinyOptions(1);
-    const auto cold = runSchedulerExperiment(workload, options);
+    const auto cold = runSchedulerExperiment(workload, tinyOptions(1));
 
+    ExperimentOptions options = tinyOptions(1);
     ResultCache cache;
     options.cache = &cache;
     const auto profile_subset =
@@ -605,9 +605,10 @@ TEST(LockstepCache, SchedulerBaselineWarmCacheStoresOnlyProtectedArm)
 TEST(LockstepCache, RegFileBaselineWarmCacheStoresOnlyIsvArm)
 {
     const WorkloadSet workload;
-    ExperimentOptions options = tinyOptions(1);
-    const auto cold = runRegFileExperiment(workload, false, options);
+    const auto cold =
+        runRegFileExperiment(workload, false, tinyOptions(1));
 
+    ExperimentOptions options = tinyOptions(1);
     ResultCache cache;
     options.cache = &cache;
     const std::size_t eval = evaluationTraces(workload, options).size();

@@ -4,6 +4,10 @@
  * experiment runners built on it.
  */
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/experiments.hh"
@@ -116,6 +120,125 @@ TEST(Pipeline, SchedulerProtectionInPipeline)
     const PipelineStats s = pipe.run(gen, 20000);
     EXPECT_TRUE(pipe.scheduler().protectionEnabled());
     EXPECT_GT(s.cycles, 0u);
+}
+
+/** FNV-1a over the bit patterns of a bias vector. */
+std::uint64_t
+biasDigest(const std::vector<double> &bias)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (double v : bias) {
+        const auto bits = std::bit_cast<std::uint64_t>(v);
+        for (int i = 0; i < 8; ++i) {
+            h ^= (bits >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+TEST(Pipeline, StatsPinned)
+{
+    // Absolute pins of the core model: every PipelineStats field
+    // plus a digest of the scheduler bias, for an integer, an FP
+    // and a server trace under both adder policies.  The values
+    // were recorded on the port-major issue loop (one ROB scan per
+    // port); issue order, scheduler release order and the DTLB/DL0
+    // access order all move at least one of them.
+    WorkloadSet w;
+    const auto fp = w.indicesForSuite(SuiteId::SpecFp2000);
+    const auto server = w.indicesForSuite(SuiteId::Server);
+    struct Pinned
+    {
+        unsigned trace;
+        AdderAllocationPolicy policy;
+        Cycle cycles;
+        double adderUtilization[4];
+        double intRfOccupancy, fpRfOccupancy, schedOccupancy;
+        double intRfPortFree, fpRfPortFree, schedPortFree;
+        std::uint64_t dl0Hits, dl0Misses, dtlbMisses;
+        double mruHitFraction[3];
+        double cpi;
+        std::uint64_t schedBias;
+    };
+    const Pinned pinned[] = {
+        {0, AdderAllocationPolicy::Priority, 10455,
+         {0x1.74166dd7fd741p-2, 0x1.b8befd6dd1b8cp-4,
+          0x1.3326a9c901332p-2, 0x1.1d362ff1811d3p-3},
+         0x1.06dff2adff2aep-1, 0x1.6d8bfc60474d9p-3, 0x1.ede29165b09dep-1,
+         0x1.ad767f2dc1958p-1, 0x1.93d1c13d1c13dp-1, 0x1p+0,
+         4147, 445, 89,
+         {0x1.d27137204917p-1, 0x1.3429bafbfcca4p-5, 0x1.a4c2d2ff71c56p-5},
+         0x1.be147ae147ae1p-1, 0xefb5f53920b1aa8eull},
+        {0, AdderAllocationPolicy::Uniform, 10691,
+         {0x1.d7a0cb0e88eb7p-3, 0x1.d7a0cb0e88eb7p-3,
+          0x1.2c5eeb620e6a4p-2, 0x1.16ea6cdb0d62bp-3},
+         0x1.059e103c26999p-1, 0x1.6c76ac5bdabdbp-3, 0x1.f094450ef7429p-1,
+         0x1.b1dccd8d05ddcp-1, 0x1.97f2c97f2c97fp-1, 0x1p+0,
+         4147, 445, 89,
+         {0x1.d27137204917p-1, 0x1.3429bafbfcca4p-5, 0x1.a4c2d2ff71c56p-5},
+         0x1.c8263ab596de9p-1, 0xb2724d5c53c4fa60ull},
+        {fp[2], AdderAllocationPolicy::Priority, 11761,
+         {0x1.530a61fe903a3p-3, 0x1.0e41ddd3770bp-5,
+          0x1.3a503b8ddac75p-2, 0x1.ed7f8831fa093p-4},
+         0x1.0cd4b4aa37816p-1, 0x1.124892196151dp-1, 0x1.8f8a48eb41956p-1,
+         0x1.a086bfd025268p-1, 0x1.8b5588ea8a6d7p-1, 0x1p+0,
+         3932, 1095, 295,
+         {0x1.ed1e785140d8bp-1, 0x1.7703e80a6ac67p-7, 0x1.a0af01d2af872p-6},
+         0x1.f5cd7b900aec3p-1, 0xa7e6ae9bd287f057ull},
+        {fp[2], AdderAllocationPolicy::Uniform, 11820,
+         {0x1.94bfa1be5512dp-4, 0x1.9466eb77d02dcp-4,
+          0x1.38be979b81842p-2, 0x1.eb08ec5597de1p-4},
+         0x1.0d3667c93f808p-1, 0x1.12885c2d65461p-1, 0x1.8f20240a0ca6p-1,
+         0x1.a22de31d295c8p-1, 0x1.89f959c427e56p-1, 0x1p+0,
+         3932, 1095, 295,
+         {0x1.ed1e785140d8bp-1, 0x1.7703e80a6ac67p-7, 0x1.a0af01d2af872p-6},
+         0x1.f851eb851eb85p-1, 0x707c2eee96ea7ea0ull},
+        {server[1], AdderAllocationPolicy::Priority, 21384,
+         {0x1.55244c3c2528ep-3, 0x1.2c57ba47102f8p-5,
+          0x1.7088614e0dfbap-3, 0x1.73fb0513711b8p-4},
+         0x1.0bddb6a36350fp-1, 0x1.0913711b7c99ap-3, 0x1.f58a9536afa59p-1,
+         0x1.ded86c266a50ap-1, 0x1.c9882b9310572p-1, 0x1p+0,
+         4677, 1113, 581,
+         {0x1.e3357a1daab8bp-1, 0x1.53ccfc7131a54p-6, 0x1.22c1dfecbba28p-5},
+         0x1.c83126e978d5p+0, 0x77b36313560d697dull},
+        {server[1], AdderAllocationPolicy::Uniform, 21505,
+         {0x1.9de2b11c5e237p-4, 0x1.9de2b11c5e237p-4,
+          0x1.6e758aca89c78p-3, 0x1.71e3373327029p-4},
+         0x1.0b77b87ac1961p-1, 0x1.0913b393320eap-3, 0x1.f6360573be9f4p-1,
+         0x1.e0fc83651d8bap-1, 0x1.bea3677d46cfp-1, 0x1p+0,
+         4677, 1113, 581,
+         {0x1.e35180771afc2p-1, 0x1.504c314329375p-6, 0x1.22c1dfecbba28p-5},
+         0x1.cac5f92c5f92cp+0, 0xf98152e3b9843969ull},
+    };
+    for (const Pinned &p : pinned) {
+        SCOPED_TRACE(testing::Message()
+                     << "trace " << p.trace << " policy "
+                     << static_cast<int>(p.policy));
+        PipelineConfig cfg;
+        cfg.adderPolicy = p.policy;
+        Pipeline pipe(cfg);
+        TraceGenerator gen = w.generator(p.trace);
+        const PipelineStats s = pipe.run(gen, 12000);
+        EXPECT_EQ(s.cycles, p.cycles);
+        EXPECT_EQ(s.uops, 12000u);
+        for (unsigned a = 0; a < 4; ++a)
+            EXPECT_EQ(s.adderUtilization[a], p.adderUtilization[a]);
+        EXPECT_EQ(s.intRfOccupancy, p.intRfOccupancy);
+        EXPECT_EQ(s.fpRfOccupancy, p.fpRfOccupancy);
+        EXPECT_EQ(s.schedOccupancy, p.schedOccupancy);
+        EXPECT_EQ(s.intRfPortFree, p.intRfPortFree);
+        EXPECT_EQ(s.fpRfPortFree, p.fpRfPortFree);
+        EXPECT_EQ(s.schedPortFree, p.schedPortFree);
+        EXPECT_EQ(s.dl0Hits, p.dl0Hits);
+        EXPECT_EQ(s.dl0Misses, p.dl0Misses);
+        EXPECT_EQ(s.dtlbMisses, p.dtlbMisses);
+        for (unsigned m = 0; m < 3; ++m)
+            EXPECT_EQ(s.mruHitFraction[m], p.mruHitFraction[m]);
+        EXPECT_EQ(s.cpi, p.cpi);
+        EXPECT_EQ(biasDigest(pipe.scheduler().biasVector(s.cycles)),
+                  p.schedBias);
+    }
 }
 
 // --------------------------------------------------- Experiments

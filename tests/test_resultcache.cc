@@ -608,11 +608,10 @@ expectIdentical(const SchedulerExperimentResult &a,
 TEST(CachedEngine, ColdWarmUncachedAndJobsAllBitIdentical)
 {
     const WorkloadSet workload;
-    ExperimentOptions options = fastOptions();
-
     const RegFileExperimentResult uncached =
-        runRegFileExperiment(workload, false, options);
+        runRegFileExperiment(workload, false, fastOptions());
 
+    ExperimentOptions options = fastOptions();
     ResultCache cache;
     options.cache = &cache;
     const RegFileExperimentResult cold =
@@ -631,6 +630,41 @@ TEST(CachedEngine, ColdWarmUncachedAndJobsAllBitIdentical)
     expectIdentical(cold, uncached);
     expectIdentical(warm, uncached);
     expectIdentical(warm4, uncached);
+}
+
+TEST(ResultMemo, CopiesShareOneMemoAndAnExternalCacheReplacesIt)
+{
+    const WorkloadSet workload;
+    ExperimentOptions options = fastOptions();
+    const ExperimentOptions copy = options;
+    ASSERT_NE(options.results(), nullptr);
+    EXPECT_EQ(copy.results(), options.results());
+    EXPECT_NE(fastOptions().results(), options.results());
+
+    // A run through the copy fills the memo the original reads: the
+    // second run is pure hits and bit-identical to the first.
+    const RegFileExperimentResult first =
+        runRegFileExperiment(workload, false, copy);
+    ResultCache &memo = *options.results();
+    const ResultCache::Stats cold = memo.stats();
+    EXPECT_GT(cold.stores, 0u);
+    EXPECT_EQ(memo.size(), cold.stores);
+    const RegFileExperimentResult second =
+        runRegFileExperiment(workload, false, options);
+    const ResultCache::Stats warm = memo.stats();
+    EXPECT_EQ(warm.stores, cold.stores);
+    EXPECT_EQ(warm.hits - cold.hits, cold.stores);
+    expectIdentical(second, first);
+
+    // An attached cache takes every lookup and store.
+    ResultCache cache;
+    options.cache = &cache;
+    EXPECT_EQ(options.results(), &cache);
+    EXPECT_EQ(copy.results(), &memo);
+    expectIdentical(runRegFileExperiment(workload, false, options),
+                    first);
+    EXPECT_EQ(cache.stats().stores, cold.stores);
+    EXPECT_EQ(memo.stats().hits, warm.hits);
 }
 
 TEST(CachedEngine, ChangedOptionsNeverPoisonResults)
@@ -668,12 +702,12 @@ TEST(CachedEngine, GcdStoreServesBitIdenticalWarmRuns)
     const WorkloadSet workload;
     const std::string dir = tempDir("engine_gc");
 
-    ExperimentOptions options = fastOptions();
     const RegFileExperimentResult uncached =
-        runRegFileExperiment(workload, false, options);
+        runRegFileExperiment(workload, false, fastOptions());
 
     // Fill the store with the current options AND a stale
     // generation (an options mix that will "no longer occur").
+    ExperimentOptions options = fastOptions();
     std::size_t entries_with_stale = 0;
     {
         ResultCache cache(dir);
@@ -716,10 +750,10 @@ TEST(CachedEngine, CorruptDiskCacheReproducesColdRunExactly)
     const WorkloadSet workload;
     const std::string dir = tempDir("engine_corrupt");
 
-    ExperimentOptions options = fastOptions();
     const auto reference =
-        runRegFileExperiment(workload, false, options);
+        runRegFileExperiment(workload, false, fastOptions());
 
+    ExperimentOptions options = fastOptions();
     {
         ResultCache cache(dir);
         options.cache = &cache;

@@ -26,6 +26,7 @@
 #include "core/surrogate_sweep.hh"
 #include "nbti/guardband.hh"
 #include "nbti/surrogate.hh"
+#include "obs/metrics.hh"
 #include "trace/workload.hh"
 
 namespace penelope {
@@ -232,9 +233,10 @@ TEST(AttackSearch, FullAuditByteIdenticalToNoSurrogate)
 
 TEST(AttackSearch, SeedReproducible)
 {
-    const ExperimentOptions options = searchOptions();
-    const std::string a = runAttackSearchToString(options);
-    const std::string b = runAttackSearchToString(options);
+    // Two options objects, so the second run recomputes instead of
+    // reading the first one's in-memory memo.
+    const std::string a = runAttackSearchToString(searchOptions());
+    const std::string b = runAttackSearchToString(searchOptions());
     EXPECT_EQ(a, b);
 
     ExperimentOptions reseeded = searchOptions();
@@ -331,6 +333,45 @@ TEST(SweepCoverage, CacheDoesNotChangeResults)
         EXPECT_EQ(warm.evals[i].guardband,
                   uncached.evals[i].guardband);
     }
+}
+
+TEST(SweepCoverage, ExplicitNullCacheStaysCacheFree)
+{
+    // Options objects carry an in-memory memo, but a null cache
+    // handed straight to a sweep still means no lookup and no
+    // store: `--surrogate-stats` times real exact evaluations on
+    // both arms of its same-run sweep.
+    const obs::ScopedEnable enable;
+    const auto count = [](const char *name) {
+        const obs::Snapshot snap = obs::Registry::instance().scrape();
+        const obs::SnapshotMetric *m = snap.find(name);
+        return m ? m->scalar() : 0;
+    };
+    const Engine engine(1);
+    LadnerFischerAdder adder(32);
+    AdderAgingAnalysis analysis(adder,
+                                GuardbandModel::paperCalibrated());
+    std::vector<AttackConfig> pool;
+    for (std::size_t i = 0; i < 8; ++i) {
+        Rng rng(mixSeed(0xface, i));
+        pool.push_back(randomAttackCandidate(rng));
+    }
+    CandidateSweepConfig config;
+    config.triage = false;
+    config.exactSamples = 128;
+
+    const ExperimentOptions options;
+    const std::uint64_t lookups =
+        count("cache.hits") + count("cache.misses");
+    const std::uint64_t stores = count("cache.stores");
+    for (int run = 0; run < 2; ++run) {
+        const auto sweep = sweepAttackCandidates(
+            analysis, pool, nullptr, config, engine, nullptr);
+        EXPECT_EQ(sweep.evaluated.size(), pool.size());
+    }
+    EXPECT_EQ(count("cache.hits") + count("cache.misses"), lookups);
+    EXPECT_EQ(count("cache.stores"), stores);
+    EXPECT_EQ(options.results()->size(), 0u);
 }
 
 // ------------------------------------------------- stream isolation

@@ -14,10 +14,10 @@
 #
 # With ONE_PROCESS on, every experiment runs in one penelope_bench
 # invocation instead, whose stdout must equal the goldens
-# concatenated in EXPERIMENTS order.  The run must also report
-# result-cache hits under --metrics-dump: later experiments reuse
-# the per-trace results earlier ones computed, and that reuse must
-# not move a byte.
+# concatenated in EXPERIMENTS order.  When the metrics are compiled
+# in, the run must also report result-cache hits under
+# --metrics-dump: later experiments reuse the per-trace results
+# earlier ones computed, and that reuse must not move a byte.
 #
 # A mismatch leaves the rendered output in OUT_DIR beside the golden
 # path it should equal.  A deliberate change to a statistic updates
@@ -48,7 +48,9 @@ if(ONE_PROCESS)
   if(differs)
     list(APPEND failed "${out}.txt != ${out}_expected.txt")
   endif()
-  if(NOT log MATCHES "obs: cache\\.hits [1-9]")
+  execute_process(COMMAND "${BENCH}" --version OUTPUT_VARIABLE version)
+  if(version MATCHES "obs: +compiled in" AND
+     NOT log MATCHES "obs: cache\\.hits [1-9]")
     string(REGEX MATCH "obs: cache\\.hits [^\n]*" hits "${log}")
     list(APPEND failed "no result reused in-process (${hits})")
   endif()

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "adder/adder.hh"
-#include "circuit/netlist_opt.hh"
 #include "common/buildinfo.hh"
 #include "common/threadpool.hh"
 #include "core/registry.hh"
@@ -76,21 +75,6 @@ usage(std::ostream &os, int exit_code)
           "               statistics are identical for any N)\n"
           "  --full       full workload (stride 1) at paper-scale "
           "uop counts\n"
-          "  --no-netlist-opt\n"
-          "               compile netlists with the 1:1 gate "
-          "translation instead of\n"
-          "               the optimizing compiler (CSE, constant "
-          "folding, INV fusion,\n"
-          "               cache-blocked scheduling); statistics "
-          "and stdout are\n"
-          "               byte-identical either way -- this only "
-          "trades speed\n"
-          "  --netlist-opt-stats\n"
-          "               print per-adder-topology op-count "
-          "accounting of the\n"
-          "               optimizing compiler and exit (CI parses "
-          "this for its\n"
-          "               reduction floor)\n"
           "  --no-surrogate\n"
           "               disable surrogate triage: candidate "
           "sweeps price every\n"
@@ -268,43 +252,6 @@ listExperiments(std::ostream &os)
              ++pad)
             os << ' ';
         os << e.title << " - " << e.description << "\n";
-    }
-}
-
-/**
- * The --netlist-opt-stats report: one parsable line per adder
- * topology with the optimizing compiler's per-pass accounting.
- * Honors --no-netlist-opt (reduction is then 0%), so the flag
- * ordering on the command line does not matter.
- */
-void
-printNetlistOptStats(std::ostream &os)
-{
-    LadnerFischerAdder lf(32);
-    RippleCarryAdder rc(32);
-    KoggeStoneAdder ks(32);
-    for (const Adder *adder :
-         {static_cast<const Adder *>(&lf),
-          static_cast<const Adder *>(&rc),
-          static_cast<const Adder *>(&ks)}) {
-        const Netlist &n = adder->netlist();
-        const NetlistOptStats &s = n.optStats();
-        char reduction[32];
-        std::snprintf(reduction, sizeof reduction, "%.1f",
-                      s.reductionPercent());
-        char dist[32];
-        std::snprintf(dist, sizeof dist, "%.1f",
-                      s.avgOperandDistance);
-        os << "netlist-opt " << adder->name()
-           << " gates=" << n.numGates()
-           << " ops-before=" << s.opsBaseline
-           << " ops-after=" << s.opsFinal
-           << " reduction=" << reduction << "%"
-           << " cse=" << s.cseReused
-           << " const-folded=" << s.constFolded
-           << " inv-fused=" << s.invFused
-           << " inv-materialized=" << s.invMaterialized
-           << " avg-operand-distance=" << dist << "\n";
     }
 }
 
@@ -497,7 +444,6 @@ main(int argc, char **argv)
     bool shard_mode = false;
     bool merge_mode = false;
     bool cache_gc = false;
-    bool opt_stats_mode = false;
     bool surrogate_stats_mode = false;
 
     bool metrics_dump = false;
@@ -559,10 +505,6 @@ main(int argc, char **argv)
             options.jobs = value == 0
                 ? defaultJobs()
                 : static_cast<unsigned>(value);
-        } else if (!std::strcmp(arg, "--no-netlist-opt")) {
-            setNetlistOptEnabled(false);
-        } else if (!std::strcmp(arg, "--netlist-opt-stats")) {
-            opt_stats_mode = true;
         } else if (!std::strcmp(arg, "--no-surrogate")) {
             options.surrogateEnabled = false;
         } else if (!std::strcmp(arg, "--surrogate-audit")) {
@@ -654,13 +596,6 @@ main(int argc, char **argv)
         }
         std::cerr << "penelope_bench: metrics on port "
                   << obs_guard.server.port() << "\n";
-    }
-
-    if (opt_stats_mode) {
-        // After the parse loop so --no-netlist-opt applies in any
-        // argument order.
-        printNetlistOptStats(std::cout);
-        return 0;
     }
 
     if (surrogate_stats_mode) {

@@ -80,29 +80,33 @@ BM_NetlistEvaluateBatch(benchmark::State &state)
 BENCHMARK(BM_NetlistEvaluateBatch);
 
 /** Wide netlist pass: W lane words per net in one op-stream walk
- *  (arg = W).  items/s counts vectors, so comparing against
- *  BM_NetlistEvaluateBatch shows the per-vector gain from
- *  amortising the op-stream decode (and, at W=4 with AVX2, from
- *  the vector kernel). */
+ *  (arg = W: 1 is evaluateBatch, Netlist::kWideWords is
+ *  evaluateBatchWide).  items/s counts vectors, so the W ratio is
+ *  the per-vector gain from amortising the op-stream decode over
+ *  more lanes. */
 void
 BM_NetlistEvaluateBatchWide(benchmark::State &state)
 {
+    constexpr unsigned W = Netlist::kWideWords;
     const unsigned net_w = static_cast<unsigned>(state.range(0));
     LadnerFischerAdder adder(32);
     Rng rng(1);
-    std::uint64_t a[512];
-    std::uint64_t b[512];
+    std::uint64_t a[64 * W];
+    std::uint64_t b[64 * W];
     for (unsigned i = 0; i < net_w * 64; ++i) {
         a[i] = rng() & 0xffffffff;
         b[i] = rng() & 0xffffffff;
     }
-    std::uint64_t cin_masks[8];
+    std::uint64_t cin_masks[W];
     for (unsigned w = 0; w < net_w; ++w)
         cin_masks[w] = rng();
     std::vector<std::uint64_t> words;
     std::uint64_t acc = 0;
     for (auto _ : state) {
-        adder.evaluateBatchWide(a, b, cin_masks, net_w, words);
+        if (net_w == 1)
+            adder.evaluateBatch(a, b, cin_masks[0], words);
+        else
+            adder.evaluateBatchWide(a, b, cin_masks, words);
         acc += words.back();
     }
     benchmark::DoNotOptimize(acc);
@@ -110,18 +114,13 @@ BM_NetlistEvaluateBatchWide(benchmark::State &state)
 }
 BENCHMARK(BM_NetlistEvaluateBatchWide)
     ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8);
+    ->Arg(Netlist::kWideWords);
 
-/** Optimized vs --no-netlist-opt throughput on the Kogge-Stone
- *  adder, the INV-heaviest topology (arg: 1 = optimizing compiler,
- *  0 = 1:1 gate translation).  items/s counts vectors; the CI perf
- *  floor asserts optimized >= 1.2x unoptimized per vector. */
+/** Batched evaluate on the Kogge-Stone adder, the largest of the
+ *  three topologies.  items/s counts vectors. */
 void
 BM_KoggeStoneEvaluateBatch(benchmark::State &state)
 {
-    const ScopedNetlistOpt toggle(state.range(0) != 0);
     KoggeStoneAdder adder(32);
     Rng rng(1);
     std::uint64_t a[64];
@@ -140,7 +139,7 @@ BM_KoggeStoneEvaluateBatch(benchmark::State &state)
     benchmark::DoNotOptimize(acc);
     state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_KoggeStoneEvaluateBatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_KoggeStoneEvaluateBatch);
 
 /** Scalar aging observe: one evaluated vector, one pass over the
  *  per-net slots. */
@@ -184,16 +183,11 @@ BM_AgingObserveBatch(benchmark::State &state)
 BENCHMARK(BM_AgingObserveBatch);
 
 /** End-to-end batched aging of real operand samples (the Figure-5
- *  real-input path): transpose + netlist batch + popcount observe
- *  per 64 samples. */
-// Arg 1 = optimizing compiler on (the default build behaviour),
-// arg 0 = disabled.  Both variants live in one process so the
-// opt/no-opt ratio is a same-run comparison, which is the only kind
-// the shared reference host resolves reliably.
+ *  real-input path): transpose + wide netlist batch + popcount
+ *  observe per 64 * Netlist::kWideWords samples. */
 void
 BM_AdderAgingPipeline(benchmark::State &state)
 {
-    const ScopedNetlistOpt toggle(state.range(0) != 0);
     WorkloadSet workload;
     TraceGenerator gen = workload.generator(0);
     const auto ops = collectAdderOperands(gen, 2048);
@@ -206,10 +200,7 @@ BM_AdderAgingPipeline(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * ops.size());
 }
-BENCHMARK(BM_AdderAgingPipeline)
-    ->Unit(benchmark::kMicrosecond)
-    ->Arg(0)
-    ->Arg(1);
+BENCHMARK(BM_AdderAgingPipeline)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------- surrogate triage
 

@@ -143,30 +143,29 @@ void
 Adder::evaluateBatchWide(const std::uint64_t *a,
                          const std::uint64_t *b,
                          const std::uint64_t *cin_masks,
-                         unsigned net_w,
                          std::vector<std::uint64_t> &net_words) const
 {
-    assert(net_w == 1 || net_w == 2 || net_w == 4 || net_w == 8);
+    constexpr unsigned W = Netlist::kWideWords;
     thread_local std::vector<std::uint64_t> input_words;
     std::uint64_t block[64];
-    input_words.resize((2 * width_ + 1) * net_w);
+    input_words.resize((2 * width_ + 1) * W);
 
     // Per word: transpose that word's 64 operand rows, then scatter
-    // into the interleaved [input * net_w + w] layout the wide
-    // engine consumes.
-    for (unsigned w = 0; w < net_w; ++w) {
+    // into the interleaved [input * W + w] layout the wide engine
+    // consumes.
+    for (unsigned w = 0; w < W; ++w) {
         std::copy(a + w * 64, a + w * 64 + 64, block);
         transpose64x64(block);
         for (unsigned i = 0; i < width_; ++i)
-            input_words[i * net_w + w] = block[i];
+            input_words[i * W + w] = block[i];
         std::copy(b + w * 64, b + w * 64 + 64, block);
         transpose64x64(block);
         for (unsigned i = 0; i < width_; ++i)
-            input_words[(width_ + i) * net_w + w] = block[i];
-        input_words[2 * width_ * net_w + w] = cin_masks[w];
+            input_words[(width_ + i) * W + w] = block[i];
+        input_words[2 * width_ * W + w] = cin_masks[w];
     }
 
-    netlist_.evaluateBatchWide(input_words.data(), net_words, net_w);
+    netlist_.evaluateBatchWide(input_words.data(), net_words);
 }
 
 void
@@ -174,16 +173,14 @@ Adder::batchSums(const std::vector<std::uint64_t> &net_words,
                  std::uint64_t sums[64],
                  std::uint64_t *cout_mask) const
 {
-    // Sum/carry nets resolve through their NetRefs: the optimizing
-    // compiler may alias them to a complemented or shared word.
     std::uint64_t block[64];
     for (unsigned i = 0; i < width_; ++i)
-        block[i] = netlist_.laneWord(net_words.data(), sum_[i]);
+        block[i] = net_words[sum_[i]];
     std::fill(block + width_, block + 64, 0);
     transpose64x64(block);
     std::copy(block, block + 64, sums);
     if (cout_mask)
-        *cout_mask = netlist_.laneWord(net_words.data(), cout_);
+        *cout_mask = net_words[cout_];
 }
 
 std::uint64_t

@@ -60,10 +60,9 @@ class Adder
      * @p b each hold 64 operand values (lane v uses a[v], b[v] and
      * bit v of @p cin_mask); pad unused lanes with zeros.  The
      * operands are bit-transposed into per-input lane words and run
-     * through Netlist::evaluateBatch; @p net_words receives the
-     * compiled stream's physical word array (resolve a net with
-     * Netlist::laneWord), ready for
-     * PmosAgingTracker::observeBatch or batchSums().
+     * through Netlist::evaluateBatch; @p net_words receives one lane
+     * word per net, ready for PmosAgingTracker::observeBatch or
+     * batchSums().
      */
     void evaluateBatch(const std::uint64_t a[64],
                        const std::uint64_t b[64],
@@ -71,21 +70,19 @@ class Adder
                        std::vector<std::uint64_t> &net_words) const;
 
     /**
-     * Multi-word form of evaluateBatch(): evaluate 64 * @p net_w
-     * operand triples in one netlist pass.  @p a and @p b hold
-     * net_w * 64 operand values (word w covers lanes [w * 64,
-     * w * 64 + 64), lane l of word w uses bit l of
-     * @p cin_masks[w]); @p net_words receives net_w interleaved
-     * lane words per net, ready for
+     * Wide form of evaluateBatch(): evaluate 64 *
+     * Netlist::kWideWords operand triples in one netlist pass.
+     * @p a and @p b hold that many operand values (word w covers
+     * lanes [w * 64, w * 64 + 64), lane l of word w uses bit l of
+     * @p cin_masks[w]); @p net_words receives kWideWords
+     * interleaved lane words per net, ready for
      * PmosAgingTracker::observeBatchWide.  Word w of every net is
      * bit-for-bit what evaluateBatch() over that word's operands
-     * would produce.  @p net_w must be 1, 2, 4 or 8
-     * (Netlist::preferredBatchWords() picks the fastest).
+     * would produce.
      */
     void evaluateBatchWide(const std::uint64_t *a,
                            const std::uint64_t *b,
                            const std::uint64_t *cin_masks,
-                           unsigned net_w,
                            std::vector<std::uint64_t> &net_words)
         const;
 

@@ -144,23 +144,22 @@ std::vector<double>
 AdderAgingAnalysis::zeroProbsForOperands(
     const std::vector<OperandSample> &ops) const
 {
-    // Chunk by the cache-blocked wide-batch width for this netlist:
-    // one op-stream pass covers net_w * 64 operand samples.
+    // One op-stream pass covers kWideWords * 64 operand samples.
     // Padding lanes carry zero operands and are masked out of the
     // accounting, so the per-device counts -- hence the returned
-    // probabilities -- are identical at every net_w.
-    const unsigned net_w = adder_.netlist().blockedBatchWords();
-    const std::size_t chunk = std::size_t(64) * net_w;
+    // probabilities -- do not depend on the chunking.
+    constexpr unsigned W = Netlist::kWideWords;
+    constexpr std::size_t chunk = std::size_t(64) * W;
     PmosAgingTracker tracker(adder_.netlist());
     std::vector<std::uint64_t> words;
-    std::uint64_t a[512];
-    std::uint64_t b[512];
-    std::uint64_t cin_masks[8];
-    std::uint64_t lane_masks[8];
+    std::uint64_t a[chunk];
+    std::uint64_t b[chunk];
+    std::uint64_t cin_masks[W];
+    std::uint64_t lane_masks[W];
     for (std::size_t begin = 0; begin < ops.size(); begin += chunk) {
         const std::size_t count =
             std::min<std::size_t>(chunk, ops.size() - begin);
-        std::fill(cin_masks, cin_masks + net_w, 0);
+        std::fill(cin_masks, cin_masks + W, 0);
         for (std::size_t l = 0; l < count; ++l) {
             const OperandSample &op = ops[begin + l];
             a[l] = op.a;
@@ -170,7 +169,7 @@ AdderAgingAnalysis::zeroProbsForOperands(
         }
         std::fill(a + count, a + chunk, 0);
         std::fill(b + count, b + chunk, 0);
-        for (unsigned w = 0; w < net_w; ++w) {
+        for (unsigned w = 0; w < W; ++w) {
             const std::size_t word_lanes = count <= w * 64
                 ? 0
                 : std::min<std::size_t>(64, count - w * 64);
@@ -180,8 +179,8 @@ AdderAgingAnalysis::zeroProbsForOperands(
         }
         PENELOPE_OBS_COUNTER("netlist.lanes_used", "lanes")
             .add(count);
-        adder_.evaluateBatchWide(a, b, cin_masks, net_w, words);
-        tracker.observeBatchWide(words.data(), net_w, lane_masks);
+        adder_.evaluateBatchWide(a, b, cin_masks, words);
+        tracker.observeBatchWide(words.data(), lane_masks);
     }
     return trackerProbs(tracker);
 }

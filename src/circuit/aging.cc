@@ -5,81 +5,34 @@
 #include <cassert>
 #include <vector>
 
-#include "common/duty.hh"
-
 namespace penelope {
 
 PmosAgingTracker::PmosAgingTracker(const Netlist &netlist)
     : netlist_(netlist)
 {
-    // Devices whose gate nets resolve to the same canonical NetRef
-    // share one zero-time slot: equal refs mean provably equal
-    // values under every input (CSE/aliasing of the optimizing
-    // compiler, or simple net sharing), so the per-device counters
-    // of the scalar form were always duplicates.  Slots are laid
-    // out partitioned by ref kind and sorted by word index inside
-    // each partition, so the batch observe loops sweep the word
-    // array in order with no per-slot branching.
+    // Devices gated by the same net share one zero-time slot: they
+    // always observe the same value, so per-device counters would
+    // only be duplicates.  Sort-based grouping rather than a map:
+    // the tracker is rebuilt per analysis call, so construction
+    // cost is on the measured path.  Slots are in ascending net
+    // order, so the batch observe loops sweep the word array in
+    // order.
     const auto &devices = netlist.pmosDevices();
+    slotNet_.reserve(devices.size());
+    for (const PmosDevice &d : devices)
+        slotNet_.push_back(d.gateSignal);
+    std::sort(slotNet_.begin(), slotNet_.end());
+    slotNet_.erase(std::unique(slotNet_.begin(), slotNet_.end()),
+                   slotNet_.end());
+
     deviceSlot_.reserve(devices.size());
-
-    // Rank keys so the sorted order is exactly the partition order:
-    // plain words, complemented words, const-0, const-1.
-    auto rankOf = [](NetRef r) -> std::uint64_t {
-        switch (r.kind) {
-          case NetRefKind::Word:
-            return 0;
-          case NetRefKind::InvWord:
-            return 1;
-          case NetRefKind::Const0:
-            return 2;
-          default:
-            return 3;
-        }
-    };
-    auto keyOf = [&](NetRef r) {
-        const bool has_word = r.kind == NetRefKind::Word ||
-            r.kind == NetRefKind::InvWord;
-        return (rankOf(r) << 32) | (has_word ? r.word : 0u);
-    };
-
-    // Sort-based grouping rather than a map: the tracker is rebuilt
-    // per analysis call, so construction cost is on the measured
-    // path, and the optimizer's schedule renumbers words into an
-    // order that defeats a node-based tree's nearly-sorted-insert
-    // fast path.  Sorting a flat key array yields the same ascending
-    // key order, hence the same slot numbering and bit-identical
-    // statistics.
-    std::vector<std::uint64_t> keys(devices.size());
-    for (std::size_t i = 0; i < devices.size(); ++i)
-        keys[i] = keyOf(netlist.ref(devices[i].gateSignal));
-    std::vector<std::uint64_t> uniq(keys);
-    std::sort(uniq.begin(), uniq.end());
-    uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-    for (std::uint64_t key : uniq) {
-        const auto rank = key >> 32;
-        if (rank == 0)
-            ++wordEnd_;
-        if (rank <= 1)
-            ++invEnd_;
-        if (rank <= 2)
-            ++const0End_;
+    for (const PmosDevice &d : devices) {
+        deviceSlot_.push_back(static_cast<std::uint32_t>(
+            std::lower_bound(slotNet_.begin(), slotNet_.end(),
+                             d.gateSignal) -
+            slotNet_.begin()));
     }
-
-    slotNet_.assign(uniq.size(), invalidSignal);
-    slotWord_.assign(uniq.size(), 0);
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-        const std::uint32_t slot = static_cast<std::uint32_t>(
-            std::lower_bound(uniq.begin(), uniq.end(), keys[i]) -
-            uniq.begin());
-        if (slotNet_[slot] == invalidSignal) {
-            slotNet_[slot] = devices[i].gateSignal;
-            slotWord_[slot] = static_cast<std::uint32_t>(
-                keys[i] & 0xffffffffu);
-        }
-        deviceSlot_.push_back(slot);
-    }
-    slotZeroTime_.assign(uniq.size(), 0);
+    slotZeroTime_.assign(slotNet_.size(), 0);
 }
 
 void
@@ -98,93 +51,40 @@ PmosAgingTracker::observeBatch(const std::uint64_t *net_words,
                                std::uint64_t lane_mask,
                                std::uint64_t dt)
 {
-    // One branch-free sweep per partition: a slot's zero lanes are
-    // the clear bits of its word (plain), the set bits
-    // (complemented), or every valid lane (const-0); const-1 slots
-    // never charge.
-    for (std::size_t s = 0; s < wordEnd_; ++s) {
+    // A net's zero lanes are the clear bits of its word.
+    for (std::size_t s = 0; s < slotNet_.size(); ++s) {
         slotZeroTime_[s] += static_cast<std::uint64_t>(std::popcount(
-                                ~net_words[slotWord_[s]] &
+                                ~net_words[slotNet_[s]] &
                                 lane_mask)) *
             dt;
     }
-    for (std::size_t s = wordEnd_; s < invEnd_; ++s) {
-        slotZeroTime_[s] += static_cast<std::uint64_t>(std::popcount(
-                                net_words[slotWord_[s]] &
-                                lane_mask)) *
-            dt;
-    }
-    const std::uint64_t lane_time =
+    totalTime_ +=
         static_cast<std::uint64_t>(std::popcount(lane_mask)) * dt;
-    for (std::size_t s = invEnd_; s < const0End_; ++s)
-        slotZeroTime_[s] += lane_time;
-    totalTime_ += lane_time;
-}
-
-void
-PmosAgingTracker::observeBatchWeighted(
-    const std::uint64_t *net_words, const std::uint64_t *dt_planes,
-    unsigned num_planes)
-{
-    std::uint64_t batch_time = 0;
-    for (unsigned l = 0; l < num_planes; ++l) {
-        batch_time += static_cast<std::uint64_t>(
-                          std::popcount(dt_planes[l]))
-            << l;
-    }
-    if (batch_time == 0)
-        return;
-    // A lane charges zero-time when its net value is CLEAR; lanes
-    // with dt = 0 sit in no plane, so the complement's garbage
-    // bits there are harmless.
-    for (std::size_t s = 0; s < wordEnd_; ++s) {
-        slotZeroTime_[s] += weightedLaneTime(
-            ~net_words[slotWord_[s]], dt_planes, num_planes);
-    }
-    for (std::size_t s = wordEnd_; s < invEnd_; ++s) {
-        slotZeroTime_[s] += weightedLaneTime(
-            net_words[slotWord_[s]], dt_planes, num_planes);
-    }
-    for (std::size_t s = invEnd_; s < const0End_; ++s)
-        slotZeroTime_[s] += batch_time;
-    totalTime_ += batch_time;
 }
 
 void
 PmosAgingTracker::observeBatchWide(const std::uint64_t *net_words,
-                                   unsigned net_w,
                                    const std::uint64_t *lane_masks,
                                    std::uint64_t dt)
 {
+    constexpr unsigned W = Netlist::kWideWords;
     std::uint64_t lanes = 0;
-    for (unsigned w = 0; w < net_w; ++w) {
+    for (unsigned w = 0; w < W; ++w) {
         lanes += static_cast<std::uint64_t>(
             std::popcount(lane_masks[w]));
     }
     if (lanes == 0 || dt == 0)
         return;
-    for (std::size_t s = 0; s < wordEnd_; ++s) {
+    for (std::size_t s = 0; s < slotNet_.size(); ++s) {
         const std::uint64_t *words =
-            net_words + std::size_t(slotWord_[s]) * net_w;
+            net_words + std::size_t(slotNet_[s]) * W;
         std::uint64_t zeros = 0;
-        for (unsigned w = 0; w < net_w; ++w) {
+        for (unsigned w = 0; w < W; ++w) {
             zeros += static_cast<std::uint64_t>(
                 std::popcount(~words[w] & lane_masks[w]));
         }
         slotZeroTime_[s] += zeros * dt;
     }
-    for (std::size_t s = wordEnd_; s < invEnd_; ++s) {
-        const std::uint64_t *words =
-            net_words + std::size_t(slotWord_[s]) * net_w;
-        std::uint64_t zeros = 0;
-        for (unsigned w = 0; w < net_w; ++w) {
-            zeros += static_cast<std::uint64_t>(
-                std::popcount(words[w] & lane_masks[w]));
-        }
-        slotZeroTime_[s] += zeros * dt;
-    }
-    for (std::size_t s = invEnd_; s < const0End_; ++s)
-        slotZeroTime_[s] += lanes * dt;
     totalTime_ += lanes * dt;
 }
 

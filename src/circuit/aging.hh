@@ -12,23 +12,15 @@
  * bit-sliced duty machinery in common/duty.hh): every observation
  * covers every device for the same dt, so per-device total time is
  * one shared scalar; and every device gated by the same net always
- * observes the same value, so zero-time is stored once per
- * *equivalence class* of gate nets, not once per device.  Classes
- * are the canonical NetRefs of the optimizing netlist compiler:
- * nets that CSE/alias to the same (word, polarity) -- or to a
- * constant -- provably always carry equal values, so one popcount
- * serves them all.  Slots are partitioned by ref kind (plain,
- * complemented, const-0, const-1) and sorted by word index inside
- * each partition, so the batch observe loops are branch-free
- * sequential sweeps over the lane-word array.  observeBatch()
- * charges a whole 64-vector lane word in one step -- the zero-time
- * of a class is popcount of its complemented lane word (masked to
- * the valid lanes) -- so a batch costs a couple of word ops per
- * *class* instead of 64 branchy updates per *device*.  All paths
- * add exactly the same integers, so every probability (and
- * everything downstream: summaries, guardbands, experiment stdout)
- * is bit-identical between scalar and batched accounting, and
- * between optimized and --no-netlist-opt compilation.
+ * observes the same value, so zero-time is stored once per distinct
+ * gate net, not once per device.  observeBatch() charges a whole
+ * 64-vector lane word in one step -- the zero-time of a net is the
+ * popcount of its complemented lane word (masked to the valid
+ * lanes) -- so a batch costs a couple of word ops per *net* instead
+ * of 64 branchy updates per *device*.  All paths add exactly the
+ * same integers, so every probability (and everything downstream:
+ * summaries, guardbands, experiment stdout) is bit-identical
+ * between scalar and batched accounting.
  */
 
 #ifndef PENELOPE_CIRCUIT_AGING_HH
@@ -90,25 +82,13 @@ class PmosAgingTracker
                       std::uint64_t lane_mask, std::uint64_t dt = 1);
 
     /**
-     * Weighted form of observeBatch(): each lane carries its own
-     * duration, transposed into @p dt_planes bit-planes (the
-     * weighted-lane representation of common/duty.hh).  Lanes with
-     * dt = 0 contribute nothing.  Exactly equivalent to one
-     * observe() per lane with that lane's dt.
-     */
-    void observeBatchWeighted(const std::uint64_t *net_words,
-                              const std::uint64_t *dt_planes,
-                              unsigned num_planes);
-
-    /**
-     * Wide form of observeBatch() for the W-word netlist engine
-     * (Netlist::evaluateBatchWide): @p net_words holds @p net_w
-     * lane words per net, interleaved [net * net_w + w], and
-     * @p lane_masks selects the valid lanes of each word.  Exactly
-     * equivalent to net_w single-word observeBatch() calls.
+     * Wide form of observeBatch() for Netlist::evaluateBatchWide():
+     * @p net_words holds Netlist::kWideWords lane words per net,
+     * interleaved [net * kWideWords + w], and @p lane_masks selects
+     * the valid lanes of each word.  Exactly equivalent to
+     * kWideWords single-word observeBatch() calls.
      */
     void observeBatchWide(const std::uint64_t *net_words,
-                          unsigned net_w,
                           const std::uint64_t *lane_masks,
                           std::uint64_t dt = 1);
 
@@ -154,23 +134,13 @@ class PmosAgingTracker
   private:
     const Netlist &netlist_;
 
-    /** Per device: index into the shared per-class slot arrays. */
+    /** Per device: index into the per-net slot arrays. */
     std::vector<std::uint32_t> deviceSlot_;
 
-    /** Per slot: a representative gate net (for the scalar path),
-     *  the physical lane word it reads (plain/complemented
-     *  partitions only), and the accumulated zero-time. */
+    /** Per slot: the gate net (ascending) and its accumulated
+     *  zero-time. */
     std::vector<SignalId> slotNet_;
-    std::vector<std::uint32_t> slotWord_;
     std::vector<std::uint64_t> slotZeroTime_;
-
-    /** Partition boundaries: slots [0, wordEnd_) read their word
-     *  directly, [wordEnd_, invEnd_) read its complement,
-     *  [invEnd_, const0End_) are constant-0 (always stressed), and
-     *  the rest constant-1 (never stressed). */
-    std::size_t wordEnd_ = 0;
-    std::size_t invEnd_ = 0;
-    std::size_t const0End_ = 0;
 
     /** Shared total observed time (identical for every device). */
     std::uint64_t totalTime_ = 0;

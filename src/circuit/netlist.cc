@@ -229,8 +229,19 @@ Netlist::evaluateBatch(const std::uint64_t *input_words,
     assert(finalized_);
     g_batchEvals.add();
     g_laneCapacity.add(64);
-    net_words.resize(wordCount_);
+    net_words.resize(producers_.size());
     evaluateBatchImpl<1>(input_words, net_words.data());
+}
+
+void
+Netlist::evaluateBatchWide(const std::uint64_t *input_words,
+                           std::vector<std::uint64_t> &net_words) const
+{
+    assert(finalized_);
+    g_batchEvals.add();
+    g_laneCapacity.add(64 * kWideWords);
+    net_words.resize(producers_.size() * kWideWords);
+    evaluateBatchImpl<kWideWords>(input_words, net_words.data());
 }
 
 template <unsigned W>
@@ -239,12 +250,9 @@ Netlist::evaluateBatchImpl(const std::uint64_t *input_words,
                            std::uint64_t *net_words) const
 {
     // One switch over the compiled stream with W consecutive lane
-    // words per physical slot ([word * W + w] interleaving).  Each
-    // word is computed with exactly the ops the W=1 pass would use,
-    // so lane values are bit-identical at every width.  The
-    // optimizing compiler emits outputs in strictly increasing slot
-    // order with depth-first operand locality, so the store stream
-    // is sequential and operands are usually still L1-resident.
+    // words per net ([net * W + w] interleaving).  Each word is
+    // computed with exactly the ops the W=1 pass would use, so lane
+    // values are bit-identical at both widths.
     std::uint64_t *w = net_words;
     for (const CompiledOp &op : ops_) {
         std::uint64_t *out = w + std::size_t(op.out) * W;
@@ -310,55 +318,63 @@ Netlist::evaluateBatchImpl(const std::uint64_t *input_words,
             for (unsigned k = 0; k < W; ++k)
                 out[k] = a[k] ^ b[k];
             break;
-          case CompiledOp::Kind::Nand2ca:
-            for (unsigned k = 0; k < W; ++k)
-                out[k] = a[k] | ~b[k];
-            break;
-          case CompiledOp::Kind::Or2:
-            for (unsigned k = 0; k < W; ++k)
-                out[k] = a[k] | b[k];
-            break;
         }
     }
 }
 
-// netlist_simd.cc dispatches back to the portable loops when the
-// AVX2 / AVX-512 kernels are not compiled in.
-template void Netlist::evaluateBatchImpl<4>(
-    const std::uint64_t *, std::uint64_t *) const;
-template void Netlist::evaluateBatchImpl<8>(
-    const std::uint64_t *, std::uint64_t *) const;
-
 void
-Netlist::evaluateBatchWide(const std::uint64_t *input_words,
-                           std::vector<std::uint64_t> &net_words,
-                           unsigned net_w) const
+Netlist::compile()
 {
-    assert(finalized_);
-    assert(net_w == 1 || net_w == 2 || net_w == 4 || net_w == 8);
-    g_batchEvals.add();
-    g_laneCapacity.add(64ull * net_w);
-    net_words.resize(std::size_t(wordCount_) * net_w);
-    std::uint64_t *w = net_words.data();
-    switch (net_w) {
-      case 1:
-        evaluateBatchImpl<1>(input_words, w);
-        break;
-      case 2:
-        evaluateBatchImpl<2>(input_words, w);
-        break;
-      case 4:
-        if (avx2Supported())
-            evaluateBatchAvx2(input_words, w);
-        else
-            evaluateBatchImpl<4>(input_words, w);
-        break;
-      default:
-        if (avx512Supported())
-            evaluateBatchAvx512(input_words, w);
-        else
-            evaluateBatchImpl<8>(input_words, w);
-        break;
+    // One op per gate, in gate (topological) order; every op writes
+    // the word its output net owns.
+    ops_.reserve(gates_.size());
+    std::uint32_t next_input = 0;
+    for (const Gate &g : gates_) {
+        CompiledOp op;
+        op.out = g.output;
+        switch (g.type) {
+          case GateType::Input:
+            op.kind = CompiledOp::Kind::Input;
+            op.a = next_input++;
+            break;
+          case GateType::Const0:
+            op.kind = CompiledOp::Kind::Const0;
+            break;
+          case GateType::Const1:
+            op.kind = CompiledOp::Kind::Const1;
+            break;
+          case GateType::Inv:
+            op.kind = CompiledOp::Kind::Inv;
+            op.a = g.inputs[0];
+            break;
+          case GateType::Nand:
+          case GateType::Nor: {
+            const bool nand = g.type == GateType::Nand;
+            op.a = g.inputs[0];
+            op.b = g.inputs[1];
+            if (g.inputs.size() == 2) {
+                op.kind = nand ? CompiledOp::Kind::Nand2
+                               : CompiledOp::Kind::Nor2;
+            } else {
+                op.kind = nand ? CompiledOp::Kind::NandK
+                               : CompiledOp::Kind::NorK;
+                op.extra = static_cast<std::uint32_t>(
+                    extraFanins_.size());
+                op.extraCount = static_cast<std::uint32_t>(
+                    g.inputs.size() - 2);
+                extraFanins_.insert(extraFanins_.end(),
+                                    g.inputs.begin() + 2,
+                                    g.inputs.end());
+            }
+            break;
+          }
+          case GateType::TgPass:
+            op.kind = CompiledOp::Kind::TgPass;
+            op.a = g.inputs[0];
+            op.b = g.inputs[1];
+            break;
+        }
+        ops_.push_back(op);
     }
 }
 

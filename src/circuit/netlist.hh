@@ -17,22 +17,15 @@
  * accounts for.
  *
  * Word-parallel evaluation: finalize() also compiles the gate list
- * into a flat op stream (one fixed-size record per surviving op --
- * op kind, fanin word slots, output word slot -- with the common
- * arities specialised, so the evaluator is a single switch over a
- * contiguous array with no per-gate heap indirection and no
- * `vector<bool>` proxy objects).  By default the stream is run
- * through the optimizing compiler of netlist_opt.{hh,cc} (CSE,
- * constant folding, INV fusion, cache-blocked scheduling), which
- * shrinks it well below one op per gate; ops therefore address
- * *physical lane words*, and a net's value is recovered through its
- * NetRef (ref() / laneWord()).  evaluateBatch() runs the stream
- * over 64 input vectors at once: every word holds one `uint64_t`
- * whose bit v is the producing op's value under input vector v.
- * Lane words are exact: bit v of every net's resolved word equals
- * what a scalar evaluate() of vector v would produce, which is what
- * keeps the batched aging statistics bit-identical to the scalar
- * ones -- optimized or not.
+ * into a flat op stream, one fixed-size record per gate (op kind,
+ * fanin nets, output net, with the common arities specialised), so
+ * the evaluator is a single switch over a contiguous array with no
+ * per-gate heap indirection and no `vector<bool>` proxy objects.
+ * evaluateBatch() runs the stream over 64 input vectors at once:
+ * net s owns word s, and bit v of that word is the net's value under
+ * input vector v -- exactly what a scalar evaluate() of vector v
+ * produces, which is what keeps the batched aging statistics
+ * bit-identical to the scalar ones.
  */
 
 #ifndef PENELOPE_CIRCUIT_NETLIST_HH
@@ -42,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "circuit/netlist_opt.hh"
 #include "nbti/guardband.hh"
 
 namespace penelope {
@@ -152,58 +144,33 @@ class Netlist
     void evaluate(const std::vector<bool> &input_values,
                   std::vector<std::uint8_t> &signals) const;
 
+    /** Lane words per net of one evaluateBatchWide() pass. */
+    static constexpr unsigned kWideWords = 4;
+
     /**
      * Evaluate 64 input vectors at once (valid after finalize()).
      * @p input_words holds one lane word per primary input, in
      * creation order: bit v of word i is input i's value under
-     * vector v.  @p net_words is resized to wordCount() -- the
-     * physical word array of the compiled op stream, NOT one word
-     * per net.  Use laneWord() / ref() to read a net's lanes: bit v
-     * of net s's resolved word is exactly what evaluate() of vector
-     * v would leave in signals[s].  Unused lanes cost nothing extra
-     * and carry whatever the padded input bits imply; consumers
-     * mask them out (see PmosAgingTracker::observeBatch).
+     * vector v.  @p net_words is resized to numSignals(); bit v of
+     * net_words[s] is exactly what evaluate() of vector v would
+     * leave in signals[s].  Unused lanes cost nothing extra and
+     * carry whatever the padded input bits imply; consumers mask
+     * them out (see PmosAgingTracker::observeBatch).
      */
     void evaluateBatch(const std::uint64_t *input_words,
                        std::vector<std::uint64_t> &net_words) const;
 
     /**
-     * Evaluate up to 64 * @p net_w input vectors at once: the
-     * multi-word generalisation of evaluateBatch().  @p input_words
-     * holds @p net_w lane words per primary input, interleaved
-     * [input * net_w + w]; @p net_words is resized to
-     * wordCount() * net_w with the same interleaving (use
-     * laneWordWide() to read a net).  Word w of every net is
-     * bit-for-bit what evaluateBatch() over the inputs' w-th words
-     * would produce: the wide engine (and the AVX2/AVX-512 kernels,
-     * when built in and supported by the host) only changes how
-     * many lanes one op-stream pass covers, never any lane's value.
-     * @p net_w must be 1, 2, 4 or 8.
+     * Evaluate 64 * kWideWords input vectors in one pass over the
+     * op stream.  @p input_words holds kWideWords lane words per
+     * primary input, interleaved [input * kWideWords + w];
+     * @p net_words is resized to numSignals() * kWideWords with the
+     * same interleaving.  Word w of every net is bit-for-bit what
+     * evaluateBatch() over the inputs' w-th words would produce.
      */
     void evaluateBatchWide(const std::uint64_t *input_words,
-                           std::vector<std::uint64_t> &net_words,
-                           unsigned net_w) const;
-
-    /** Preferred evaluateBatchWide word count on this host: 8 where
-     *  the AVX-512 kernel is compiled in and the CPU supports it, 4
-     *  for AVX2, else 2 (the portable wide loop still amortises the
-     *  op stream decode over more lanes than one word). */
-    static unsigned preferredBatchWords();
-
-    /** preferredBatchWords() clamped by cache blocking for THIS
-     *  netlist (valid after finalize()): W = 8 is taken only when
-     *  the pass's resident lane-word array fits the L1 budget,
-     *  otherwise the choice steps down to 4.  This is what the
-     *  batch feeders should use. */
-    unsigned blockedBatchWords() const;
-
-    /** Whether the AVX2 kernel is compiled in and usable on this
-     *  host (false in PENELOPE_ENABLE_AVX2=OFF builds). */
-    static bool avx2Supported();
-
-    /** Whether the AVX-512 kernel is compiled in and usable on this
-     *  host (false in PENELOPE_ENABLE_AVX512=OFF builds). */
-    static bool avx512Supported();
+                           std::vector<std::uint64_t> &net_words)
+        const;
 
     /**
      * Finalise the netlist: derive fanout counts, assign width
@@ -228,93 +195,54 @@ class Netlist
     /** Logic depth in primitive gates (valid after finalize()). */
     unsigned depth() const { return depth_; }
 
-    /** @name Compiled-stream introspection (valid after finalize()) */
-    /// @{
-
-    /** Physical lane words per batch pass (= surviving ops). */
-    std::size_t wordCount() const { return wordCount_; }
-
-    /** Length of the compiled op stream. */
+    /** Length of the compiled op stream (valid after finalize()). */
     std::size_t numCompiledOps() const { return ops_.size(); }
 
-    /** Per-pass op accounting of the last compilation. */
-    const NetlistOptStats &optStats() const { return optStats_; }
-
-    /** How net @p s reads out of an evaluated word array. */
-    NetRef ref(SignalId s) const { return refs_[s]; }
-
-    /** Net @p s's lane word from an evaluateBatch() result. */
-    std::uint64_t laneWord(const std::uint64_t *net_words,
-                           SignalId s) const
-    {
-        const NetRef r = refs_[s];
-        switch (r.kind) {
-          case NetRefKind::Word:
-            return net_words[r.word];
-          case NetRefKind::InvWord:
-            return ~net_words[r.word];
-          case NetRefKind::Const0:
-            return 0;
-          default:
-            return ~std::uint64_t(0);
-        }
-    }
-
-    /** Net @p s's w-th lane word from an evaluateBatchWide()
-     *  result computed at width @p net_w. */
-    std::uint64_t laneWordWide(const std::uint64_t *net_words,
-                               unsigned net_w, unsigned w,
-                               SignalId s) const
-    {
-        const NetRef r = refs_[s];
-        const std::size_t at = std::size_t(r.word) * net_w + w;
-        switch (r.kind) {
-          case NetRefKind::Word:
-            return net_words[at];
-          case NetRefKind::InvWord:
-            return ~net_words[at];
-          case NetRefKind::Const0:
-            return 0;
-          default:
-            return ~std::uint64_t(0);
-        }
-    }
-    /// @}
-
   private:
+    /**
+     * One record of the compiled op stream.  Operand and output
+     * fields are SignalIds (the word a net owns in a batch pass),
+     * except an Input op's @p a, which is the input's ordinal.  The
+     * two-input forms are specialised so the evaluator never touches
+     * the spill array for them; wider gates read their remaining
+     * fanins from extraFanins_.
+     */
+    struct CompiledOp
+    {
+        enum class Kind : std::uint8_t
+        {
+            Input,  ///< out = input word [a = input ordinal]
+            Const0, ///< out = 0
+            Const1, ///< out = ~0
+            Inv,    ///< out = ~a
+            Nand2,  ///< out = ~(a & b)
+            Nor2,   ///< out = ~(a | b)
+            NandK,  ///< out = ~(a & b & extras...)
+            NorK,   ///< out = ~(a | b | extras...)
+            TgPass, ///< out = a ^ b
+        };
+
+        Kind kind;
+        std::uint32_t out;
+        std::uint32_t a = 0;
+        std::uint32_t b = 0;
+        std::uint32_t extra = 0;
+        std::uint32_t extraCount = 0;
+    };
+
     SignalId newSignal(std::uint32_t producer_gate);
 
-    /** Build ops_/extraFanins_/refs_ from gates_ (netlist_opt.cc):
-     *  the optimizing pipeline, or the 1:1 translation when the
-     *  process-wide toggle is off. */
+    /** Build ops_/extraFanins_ from gates_: one op per gate. */
     void compile();
 
-    /** 1:1 gate-to-op translation (netlist_opt.cc). */
-    void compileDirect();
-
-    /** The optimizing pipeline (netlist_opt.cc). */
-    void compileOptimized();
-
-    /** Portable W-word op-stream pass (W lane words per net). */
+    /** W-word op-stream pass (W lane words per net). */
     template <unsigned W>
     void evaluateBatchImpl(const std::uint64_t *input_words,
                            std::uint64_t *net_words) const;
 
-    /** AVX2 4-word pass (netlist_simd.cc; falls back to the
-     *  portable loop when the kernel is not compiled in). */
-    void evaluateBatchAvx2(const std::uint64_t *input_words,
-                           std::uint64_t *net_words) const;
-
-    /** AVX-512 8-word pass (netlist_simd.cc; falls back to the
-     *  portable loop when the kernel is not compiled in). */
-    void evaluateBatchAvx512(const std::uint64_t *input_words,
-                             std::uint64_t *net_words) const;
-
     std::vector<Gate> gates_;
     std::vector<CompiledOp> ops_;
     std::vector<std::uint32_t> extraFanins_;
-    /** Per-net readout of the physical word array. */
-    std::vector<NetRef> refs_;
     /** Producing gate index for each signal. */
     std::vector<std::uint32_t> producers_;
     std::vector<SignalId> inputs_;
@@ -322,8 +250,6 @@ class Netlist
     std::vector<unsigned> fanout_;
     std::vector<PmosDevice> pmos_;
     std::vector<std::uint32_t> forcedWide_;
-    std::uint32_t wordCount_ = 0;
-    NetlistOptStats optStats_;
     unsigned depth_ = 0;
     bool finalized_ = false;
 };

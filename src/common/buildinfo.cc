@@ -1,8 +1,8 @@
 #include "common/buildinfo.hh"
 
-#include "circuit/netlist.hh"
 #include "core/resultcache.hh"
 #include "obs/metrics.hh"
+#include "scheduler/scheduler.hh"
 
 namespace penelope {
 
@@ -13,11 +13,7 @@ buildInfo()
 #ifdef PENELOPE_ENABLE_AVX2
     info.avx2Compiled = true;
 #endif
-#ifdef PENELOPE_ENABLE_AVX512
-    info.avx512Compiled = true;
-#endif
-    info.avx2Runtime = Netlist::avx2Supported();
-    info.avx512Runtime = Netlist::avx512Supported();
+    info.avx2Runtime = Scheduler::avx2Supported();
     info.obsCompiled = obs::kCompiledIn;
     info.cacheSalt = kResultCacheSalt;
     return info;
@@ -35,8 +31,6 @@ buildInfoText()
     std::string out = "penelope_bench\n";
     out += "  avx2:       " +
         onoff(info.avx2Compiled, info.avx2Runtime) + "\n";
-    out += "  avx512:     " +
-        onoff(info.avx512Compiled, info.avx512Runtime) + "\n";
     out += "  obs:        ";
     out += info.obsCompiled ? "compiled in" : "compiled out";
     out += "\n";

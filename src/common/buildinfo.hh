@@ -16,10 +16,8 @@ namespace penelope {
 
 struct BuildInfo
 {
-    bool avx2Compiled = false;    ///< AVX2 kernel in the binary
+    bool avx2Compiled = false;    ///< AVX2 drain kernel in the binary
     bool avx2Runtime = false;     ///< ... and this host runs it
-    bool avx512Compiled = false;
-    bool avx512Runtime = false;
     bool obsCompiled = false;     ///< observability layer present
     std::string cacheSalt;        ///< kResultCacheSalt
 };

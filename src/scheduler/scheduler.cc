@@ -404,18 +404,8 @@ csaFlush(const Csa3 &a, std::uint64_t (*bank)[3], unsigned level)
 
 #if defined(PENELOPE_ENABLE_AVX2)
 
-/** Same gate as the netlist kernel's: one compile definition plus
- *  one runtime probe. */
-bool
-drainAvx2Supported()
-{
-    static const bool supported = __builtin_cpu_supports("avx2");
-    return supported;
-}
-
 // A lambda would not inherit the enclosing function's target
-// attribute, so the aligned load lives in its own AVX2 helper
-// (same pattern as netlist_simd.cc).
+// attribute, so the aligned load lives in its own AVX2 helper.
 __attribute__((target("avx2"))) inline __m256i
 load256(const std::uint64_t *p)
 {
@@ -512,6 +502,18 @@ drainPlanesAvx2(const std::uint64_t *planes, unsigned num_planes,
 
 } // namespace
 
+bool
+Scheduler::avx2Supported()
+{
+    // One compile definition plus one runtime probe.
+#if defined(PENELOPE_ENABLE_AVX2)
+    static const bool supported = __builtin_cpu_supports("avx2");
+    return supported;
+#else
+    return false;
+#endif
+}
+
 void
 Scheduler::drainBatch() const
 {
@@ -593,7 +595,7 @@ Scheduler::drainBatch() const
     // complements (their lanes are busy by construction -- an idle
     // record's busy span is 0).
 #if defined(PENELOPE_ENABLE_AVX2)
-    if (drainAvx2Supported()) {
+    if (avx2Supported()) {
         drainPlanesAvx2(planes, num_planes, batchImage_, oneBank_);
         drainPlanesAvx2(busy_planes, num_busy_planes, z,
                         busyZeroBank_);

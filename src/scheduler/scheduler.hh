@@ -152,6 +152,11 @@ class Scheduler
     void setBatchedAccounting(bool enabled);
     bool batchedAccounting() const { return batched_; }
 
+    /** Whether the AVX2 drain kernel is compiled in and usable on
+     *  this host (false in PENELOPE_ENABLE_AVX2=OFF builds); the
+     *  portable drain computes the same sums otherwise. */
+    static bool avx2Supported();
+
     const SchedulerConfig &config() const { return config_; }
 
     /** Build the repair value for one field at this instant.

@@ -4,7 +4,9 @@
  * against scalar evaluate bit-for-bit on random netlists (every gate
  * type, batch sizes 1..128 including partial final batches), batched
  * adder sums against scalar sums, and batched-vs-scalar AgingSummary
- * identity on the Figure-2 circuit and the Ladner-Fischer adder.
+ * identity on the Figure-2 circuit and the Ladner-Fischer adder,
+ * the wide (Netlist::kWideWords) pass against the single-word one,
+ * and the idempotent-finalize contract.
  */
 
 #include <gtest/gtest.h>
@@ -146,13 +148,11 @@ checkBatchMatchesScalar(const Netlist &n, Rng &rng,
             input_words[i] = w;
         }
         n.evaluateBatch(input_words.data(), words);
-        ASSERT_EQ(words.size(), n.wordCount());
+        ASSERT_EQ(words.size(), n.numSignals());
         for (std::size_t l = 0; l < count; ++l) {
             n.evaluate(inputs[begin + l], scalar);
             for (std::size_t s = 0; s < n.numSignals(); ++s) {
-                const std::uint64_t lane =
-                    n.laneWord(words.data(), s);
-                ASSERT_EQ((lane >> l) & 1, scalar[s])
+                ASSERT_EQ((words[s] >> l) & 1, scalar[s])
                     << "vector " << begin + l << " net " << s;
             }
         }
@@ -408,42 +408,34 @@ TEST(AgingBatch, ObserveBatchWithDt)
 
 // ------------------------------------------------ wide (W words)
 
+constexpr unsigned kW = Netlist::kWideWords;
+
 TEST(NetlistWide, RandomNetlistsMatchSingleWord)
 {
     // Word w of an evaluateBatchWide pass must be bit-for-bit what
-    // evaluateBatch over that word's input words produces, for
-    // every supported W.
+    // evaluateBatch over that word's input words produces.
     Rng rng(0x31de);
     for (int trial = 0; trial < 10; ++trial) {
         const unsigned num_inputs = 1 + rng.nextInt(12);
         const unsigned num_gates = 1 + rng.nextInt(60);
         Netlist n = randomNetlist(rng, num_inputs, num_gates);
 
-        std::vector<std::uint64_t> in_flat(n.numInputs() * 8);
-        for (auto &w : in_flat)
+        std::vector<std::uint64_t> in(n.numInputs() * kW);
+        for (auto &w : in)
             w = rng();
+        std::vector<std::uint64_t> wide;
+        n.evaluateBatchWide(in.data(), wide);
+        ASSERT_EQ(wide.size(), n.numSignals() * kW);
 
         std::vector<std::uint64_t> ref;
         std::vector<std::uint64_t> single(n.numInputs());
-        for (unsigned net_w : {1u, 2u, 4u, 8u}) {
-            std::vector<std::uint64_t> in(n.numInputs() * net_w);
+        for (unsigned w = 0; w < kW; ++w) {
             for (std::size_t i = 0; i < n.numInputs(); ++i)
-                for (unsigned w = 0; w < net_w; ++w)
-                    in[i * net_w + w] = in_flat[i * 8 + w];
-            std::vector<std::uint64_t> wide;
-            n.evaluateBatchWide(in.data(), wide, net_w);
-            ASSERT_EQ(wide.size(), n.wordCount() * net_w);
-            for (unsigned w = 0; w < net_w; ++w) {
-                for (std::size_t i = 0; i < n.numInputs(); ++i)
-                    single[i] = in_flat[i * 8 + w];
-                n.evaluateBatch(single.data(), ref);
-                for (std::size_t s = 0; s < n.numSignals(); ++s) {
-                    ASSERT_EQ(
-                        n.laneWordWide(wide.data(), net_w, w, s),
-                        n.laneWord(ref.data(), s))
-                        << "W " << net_w << " word " << w
-                        << " net " << s;
-                }
+                single[i] = in[i * kW + w];
+            n.evaluateBatch(single.data(), ref);
+            for (std::size_t s = 0; s < n.numSignals(); ++s) {
+                ASSERT_EQ(wide[s * kW + w], ref[s])
+                    << "word " << w << " net " << s;
             }
         }
     }
@@ -453,87 +445,60 @@ TEST(AdderWide, MatchesEvaluateBatchPerWord)
 {
     LadnerFischerAdder adder(32);
     Rng rng(0xadd3);
-    std::uint64_t a[512];
-    std::uint64_t b[512];
-    std::uint64_t cin_masks[8];
-    for (unsigned i = 0; i < 512; ++i) {
+    std::uint64_t a[64 * kW];
+    std::uint64_t b[64 * kW];
+    std::uint64_t cin_masks[kW];
+    for (unsigned i = 0; i < 64 * kW; ++i) {
         a[i] = rng() & 0xffffffff;
         b[i] = rng() & 0xffffffff;
     }
-    for (unsigned w = 0; w < 8; ++w)
+    for (unsigned w = 0; w < kW; ++w)
         cin_masks[w] = rng();
 
     const Netlist &n = adder.netlist();
+    std::vector<std::uint64_t> wide;
+    adder.evaluateBatchWide(a, b, cin_masks, wide);
+    ASSERT_EQ(wide.size(), n.numSignals() * kW);
     std::vector<std::uint64_t> ref;
-    for (unsigned net_w : {1u, 2u, 4u, 8u}) {
-        std::vector<std::uint64_t> wide;
-        adder.evaluateBatchWide(a, b, cin_masks, net_w, wide);
-        ASSERT_EQ(wide.size(), n.wordCount() * net_w);
-        for (unsigned w = 0; w < net_w; ++w) {
-            adder.evaluateBatch(a + w * 64, b + w * 64,
-                                cin_masks[w], ref);
-            for (std::size_t s = 0; s < n.numSignals(); ++s) {
-                ASSERT_EQ(n.laneWordWide(wide.data(), net_w, w, s),
-                          n.laneWord(ref.data(), s))
-                    << "W " << net_w << " word " << w << " net "
-                    << s;
-            }
+    for (unsigned w = 0; w < kW; ++w) {
+        adder.evaluateBatch(a + w * 64, b + w * 64, cin_masks[w], ref);
+        for (std::size_t s = 0; s < n.numSignals(); ++s) {
+            ASSERT_EQ(wide[s * kW + w], ref[s])
+                << "word " << w << " net " << s;
         }
     }
 }
 
 TEST(AgingWide, ObserveBatchWideIdentity)
 {
-    // observeBatchWide over W interleaved words == W observeBatch
-    // calls, including partial (masked) words.
+    // observeBatchWide over kW interleaved words == kW observeBatch
+    // calls, including partial and empty (masked) words.
+    static_assert(kW == 4, "lane_masks below cover four words");
     Rng rng(0x0b5e);
     Netlist n = randomNetlist(rng, 8, 40);
-    std::uint64_t in[8 * 8];
+    std::uint64_t in[8 * kW];
     for (auto &w : in)
         w = rng();
-    const std::uint64_t lane_masks[8] = {
-        ~std::uint64_t(0), 0x3ff, 0, 0xffff0000ffff0000ull,
-        0x1, ~std::uint64_t(0), 0xf0f0, 0};
+    const std::uint64_t lane_masks[kW] = {
+        ~std::uint64_t(0), 0x3ff, 0, 0xffff0000ffff0000ull};
 
-    for (unsigned net_w : {2u, 4u, 8u}) {
-        std::vector<std::uint64_t> interleaved(8 * net_w);
+    std::vector<std::uint64_t> wide;
+    n.evaluateBatchWide(in, wide);
+    PmosAgingTracker wide_tracker(n);
+    wide_tracker.observeBatchWide(wide.data(), lane_masks, 3);
+
+    PmosAgingTracker ref_tracker(n);
+    std::vector<std::uint64_t> single(8);
+    std::vector<std::uint64_t> words;
+    for (unsigned w = 0; w < kW; ++w) {
         for (std::size_t i = 0; i < 8; ++i)
-            for (unsigned w = 0; w < net_w; ++w)
-                interleaved[i * net_w + w] = in[i * 8 + w];
-        std::vector<std::uint64_t> wide;
-        n.evaluateBatchWide(interleaved.data(), wide, net_w);
-        PmosAgingTracker wide_tracker(n);
-        wide_tracker.observeBatchWide(wide.data(), net_w,
-                                      lane_masks, 3);
-
-        PmosAgingTracker ref_tracker(n);
-        std::vector<std::uint64_t> single(8);
-        std::vector<std::uint64_t> words;
-        for (unsigned w = 0; w < net_w; ++w) {
-            for (std::size_t i = 0; i < 8; ++i)
-                single[i] = in[i * 8 + w];
-            n.evaluateBatch(single.data(), words);
-            ref_tracker.observeBatch(words.data(), lane_masks[w],
-                                     3);
-        }
-        for (std::size_t d = 0; d < ref_tracker.numDevices(); ++d) {
-            ASSERT_EQ(wide_tracker.zeroProb(d),
-                      ref_tracker.zeroProb(d))
-                << "W " << net_w << " device " << d;
-        }
+            single[i] = in[i * kW + w];
+        n.evaluateBatch(single.data(), words);
+        ref_tracker.observeBatch(words.data(), lane_masks[w], 3);
     }
-}
-
-TEST(NetlistWide, PreferredBatchWordsIsSupported)
-{
-    const unsigned net_w = Netlist::preferredBatchWords();
-    EXPECT_TRUE(net_w == 2 || net_w == 4 || net_w == 8);
-    if (Netlist::avx512Supported()) {
-        EXPECT_EQ(net_w, 8u);
-    } else if (Netlist::avx2Supported()) {
-        EXPECT_EQ(net_w, 4u);
-    } else {
-        EXPECT_EQ(net_w, 2u);
+    for (std::size_t d = 0; d < ref_tracker.numDevices(); ++d) {
+        ASSERT_EQ(wide_tracker.zeroProb(d), ref_tracker.zeroProb(d))
+            << "device " << d;
     }
 }
 
@@ -557,6 +522,37 @@ TEST(AgingBatch, PaddedLanesIgnored)
         // Every gate input is 1 in the one valid lane.
         EXPECT_EQ(tracker.zeroProb(i), 0.0) << "device " << i;
     }
+}
+
+// ---------------------------------------------- finalize contract
+
+TEST(NetlistBatch, FinalizeIsIdempotent)
+{
+    Netlist n;
+    buildFigure2Circuit(n);
+    n.finalize();
+    const std::size_t pmos = n.numPmos();
+    const std::size_t ops = n.numCompiledOps();
+    const unsigned depth = n.depth();
+
+    // A second call -- same or different fanout threshold -- is a
+    // no-op: no device double-extraction, no recompilation.
+    n.finalize();
+    n.finalize(2);
+    EXPECT_EQ(n.numPmos(), pmos);
+    EXPECT_EQ(n.numCompiledOps(), ops);
+    EXPECT_EQ(n.depth(), depth);
+}
+
+TEST(NetlistBatch, AdderDefensiveRefinalizeIsNoOp)
+{
+    LadnerFischerAdder adder(16);
+    Netlist &n = adder.netlist();
+    const std::size_t pmos = n.numPmos();
+    const std::size_t ops = n.numCompiledOps();
+    n.finalize();
+    EXPECT_EQ(n.numPmos(), pmos);
+    EXPECT_EQ(n.numCompiledOps(), ops);
 }
 
 } // namespace

@@ -464,23 +464,6 @@ BM_SchedulerReplay(benchmark::State &state)
 }
 BENCHMARK(BM_SchedulerReplay);
 
-/** The unbatched accounting path of the same replay: every slot
- *  flush charges the wide accumulators immediately.  The CI perf
- *  floor asserts the batched default stays >= 2x this per item. */
-void
-BM_SchedulerReplayScalar(benchmark::State &state)
-{
-    WorkloadSet workload;
-    Scheduler sched{SchedulerConfig{}};
-    sched.setBatchedAccounting(false);
-    SchedulerReplay replay(sched, SchedReplayConfig{});
-    TraceGenerator gen = workload.generator(0);
-    for (auto _ : state)
-        replay.run(gen, 256);
-    state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_SchedulerReplayScalar);
-
 void
 BM_RegFileReplay(benchmark::State &state)
 {

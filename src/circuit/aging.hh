@@ -8,8 +8,8 @@
  * and converts the result into per-device and per-block guardbands
  * through a GuardbandModel.
  *
- * Representation (word-parallel, the netlist-side sibling of the
- * bit-sliced duty machinery in common/duty.hh): every observation
+ * Representation (word-parallel, the netlist-side sibling of
+ * BitBiasTracker in common/duty.hh): every observation
  * covers every device for the same dt, so per-device total time is
  * one shared scalar; and every device gated by the same net always
  * observes the same value, so zero-time is stored once per distinct

@@ -26,14 +26,6 @@ LatchBank::holdBatch(const std::uint64_t *bit_words,
     bias_.observeBatch(bit_words, lane_mask, dt);
 }
 
-void
-LatchBank::holdBatchWeighted(const std::uint64_t *bit_words,
-                             const std::uint64_t *dt_planes,
-                             unsigned num_planes)
-{
-    bias_.observeBatchWeighted(bit_words, dt_planes, num_planes);
-}
-
 double
 LatchBank::worstCaseStress() const
 {

@@ -57,15 +57,6 @@ class LatchBank
     void holdBatch(const std::uint64_t *bit_words,
                    std::uint64_t lane_mask, std::uint64_t dt = 1);
 
-    /**
-     * Weighted form of holdBatch(): per-lane durations transposed
-     * into dt bit-planes (the weighted-lane representation of
-     * common/duty.hh).  Lanes with dt = 0 are ignored.
-     */
-    void holdBatchWeighted(const std::uint64_t *bit_words,
-                           const std::uint64_t *dt_planes,
-                           unsigned num_planes);
-
     /** Worst-case stress over all bit cells. */
     double worstCaseStress() const;
 

@@ -34,100 +34,14 @@ DutyCycleCounter::reset()
     totalTime_ = 0;
 }
 
-// ------------------------------------------- MaskedTimeAccumulator
-
-MaskedTimeAccumulator::MaskedTimeAccumulator(unsigned width)
-    : width_(width), lanes_((width + 63) / 64), time_(width, 0)
-{
-    assert(width >= 1 && width <= kMaxWidth);
-    for (unsigned lane = 0; lane < lanes_; ++lane) {
-        const unsigned bits = std::min(64u, width_ - lane * 64);
-        laneMask_[lane] = bits == 64
-            ? ~std::uint64_t(0)
-            : (std::uint64_t(1) << bits) - 1;
-    }
-}
-
-void
-MaskedTimeAccumulator::flushPlanes() const
-{
-    if (planePending_ == 0)
-        return;
-    for (unsigned lane = 0; lane < lanes_; ++lane) {
-        const unsigned base = lane * 64;
-        for (unsigned l = 0; l < kPlanes; ++l) {
-            for (std::uint64_t m = planes_[lane][l]; m;
-                 m &= m - 1) {
-                const unsigned i = static_cast<unsigned>(
-                    std::countr_zero(m));
-                time_[base + i] += std::uint64_t(1) << l;
-            }
-            planes_[lane][l] = 0;
-        }
-    }
-    planePending_ = 0;
-}
-
-void
-MaskedTimeAccumulator::normalize() const
-{
-    flushPlanes();
-    if (base_ != 0) {
-        for (std::uint64_t &t : time_)
-            t += base_;
-        base_ = 0;
-    }
-}
-
-std::uint64_t
-MaskedTimeAccumulator::time(unsigned bit) const
-{
-    normalize();
-    return time_.at(bit);
-}
-
-const std::vector<std::uint64_t> &
-MaskedTimeAccumulator::times() const
-{
-    normalize();
-    return time_;
-}
-
-void
-MaskedTimeAccumulator::merge(const MaskedTimeAccumulator &other)
-{
-    assert(other.width_ == width_);
-    normalize();
-    other.normalize();
-    for (unsigned i = 0; i < width_; ++i)
-        time_[i] += other.time_[i];
-}
-
-void
-MaskedTimeAccumulator::loadTimes(const std::uint64_t *times)
-{
-    reset();
-    std::copy(times, times + width_, time_.begin());
-}
-
-void
-MaskedTimeAccumulator::reset()
-{
-    std::fill(time_.begin(), time_.end(), 0);
-    base_ = 0;
-    planePending_ = 0;
-    for (auto &lane : planes_)
-        std::fill(lane, lane + kPlanes, 0);
-}
-
 // -------------------------------------------------- BitBiasTracker
 
 BitBiasTracker::BitBiasTracker(unsigned width)
-    : width_(width), one_(width)
+    : width_(width), one_(width, 0)
 {
-    // Widths past 128 (wide sliced views built with fromTimes)
-    // observe at most the 128 bits a BitWord holds.
-    assert(width >= 1 && width <= MaskedTimeAccumulator::kMaxWidth);
+    // Widths past 128 (wide views built with fromTimes) observe at
+    // most the 128 bits a BitWord holds.
+    assert(width >= 1 && width <= kMaxWidth);
     maskLo_ = width_ >= 64
         ? ~std::uint64_t(0)
         : (std::uint64_t(1) << width_) - 1;
@@ -143,12 +57,10 @@ BitBiasTracker::fromTimes(unsigned width,
                           std::uint64_t total_time)
 {
     BitBiasTracker t(width);
-    std::vector<std::uint64_t> ones(width);
     for (unsigned i = 0; i < width; ++i) {
         assert(zero_times[i] <= total_time);
-        ones[i] = total_time - zero_times[i];
+        t.one_[i] = total_time - zero_times[i];
     }
-    t.one_.loadTimes(ones.data());
     t.totalTime_ = total_time;
     return t;
 }
@@ -163,44 +75,16 @@ BitBiasTracker::observeBatch(const std::uint64_t *bit_words,
     if (lanes == 0 || dt == 0)
         return;
     // Per bit, the selected values with the bit at "1" each
-    // contribute dt of one-time: popcount * dt in one direct add.
+    // contribute dt of one-time: popcount * dt in one add.
     // Identical integer sums to `lanes` scalar observe() calls, in
     // per-value order -- addition commutes -- so every derived
     // statistic matches the scalar path bit for bit.
     for (unsigned b = 0; b < width_; ++b) {
-        const auto ones = static_cast<std::uint64_t>(
-            std::popcount(bit_words[b] & lane_mask));
-        if (ones)
-            one_.addBit(b, ones * dt);
+        one_[b] += static_cast<std::uint64_t>(
+                       std::popcount(bit_words[b] & lane_mask)) *
+            dt;
     }
     totalTime_ += static_cast<std::uint64_t>(lanes) * dt;
-}
-
-void
-BitBiasTracker::observeBatchWeighted(const std::uint64_t *bit_words,
-                                     const std::uint64_t *dt_planes,
-                                     unsigned num_planes)
-{
-    // Total time of the batch: every lane contributes its dt to
-    // every bit's total, and the planes are exactly the lanes' dt
-    // values transposed.
-    std::uint64_t batch_time = 0;
-    for (unsigned l = 0; l < num_planes; ++l) {
-        batch_time += static_cast<std::uint64_t>(
-                          std::popcount(dt_planes[l]))
-            << l;
-    }
-    if (batch_time == 0)
-        return;
-    // Per bit, the lanes holding "1" each contribute their own dt
-    // of one-time.  Same integers as per-lane observe() calls --
-    // addition commutes -- so all derived statistics match the
-    // scalar path bit for bit.
-    for (unsigned b = 0; b < width_; ++b) {
-        one_.addBitWeighted(b, bit_words[b], dt_planes,
-                            num_planes);
-    }
-    totalTime_ += batch_time;
 }
 
 double
@@ -215,7 +99,7 @@ BitBiasTracker::probability(std::uint64_t one_time) const
 double
 BitBiasTracker::zeroProbability(unsigned bit) const
 {
-    return probability(one_.time(bit));
+    return probability(one_.at(bit));
 }
 
 double
@@ -229,7 +113,7 @@ double
 BitBiasTracker::maxZeroProbability() const
 {
     double best = 0.0;
-    for (const std::uint64_t one : one_.times())
+    for (const std::uint64_t one : one_)
         best = std::max(best, probability(one));
     return best;
 }
@@ -238,7 +122,7 @@ double
 BitBiasTracker::minZeroProbability() const
 {
     double best = 1.0;
-    for (const std::uint64_t one : one_.times())
+    for (const std::uint64_t one : one_)
         best = std::min(best, probability(one));
     return best;
 }
@@ -247,7 +131,7 @@ double
 BitBiasTracker::maxWorstCaseStress() const
 {
     double best = 0.5;
-    for (const std::uint64_t one : one_.times()) {
+    for (const std::uint64_t one : one_) {
         const double p0 = probability(one);
         best = std::max(best, std::max(p0, 1.0 - p0));
     }
@@ -259,7 +143,7 @@ BitBiasTracker::biasVector() const
 {
     std::vector<double> v;
     v.reserve(width_);
-    for (const std::uint64_t one : one_.times())
+    for (const std::uint64_t one : one_)
         v.push_back(probability(one));
     return v;
 }
@@ -267,28 +151,28 @@ BitBiasTracker::biasVector() const
 DutyCycleCounter
 BitBiasTracker::counter(unsigned bit) const
 {
-    return DutyCycleCounter(totalTime_ - one_.time(bit),
-                            totalTime_);
+    return DutyCycleCounter(totalTime_ - one_.at(bit), totalTime_);
 }
 
 std::uint64_t
 BitBiasTracker::zeroTime(unsigned bit) const
 {
-    return totalTime_ - one_.time(bit);
+    return totalTime_ - one_.at(bit);
 }
 
 void
 BitBiasTracker::merge(const BitBiasTracker &other)
 {
     assert(other.width_ == width_);
-    one_.merge(other.one_);
+    for (unsigned i = 0; i < width_; ++i)
+        one_[i] += other.one_[i];
     totalTime_ += other.totalTime_;
 }
 
 void
 BitBiasTracker::reset()
 {
-    one_.reset();
+    std::fill(one_.begin(), one_.end(), 0);
     totalTime_ = 0;
 }
 

@@ -22,7 +22,6 @@ SchedulerReplay::SchedulerReplay(std::vector<Scheduler *> schedulers,
                 "numEntries");
     }
     releaseAt_.assign(entries, 0);
-    useWheel_ = entries <= 64;
 }
 
 void

@@ -105,29 +105,17 @@ class SchedulerReplay
             // cycle reads one word instead of scanning every slot;
             // entries further out wait in far_ and are promoted at
             // wheel-period boundaries, always before they fall due.
-            // Due entries are drained in ascending slot order -- the
-            // order the linear scan releases them -- so the RNG
-            // draw sequence is unchanged.
-            if (useWheel_) {
-                if ((now & 63) == 0 && !far_.empty())
-                    promoteFar(now);
-                std::uint64_t due = wheel_[now & 63];
-                wheel_[now & 63] = 0;
-                for (; due; due &= due - 1) {
-                    const unsigned e = static_cast<unsigned>(
-                        std::countr_zero(due));
-                    release(e, now);
-                    releaseAt_[e] = 0;
-                    ++result.released;
-                }
-            } else {
-                for (unsigned e = 0; e < releaseAt_.size(); ++e) {
-                    if (releaseAt_[e] != 0 && releaseAt_[e] <= now) {
-                        release(e, now);
-                        releaseAt_[e] = 0;
-                        ++result.released;
-                    }
-                }
+            // Due entries are released in ascending slot order.
+            if ((now & 63) == 0 && !far_.empty())
+                promoteFar(now);
+            std::uint64_t due = wheel_[now & 63];
+            wheel_[now & 63] = 0;
+            for (; due; due &= due - 1) {
+                const unsigned e =
+                    static_cast<unsigned>(std::countr_zero(due));
+                release(e, now);
+                releaseAt_[e] = 0;
+                ++result.released;
             }
 
             // Arrivals.
@@ -153,14 +141,11 @@ class SchedulerReplay
                 const Cycle residence = 1 + residence_(rng_);
                 const Cycle at = now + residence;
                 releaseAt_[static_cast<unsigned>(entry)] = at;
-                if (useWheel_) {
-                    if (residence < 64) {
-                        wheel_[at & 63] |= std::uint64_t(1)
-                            << static_cast<unsigned>(entry);
-                    } else {
-                        far_.push_back(
-                            static_cast<unsigned>(entry));
-                    }
+                if (residence < 64) {
+                    wheel_[at & 63] |= std::uint64_t(1)
+                        << static_cast<unsigned>(entry);
+                } else {
+                    far_.push_back(static_cast<unsigned>(entry));
                 }
             }
             if (stalled) {
@@ -173,8 +158,7 @@ class SchedulerReplay
         }
 
         // Drain outstanding entries (releaseAt_ stays authoritative
-        // for the wheel, so the drain scan and its RNG draw order
-        // are identical either way).
+        // alongside the wheel).
         for (unsigned e = 0; e < releaseAt_.size(); ++e) {
             if (releaseAt_[e] != 0) {
                 const Cycle at = std::max(now, releaseAt_[e]);
@@ -184,10 +168,8 @@ class SchedulerReplay
                 ++result.released;
             }
         }
-        if (useWheel_) {
-            wheel_.fill(0);
-            far_.clear();
-        }
+        wheel_.fill(0);
+        far_.clear();
 
         clock_ = now;
         result.cycles = now;
@@ -235,11 +217,10 @@ class SchedulerReplay
 
     /** Calendar wheel over the next 64 cycles: bucket c is an
      *  entry-bit mask of releases due at cycles congruent to c
-     *  (mod 64).  Only used when every entry fits one mask word;
-     *  larger schedulers keep the linear scan. */
+     *  (mod 64); a Scheduler has at most 64 entries, so every entry
+     *  fits one mask word. */
     std::array<std::uint64_t, 64> wheel_{};
     std::vector<unsigned> far_; ///< pending releases >= 64 cycles out
-    bool useWheel_ = false;
 
     std::uint8_t tagCounter_ = 0;
 

@@ -11,13 +11,14 @@
  *
  * Duty accounting is word-parallel: every entry packs its 18 fields
  * into one 144-bit slot image (three 64-bit words) with a single
- * residence timestamp, and a flush charges the whole image into
- * 144-bit-wide MaskedTimeAccumulators (total zero-time, in-use
- * zero-time, in-use time) with a handful of mask operations --
- * instead of walking 18 fields x width per-bit counters.  Per-field
+ * residence timestamp.  A flush appends the image and its durations
+ * to a 64-record batch; a full batch drains into bit-sliced counter
+ * banks, and readers fold the banks into plain per-bit counters
+ * (total zero-time, in-use zero-time) and per-field in-use times
+ * with one 64x64 transpose per layout word.  Per-field
  * BitBiasTracker views are materialised only when a snapshot is
  * taken; the sums are exact unsigned integers, so the statistics
- * are bit-identical to the per-bit form.
+ * are bit-identical to charging every bit on every event.
  */
 
 #ifndef PENELOPE_SCHEDULER_SCHEDULER_HH
@@ -37,6 +38,7 @@ namespace penelope {
 /** Static scheduler parameters. */
 struct SchedulerConfig
 {
+    /** Slots, 1..64 (the paper's scheduler has 32). */
     unsigned numEntries = 32;
 
     /** Allocations between RINV refreshes of the ISV fields. */
@@ -93,6 +95,8 @@ struct SchedulerStress
 class Scheduler
 {
   public:
+    /** Throws std::invalid_argument unless 1 <= numEntries <= 64
+     *  (every slot index fits one mask word). */
     explicit Scheduler(const SchedulerConfig &config);
 
     /** Install per-bit protection decisions (layout order; size
@@ -138,20 +142,6 @@ class Scheduler
     /** Flush accounting to @p now and snapshot it for merging. */
     SchedulerStress snapshotStress(Cycle now);
 
-    /**
-     * Toggle batched duty accounting (default on).  When on, a slot
-     * flush appends its {image, in-use, dt} record to a 64-deep
-     * batch instead of charging the accumulators immediately; a
-     * full batch drains into bit-sliced counter banks, and any
-     * reader of the accumulators folds the banks into them with one
-     * 64x64 transpose per layout word.  The deferred adds are the
-     * same modular-integer sums in a different order, so every
-     * statistic is bit-identical to the immediate path -- which the
-     * off position exists to check (and to benchmark against).
-     */
-    void setBatchedAccounting(bool enabled);
-    bool batchedAccounting() const { return batched_; }
-
     /** Whether the AVX2 drain kernel is compiled in and usable on
      *  this host (false in PENELOPE_ENABLE_AVX2=OFF builds); the
      *  portable drain computes the same sums otherwise. */
@@ -169,7 +159,8 @@ class Scheduler
                         bool write_isv);
 
   private:
-    /** 64-bit words in the packed 144-bit slot layout. */
+    /** Bits and 64-bit words in the packed slot layout. */
+    static constexpr unsigned kLayoutBits = 144;
     static constexpr unsigned kLayoutWords = 3;
 
     using LayoutWords = std::array<std::uint64_t, kLayoutWords>;
@@ -181,12 +172,7 @@ class Scheduler
         /** Packed field values in layout order. */
         LayoutWords image{};
 
-        /** Per-bit in-use mask (whole fields at a time). */
-        LayoutWords inUse{};
-
-        /** Per-field mirror of inUse (bit f = field f in use): the
-         *  batched flush reads this one word instead of the three
-         *  expanded per-bit mask words. */
+        /** Fields holding live data (bit f = field f in use). */
         std::uint32_t inUseFields = 0;
 
         /** Per-field "last repair wrote RINV" bits. */
@@ -248,8 +234,8 @@ class Scheduler
     std::uint64_t extractField(const Entry &e, unsigned field) const;
     void depositField(Entry &e, unsigned field, std::uint64_t value);
 
-    /** Charge the entry's image residence up to @p now into the
-     *  sliced accumulators. */
+    /** Append the entry's image residence up to @p now to the
+     *  record batch. */
     void flushEntry(Entry &e, Cycle now);
 
     void flushAll(Cycle now);
@@ -261,18 +247,18 @@ class Scheduler
      *  state and the banks it feeds are mutable. */
     void drainBatch() const;
 
-    /** drainBatch(), then charge the counter banks into the
-     *  accumulators: one 64x64 transpose per layout word turns each
+    /** drainBatch(), then charge the counter banks into the per-bit
+     *  counters: one 64x64 transpose per layout word turns each
      *  bank straight into per-bit totals (word b of the transposed
      *  bank is bit b's exact summed time).  Every reader of the
-     *  accumulators goes through this. */
+     *  counters goes through this. */
     void foldBatch() const;
 
-    /** Flush the parked busy span of every deferred release (the
-     *  busy-only record the eager path would have emitted at
-     *  release time) so readers see exactly the immediate path's
-     *  accounting.  Needs no "now": the idle span keeps accruing
-     *  from the entry's timestamp. */
+    /** Flush the parked busy span of every deferred release as the
+     *  busy-only record the release itself would have emitted, so
+     *  readers see every span charged up to its entry's last event.
+     *  Needs no "now": the idle span keeps accruing from the
+     *  entry's timestamp. */
     void sweepPending() const;
 
     /** Recompute repairPlans_/fieldHasIsv_ from decisions_. */
@@ -293,17 +279,11 @@ class Scheduler
 
     /** Mutable: const readers sweep deferred releases (which
      *  converts a pending entry to its post-release image) before
-     *  folding the accumulators. */
+     *  folding the per-bit counters. */
     mutable std::vector<Entry> entries_;
 
     /** Per-field packed-layout placement. */
     std::vector<FieldSlot> slots_;
-
-    /** Per-field full in-use masks (field bits set in all words). */
-    std::vector<LayoutWords> fieldMasks_;
-
-    /** Valid bits of the whole layout (masks image complements). */
-    LayoutWords layoutMask_{};
 
     /** FIFO free list: slots rotate evenly, so every entry sees
      *  repair writes (and tag/slot usage is self-balanced).  A
@@ -330,14 +310,14 @@ class Scheduler
     std::vector<bool> fieldHasIsv_;
     std::vector<FieldRepairPlan> repairPlans_; ///< per field
 
-    /** Sliced duty accounting over the 144-bit layout.  Mutable:
-     *  const readers drain the pending batch into them. */
-    mutable MaskedTimeAccumulator zeroTotal_; ///< zero-time, all
-    mutable MaskedTimeAccumulator busyZero_;  ///< zero-time, in use
+    /** Per-bit duty accounting over the 144-bit layout.  Mutable:
+     *  const readers fold the pending batch into them. */
+    mutable std::array<std::uint64_t, kLayoutBits> zeroTotal_{};
+    mutable std::array<std::uint64_t, kLayoutBits> busyZero_{}; ///< in use
 
     /** Per-field in-use time.  Fields are used whole, so the
      *  per-bit in-use times the snapshots expose are one shared
-     *  counter per field, not a 144-bit accumulator. */
+     *  counter per field, not a per-bit counter. */
     mutable std::array<std::uint64_t, numFields> fieldBusyTime_{};
 
     /**
@@ -364,14 +344,10 @@ class Scheduler
     mutable std::uint64_t batchS2_ = 0;   ///< lanes w/ Src2Data live
     mutable std::uint64_t batchImm_ = 0;  ///< lanes w/ Imm live
     mutable unsigned batchCount_ = 0;
-    bool batched_ = true;
 
-    /** Entries with a deferred release parked (bit = entry index).
-     *  Release merging is only worth a bounded sweep list, so it is
-     *  gated -- like the replay driver's calendar wheel -- on every
-     *  entry fitting one mask word. */
+    /** Entries with a deferred release parked (bit = entry index;
+     *  every entry fits one mask word). */
     mutable std::uint64_t pendingMask_ = 0;
-    bool deferRelease_ = false; ///< numEntries <= 64
 
     /**
      * Bit-sliced binary counters holding drained-but-unfolded
@@ -381,7 +357,7 @@ class Scheduler
      * in-use complement) at every set bit of the record's duration
      * -- a carry-save add is a couple of word ops per level touched,
      * amortised O(1) levels per add -- and carries past level 63
-     * drop, which is exactly the accumulators' mod-2^64 wrap.
+     * drop, which is exactly the counters' mod-2^64 wrap.
      * foldBatch() transposes each word's 64 levels to recover every
      * bit's exact total in one step.
      *

@@ -1,15 +1,15 @@
 /**
  * @file
- * Property tests pinning the bit-sliced duty accounting to a scalar
+ * Property tests pinning the per-bit duty accounting to a scalar
  * reference.
  *
- * ScalarBitBiasTracker is the pre-sliced implementation (one branchy
+ * ScalarBitBiasTracker is the original implementation (one branchy
  * DutyCycleCounter per bit), kept verbatim as the executable
- * specification.  The sliced BitBiasTracker must match it bit for
- * bit -- same integers, same doubles -- across widths 1..128,
- * arbitrary dt (including the carry-save planes' overflow-flush
- * boundaries), interleaved reads (which force plane flushes), both
- * observe overloads, and any merge order.
+ * specification.  BitBiasTracker (shared total plus per-bit
+ * one-time counters) must match it bit for bit -- same integers,
+ * same doubles -- across widths 1..128, arbitrary dt (including
+ * 16-bit boundaries and values far beyond them), interleaved reads,
+ * both observe overloads, and any merge order.
  */
 
 #include <gtest/gtest.h>
@@ -127,9 +127,9 @@ randomDt(Rng &rng)
       case 4:
         return 1 + rng.nextInt(1000);  // typical residences
       case 5:
-        return 65534 + rng.nextInt(4); // plane-capacity boundary
+        return 65534 + rng.nextInt(4); // 16-bit boundary
       case 6:
-        return 65536 + rng.nextInt(1 << 20); // beyond the planes
+        return 65536 + rng.nextInt(1 << 20); // beyond 16 bits
       default:
         return 1 + rng.nextInt(100);
     }
@@ -153,8 +153,8 @@ TEST(SlicedDuty, MatchesScalarAcrossWidthsAndDts)
                 sliced.observe(v, dt);
                 scalar.observe(v, dt);
             }
-            // Interleaved reads force plane flushes mid-stream; the
-            // totals must not depend on when flushes happen.
+            // Interleaved reads mid-stream; the totals must not
+            // depend on when they happen.
             if (rng.nextBool(0.05)) {
                 const unsigned bit =
                     static_cast<unsigned>(rng.nextInt(width));
@@ -168,8 +168,8 @@ TEST(SlicedDuty, MatchesScalarAcrossWidthsAndDts)
 
 TEST(SlicedDuty, OverflowFlushBoundaryIsExact)
 {
-    // Drive the pending plane count exactly to, across, and far
-    // beyond the kPlaneCap = 65535 flush boundary.
+    // Drive accumulated time exactly to, across, and far beyond
+    // 65535 (a 16-bit count).
     for (std::uint64_t first : {65534ull, 65535ull, 65536ull}) {
         BitBiasTracker sliced(4);
         ScalarBitBiasTracker scalar(4);
@@ -241,7 +241,7 @@ TEST(SlicedDuty, ResetClearsEverything)
 {
     BitBiasTracker t(32);
     t.observe(Word(0x1234), 100);
-    t.observe(Word(0xffff), 65535); // leave pending plane state
+    t.observe(Word(0xffff), 65535);
     t.reset();
     for (unsigned b = 0; b < 32; ++b) {
         EXPECT_EQ(t.zeroTime(b), 0u);

@@ -3,13 +3,13 @@
  * Replay accounting suites.
  *
  * The scheduler accumulates slot images into 64-record batches and
- * folds them with one transposed drain; its scalar path charges the
- * accumulators on every event.  Both paths add the identical modular
- * integers in a different order, so every derived statistic -- and
- * the RNG draw stream, since the trackers feed no mid-run decision --
- * must match bit for bit across random workload traces, protection
- * and ISV on and off, partial final batches, mid-run reader folds,
- * mid-run mode toggles, and snapshot merge interleavings.
+ * folds them with one transposed drain.  Its unprotected replays are
+ * checked bit for bit against OracleReplay, a field-level reference
+ * accountant with its own event loop: across workload traces,
+ * partial final batches, a 64-entry scheduler, deferred-release
+ * merging, mid-run reads and snapshot merge order.  Protected and
+ * ISV replays write repair values the oracle does not model; their
+ * exact accounting is pinned by digest.
  *
  * The register file and the cache charge their bias trackers on
  * every value change.  Their suites pin the exact per-bit zero
@@ -19,7 +19,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -35,30 +38,7 @@
 namespace penelope {
 namespace {
 
-// ------------------------------------------------------ comparators
-
-/** Exact per-bit integer equality of two bias trackers. */
-void
-expectTrackersEqual(const BitBiasTracker &a, const BitBiasTracker &b)
-{
-    ASSERT_EQ(a.width(), b.width());
-    EXPECT_EQ(a.totalTime(), b.totalTime());
-    for (unsigned bit = 0; bit < a.width(); ++bit)
-        EXPECT_EQ(a.zeroTime(bit), b.zeroTime(bit)) << "bit " << bit;
-}
-
-void
-expectStressEqual(const SchedulerStress &a, const SchedulerStress &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.busyIntegral, b.busyIntegral);
-    ASSERT_EQ(a.totalBias.size(), b.totalBias.size());
-    ASSERT_EQ(a.fieldUseTime, b.fieldUseTime);
-    for (std::size_t f = 0; f < a.totalBias.size(); ++f) {
-        expectTrackersEqual(a.totalBias[f], b.totalBias[f]);
-        expectTrackersEqual(a.busyBias[f], b.busyBias[f]);
-    }
-}
+// ------------------------------------------------------- scheduler
 
 void
 expectResultsEqual(const SchedReplayResult &a,
@@ -71,138 +51,460 @@ expectResultsEqual(const SchedReplayResult &a,
     EXPECT_EQ(a.occupancy, b.occupancy);
 }
 
-// ------------------------------------------------------- scheduler
-
-/** Replay @p num_uops of workload trace @p trace against a fresh
- *  scheduler in the requested accounting mode and snapshot it. */
-SchedulerStress
-runScheduler(bool batched, unsigned trace, std::size_t num_uops,
-             bool protect, SchedReplayResult *result = nullptr)
+/**
+ * What the reference accountant sums: one scalar counter per layout
+ * bit over all slot time and over in-use time, each field's in-use
+ * time, and the busy slot-cycles behind the occupancy integral.
+ */
+struct OracleStress
 {
-    WorkloadSet w;
-    Scheduler sched{SchedulerConfig{}};
-    sched.setBatchedAccounting(batched);
-    if (protect) {
-        const SchedulerProfile profile =
-            profileScheduler(w, {trace}, 4000);
-        sched.configureProtection(decideProtection(profile.bits));
-        sched.enableProtection(true);
+    Cycle cycles = 0;
+    std::uint64_t busyTime = 0;
+    std::vector<DutyCycleCounter> total =
+        std::vector<DutyCycleCounter>(fieldLayout().totalBits());
+    std::vector<DutyCycleCounter> busy =
+        std::vector<DutyCycleCounter>(fieldLayout().totalBits());
+    std::vector<std::uint64_t> fieldUse =
+        std::vector<std::uint64_t>(numFields, 0);
+
+    void
+    merge(const OracleStress &other)
+    {
+        cycles += other.cycles;
+        busyTime += other.busyTime;
+        for (std::size_t b = 0; b < total.size(); ++b) {
+            total[b].merge(other.total[b]);
+            busy[b].merge(other.busy[b]);
+        }
+        for (unsigned f = 0; f < numFields; ++f)
+            fieldUse[f] += other.fieldUse[f];
     }
-    SchedulerReplay replay(sched, SchedReplayConfig{});
-    TraceGenerator gen = w.generator(trace);
-    const SchedReplayResult r = replay.run(gen, num_uops);
-    if (result)
-        *result = r;
-    return sched.snapshotStress(r.cycles);
+};
+
+/**
+ * Field-level reference accountant for an unprotected scheduler.
+ *
+ * Its own event loop makes the replay driver's draws in the driver's
+ * order (rename tags and a residence per allocation, a port bit per
+ * release) but finds due releases by scanning every slot, and drives
+ * the scheduler only through allocate() and release().  It mirrors
+ * each slot's fields with fieldUsedByUop/fieldValue and charges the
+ * elapsed residence to scalar per-bit counters on every event.  It
+ * knows nothing of the packed layout, the record batch, deferred
+ * releases or the drain.
+ */
+class OracleReplay
+{
+  public:
+    OracleReplay(Scheduler &sched, const SchedReplayConfig &config)
+        : sched_(sched),
+          config_(config),
+          residence_(1.0 / config.meanResidence),
+          rng_(config.seed),
+          slots_(sched.numEntries())
+    {
+        for (Slot &slot : slots_) {
+            for (unsigned f = 0; f < numFields; ++f)
+                slot.value.emplace_back(fieldLayout().spec(f).width);
+        }
+    }
+
+    SchedReplayResult
+    run(TraceGenerator &gen, std::size_t num_uops)
+    {
+        SchedReplayResult result;
+        std::optional<Uop> pending;
+        std::size_t consumed = 0;
+        while (consumed < num_uops) {
+            for (unsigned e = 0; e < slots_.size(); ++e) {
+                if (slots_[e].releaseAt != 0 &&
+                    slots_[e].releaseAt <= now_) {
+                    release(e);
+                    ++result.released;
+                }
+            }
+            arrival_ += config_.arrivalRate;
+            bool stalled = false;
+            while (arrival_ >= 1.0 && consumed < num_uops) {
+                const Uop uop = pending ? *pending : gen.next();
+                pending.reset();
+                if (!allocate(uop)) {
+                    pending = uop;
+                    stalled = true;
+                    break;
+                }
+                arrival_ -= 1.0;
+                ++consumed;
+                ++result.allocated;
+            }
+            if (stalled) {
+                ++result.stallCycles;
+                arrival_ = std::min(arrival_, 4.0);
+            }
+            ++now_;
+        }
+        for (unsigned e = 0; e < slots_.size(); ++e) {
+            if (slots_[e].releaseAt != 0) {
+                now_ = std::max(now_, slots_[e].releaseAt);
+                release(e);
+                ++result.released;
+            }
+        }
+        result.cycles = now_;
+        result.occupancy = sched_.occupancy(now_);
+        return result;
+    }
+
+    /** In-use time of field @p f as of each slot's last event. */
+    std::uint64_t fieldUse(FieldId f) const
+    {
+        return stress_.fieldUse[static_cast<unsigned>(f)];
+    }
+
+    /** Charge every slot up to the current cycle and return the
+     *  sums (what Scheduler::snapshotStress reports then). */
+    OracleStress
+    snapshot()
+    {
+        for (Slot &slot : slots_)
+            charge(slot);
+        stress_.cycles = now_;
+        return stress_;
+    }
+
+  private:
+    struct Slot
+    {
+        bool busy = false;
+        std::uint32_t used = 0; ///< bit f: field f holds live data
+        std::vector<BitWord> value;
+        Cycle since = 0;
+        Cycle releaseAt = 0; ///< 0 = free
+    };
+
+    void
+    charge(Slot &slot)
+    {
+        const std::uint64_t dt = now_ - slot.since;
+        slot.since = now_;
+        if (slot.busy)
+            stress_.busyTime += dt;
+        for (unsigned f = 0; f < numFields; ++f) {
+            const FieldSpec &spec = fieldLayout().spec(f);
+            const bool live = (slot.used >> f) & 1;
+            if (live)
+                stress_.fieldUse[f] += dt;
+            for (unsigned b = 0; b < spec.width; ++b) {
+                const bool level = slot.value[f].bit(b);
+                stress_.total[spec.offset + b].observe(level, dt);
+                if (live)
+                    stress_.busy[spec.offset + b].observe(level, dt);
+            }
+        }
+    }
+
+    bool
+    allocate(const Uop &uop)
+    {
+        RenameTags tags;
+        tags.dstTag = tag_;
+        tag_ = (tag_ + 1) & 0x7f;
+        tags.src1Tag = static_cast<std::uint8_t>(
+            (tag_ + 17 + uop.srcReg1) & 0x7f);
+        tags.src2Tag = static_cast<std::uint8_t>(
+            (tag_ + 43 + uop.srcReg2) & 0x7f);
+        tags.ready1 = !uop.usesSrc1() || rng_.nextBool(0.65);
+        tags.ready2 = !uop.usesSrc2() || rng_.nextBool(0.55);
+        const int entry = sched_.allocate(uop, tags, now_);
+        if (entry < 0)
+            return false;
+        Slot &slot = slots_[static_cast<unsigned>(entry)];
+        EXPECT_FALSE(slot.busy) << "entry " << entry;
+        charge(slot);
+        slot.busy = true;
+        slot.used = 0;
+        for (unsigned f = 0; f < numFields; ++f) {
+            const FieldId id = fieldLayout().spec(f).id;
+            if (fieldUsedByUop(id, uop, tags)) {
+                slot.used |= std::uint32_t(1) << f;
+                slot.value[f] = fieldValue(id, uop, tags);
+            }
+        }
+        slot.releaseAt = now_ + 1 + residence_(rng_);
+        return true;
+    }
+
+    void
+    release(unsigned entry)
+    {
+        sched_.release(entry, now_,
+                       rng_.nextBool(config_.portFreeProb));
+        Slot &slot = slots_[entry];
+        charge(slot);
+        slot.busy = false;
+        slot.used = 0;
+        slot.value[static_cast<unsigned>(FieldId::Valid)] =
+            BitWord(1, 0);
+        slot.releaseAt = 0;
+    }
+
+    Scheduler &sched_;
+    SchedReplayConfig config_;
+    GeometricDist residence_;
+    Rng rng_;
+    std::vector<Slot> slots_;
+    OracleStress stress_;
+    std::uint8_t tag_ = 0;
+    Cycle now_ = 0;
+    double arrival_ = 0.0;
+};
+
+/** Per-bit zero times of @p spec's bits in @p counters. */
+std::vector<std::uint64_t>
+oracleZeros(const std::vector<DutyCycleCounter> &counters,
+            const FieldSpec &spec)
+{
+    std::vector<std::uint64_t> out;
+    for (unsigned b = 0; b < spec.width; ++b)
+        out.push_back(counters[spec.offset + b].zeroTime());
+    return out;
 }
 
-TEST(SchedulerReplayBatch, RandomTracesMatchScalar)
+std::vector<std::uint64_t>
+zeroTimes(const BitBiasTracker &t)
+{
+    std::vector<std::uint64_t> out;
+    for (unsigned b = 0; b < t.width(); ++b)
+        out.push_back(t.zeroTime(b));
+    return out;
+}
+
+/** Exact equality of a scheduler snapshot with the oracle's sums. */
+void
+expectMatchesOracle(const SchedulerStress &s, const OracleStress &o)
+{
+    const FieldLayout &layout = fieldLayout();
+    EXPECT_EQ(s.cycles, o.cycles);
+    EXPECT_EQ(s.busyIntegral, static_cast<double>(o.busyTime));
+    ASSERT_EQ(s.totalBias.size(), layout.count());
+    for (unsigned f = 0; f < layout.count(); ++f) {
+        const FieldSpec &spec = layout.spec(f);
+        SCOPED_TRACE(spec.name);
+        EXPECT_EQ(s.fieldUseTime[f], o.fieldUse[f]);
+        EXPECT_EQ(s.totalBias[f].totalTime(),
+                  o.total[spec.offset].totalTime());
+        EXPECT_EQ(zeroTimes(s.totalBias[f]), oracleZeros(o.total, spec));
+        EXPECT_EQ(s.busyBias[f].totalTime(),
+                  o.busy[spec.offset].totalTime());
+        EXPECT_EQ(zeroTimes(s.busyBias[f]), oracleZeros(o.busy, spec));
+    }
+}
+
+/** The oracle's sums and the SchedulerReplay-driven snapshot. */
+struct OracleRun
+{
+    OracleStress sums;
+    SchedulerStress stress;
+};
+
+/** One unprotected replay of workload trace @p trace, run by the
+ *  oracle and by SchedulerReplay on a second scheduler; both
+ *  snapshots must equal the oracle's sums. */
+OracleRun
+checkAgainstOracle(unsigned trace, std::size_t num_uops,
+                   const SchedulerConfig &sched_config = {},
+                   const SchedReplayConfig &replay_config = {})
+{
+    SCOPED_TRACE(testing::Message() << "trace " << trace << ", "
+                                    << num_uops << " uops, "
+                                    << sched_config.numEntries
+                                    << " entries");
+    WorkloadSet w;
+    Scheduler by_oracle(sched_config);
+    Scheduler by_replay(sched_config);
+    OracleReplay oracle(by_oracle, replay_config);
+    SchedulerReplay replay(by_replay, replay_config);
+    TraceGenerator go = w.generator(trace);
+    TraceGenerator gr = w.generator(trace);
+    const SchedReplayResult ro = oracle.run(go, num_uops);
+    const SchedReplayResult rr = replay.run(gr, num_uops);
+    expectResultsEqual(ro, rr);
+    OracleRun run{oracle.snapshot(),
+                  by_replay.snapshotStress(rr.cycles)};
+    expectMatchesOracle(by_oracle.snapshotStress(ro.cycles), run.sums);
+    expectMatchesOracle(run.stress, run.sums);
+    return run;
+}
+
+TEST(SchedulerReplayBatch, RandomTracesMatchOracle)
 {
     // Uop counts straddle batch boundaries (partial final batches,
     // exactly-full batches, multi-batch runs).
     const std::size_t counts[] = {63, 64, 777, 4096, 5001};
     unsigned trace = 0;
     for (const std::size_t uops : counts) {
-        SchedReplayResult rb, rs;
-        const SchedulerStress batched =
-            runScheduler(true, trace, uops, false, &rb);
-        const SchedulerStress scalar =
-            runScheduler(false, trace, uops, false, &rs);
-        expectResultsEqual(rb, rs);
-        expectStressEqual(batched, scalar);
+        checkAgainstOracle(trace, uops);
         trace = (trace + 1) % 4;
     }
+    // The largest geometry: every entry index, up to the top bit of
+    // the deferred-release mask, parks releases.  Long residences
+    // keep the scheduler full for much of the run.
+    SchedulerConfig widest;
+    widest.numEntries = 64;
+    SchedReplayConfig crowded;
+    crowded.arrivalRate = 4.0;
+    crowded.meanResidence = 24.0;
+    checkAgainstOracle(2, 5001, widest, crowded);
 }
 
-TEST(SchedulerReplayBatch, ProtectionAndIsvOnMatchScalar)
+TEST(SchedulerReplayBatch, MidRunReadsMatchOracle)
 {
-    // Protection exercises the repair/ISV write paths, whose
-    // decision stream (and RNG draws) must be batching-independent.
-    SchedReplayResult rb, rs;
-    const SchedulerStress batched =
-        runScheduler(true, 2, 3000, true, &rb);
-    const SchedulerStress scalar =
-        runScheduler(false, 2, 3000, true, &rs);
-    expectResultsEqual(rb, rs);
-    expectStressEqual(batched, scalar);
-}
-
-TEST(SchedulerReplayBatch, MidRunReadsFoldPendingBatch)
-{
-    // Mid-run statistic reads force a fold of the pending batch
-    // (including deferred releases); the values read and the final
-    // state must both match the scalar path.
+    // fieldOccupancy() folds the pending batch and the parked
+    // releases without flushing any entry; snapshotStress() flushes
+    // every entry.  Both mid-run reads must see the oracle's sums,
+    // and must leave the rest of the run unchanged.
     WorkloadSet w;
-    Scheduler batched{SchedulerConfig{}};
-    Scheduler scalar{SchedulerConfig{}};
-    scalar.setBatchedAccounting(false);
-    SchedulerReplay rb(batched, SchedReplayConfig{});
-    SchedulerReplay rs(scalar, SchedReplayConfig{});
-    TraceGenerator gb = w.generator(1);
-    TraceGenerator gs = w.generator(1);
+    Scheduler by_oracle{SchedulerConfig{}};
+    Scheduler by_replay{SchedulerConfig{}};
+    OracleReplay oracle(by_oracle, SchedReplayConfig{});
+    SchedulerReplay replay(by_replay, SchedReplayConfig{});
+    TraceGenerator go = w.generator(1);
+    TraceGenerator gr = w.generator(1);
+    const double slots = static_cast<double>(by_oracle.numEntries());
 
     for (int leg = 0; leg < 3; ++leg) {
-        const SchedReplayResult b = rb.run(gb, 997);
-        const SchedReplayResult s = rs.run(gs, 997);
-        expectResultsEqual(b, s);
-        EXPECT_EQ(batched.occupancy(b.cycles),
-                  scalar.occupancy(s.cycles));
-        EXPECT_EQ(batched.fieldOccupancy(FieldId::Src1Data, b.cycles),
-                  scalar.fieldOccupancy(FieldId::Src1Data, s.cycles));
-        EXPECT_EQ(batched.biasVector(b.cycles),
-                  scalar.biasVector(s.cycles));
+        SCOPED_TRACE(testing::Message() << "leg " << leg);
+        const SchedReplayResult ro = oracle.run(go, 997);
+        const SchedReplayResult rr = replay.run(gr, 997);
+        expectResultsEqual(ro, rr);
+        const double span = slots * static_cast<double>(ro.cycles);
+        for (const FieldId f : {FieldId::Valid, FieldId::Src1Data,
+                                FieldId::Src2Data, FieldId::Imm}) {
+            const double want =
+                static_cast<double>(oracle.fieldUse(f)) / span;
+            EXPECT_EQ(by_oracle.fieldOccupancy(f, ro.cycles), want);
+            EXPECT_EQ(by_replay.fieldOccupancy(f, rr.cycles), want);
+        }
+        const OracleStress sums = oracle.snapshot();
+        expectMatchesOracle(by_oracle.snapshotStress(ro.cycles), sums);
+        expectMatchesOracle(by_replay.snapshotStress(rr.cycles), sums);
     }
-    expectStressEqual(batched.snapshotStress(rb.run(gb, 100).cycles),
-                      scalar.snapshotStress(rs.run(gs, 100).cycles));
+    const SchedReplayResult ro = oracle.run(go, 100);
+    const SchedReplayResult rr = replay.run(gr, 100);
+    expectResultsEqual(ro, rr);
+    expectMatchesOracle(by_replay.snapshotStress(rr.cycles),
+                        oracle.snapshot());
 }
 
-TEST(SchedulerReplayBatch, MidRunToggleDrainsAndMatches)
+TEST(SchedulerReplayBatch, MergeOrderMatchesOracle)
 {
-    // Flipping the accounting mode mid-run drains the pending batch
-    // and must leave no trace in the statistics.
+    // Snapshots of different traces must merge, in either order,
+    // to the oracle's merged sums (merge() adds integers, and the
+    // sharded engine merges in trace order whatever the workers).
+    const OracleRun a = checkAgainstOracle(0, 1500);
+    const OracleRun b = checkAgainstOracle(1, 2111);
+    OracleStress want = a.sums;
+    want.merge(b.sums);
+
+    SchedulerStress ab = a.stress;
+    ab.merge(b.stress);
+    SchedulerStress ba = b.stress;
+    ba.merge(a.stress);
+    expectMatchesOracle(ab, want);
+    expectMatchesOracle(ba, want);
+}
+
+/** FNV-1a over a snapshot's integer state (and the bit pattern of
+ *  its occupancy integral): everything its statistics derive from. */
+std::uint64_t
+stressDigest(const SchedulerStress &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    mix(s.cycles);
+    mix(std::bit_cast<std::uint64_t>(s.busyIntegral));
+    for (std::size_t f = 0; f < s.totalBias.size(); ++f) {
+        mix(s.fieldUseTime[f]);
+        for (const BitBiasTracker *t : {&s.totalBias[f], &s.busyBias[f]}) {
+            mix(t->totalTime());
+            for (unsigned b = 0; b < t->width(); ++b)
+                mix(t->zeroTime(b));
+        }
+    }
+    return h;
+}
+
+/** A pinned protected replay leg: its result and snapshot digest. */
+struct SchedPin
+{
+    std::size_t uops;
+    Cycle cycles;
+    std::uint64_t allocated, released, stallCycles;
+    std::uint64_t digest;
+};
+
+TEST(SchedulerReplayBatch, ProtectionAndIsvOnPinned)
+{
+    // Protection writes repair values (ALL1/ALL0, K% duty bits and
+    // ISV samples from RINV) at release and into unused fields, so
+    // the oracle cannot follow it.  These integers were recorded
+    // while an immediate per-event accounting path still existed
+    // and matched the batched one on these exact replays.
+    struct Case
+    {
+        unsigned trace;
+        SchedulerConfig sched;
+        std::vector<SchedPin> legs; ///< one run() + snapshot each
+    };
+    SchedulerConfig fast_isv;
+    fast_isv.isvSampleInterval = 1;
+    SchedulerConfig small; // fills up: stalls and back-to-back reuse
+    small.numEntries = 8;
+    const std::vector<Case> cases = {
+        {2, SchedulerConfig{},
+         {{3000, 1223, 3000, 3000, 0, 0x6ed93694875563fdull}}},
+        {1, SchedulerConfig{},
+         {{997, 416, 997, 997, 0, 0xaac34b8d10bf0552ull},
+          {997, 836, 997, 997, 0, 0x4a8c31217950fd6bull},
+          {997, 1257, 997, 997, 0, 0x40977e9063e3fcd9ull},
+          {100, 1322, 100, 100, 0, 0xc126e07f53297a44ull}}},
+        {3, fast_isv,
+         {{4096, 1661, 4096, 4096, 0, 0x8993a49164d6c367ull},
+          {1, 1673, 1, 1, 0, 0xed7ca686faec00ecull}}},
+        {0, small, {{2000, 2046, 2000, 2000, 2029, 0x7cced0344bac1cccull}}},
+    };
     WorkloadSet w;
-    Scheduler toggled{SchedulerConfig{}};
-    Scheduler scalar{SchedulerConfig{}};
-    scalar.setBatchedAccounting(false);
-    SchedulerReplay rt(toggled, SchedReplayConfig{});
-    SchedulerReplay rs(scalar, SchedReplayConfig{});
-    TraceGenerator gt = w.generator(3);
-    TraceGenerator gs = w.generator(3);
-
-    Cycle t_end = 0, s_end = 0;
-    bool mode = true;
-    for (int leg = 0; leg < 4; ++leg) {
-        toggled.setBatchedAccounting(mode);
-        mode = !mode;
-        t_end = rt.run(gt, 511).cycles;
-        s_end = rs.run(gs, 511).cycles;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message() << "trace " << c.trace);
+        const SchedulerProfile profile =
+            profileScheduler(w, {c.trace}, 4000);
+        const std::vector<BitDecision> decisions =
+            decideProtection(profile.bits);
+        ASSERT_TRUE(std::any_of(
+            decisions.begin(), decisions.end(),
+            [](const BitDecision &d) {
+                return d.technique == Technique::Isv;
+            }));
+        Scheduler sched(c.sched);
+        sched.configureProtection(decisions);
+        sched.enableProtection(true);
+        SchedulerReplay replay(sched, SchedReplayConfig{});
+        TraceGenerator gen = w.generator(c.trace);
+        for (const SchedPin &pin : c.legs) {
+            const SchedReplayResult r = replay.run(gen, pin.uops);
+            EXPECT_EQ(r.cycles, pin.cycles);
+            EXPECT_EQ(r.allocated, pin.allocated);
+            EXPECT_EQ(r.released, pin.released);
+            EXPECT_EQ(r.stallCycles, pin.stallCycles);
+            EXPECT_EQ(stressDigest(sched.snapshotStress(r.cycles)),
+                      pin.digest);
+        }
     }
-    expectStressEqual(toggled.snapshotStress(t_end),
-                      scalar.snapshotStress(s_end));
-}
-
-TEST(SchedulerReplayBatch, MergeOrderInterleavings)
-{
-    // Snapshots from batched and scalar runs of different traces
-    // must merge to the same aggregate in either interleaving
-    // (mixed-mode merging is what the sharded experiment engine
-    // does when workers disagree only in accounting mode).
-    const SchedulerStress a_b = runScheduler(true, 0, 1500, false);
-    const SchedulerStress a_s = runScheduler(false, 0, 1500, false);
-    const SchedulerStress b_b = runScheduler(true, 1, 2111, false);
-    const SchedulerStress b_s = runScheduler(false, 1, 2111, false);
-
-    SchedulerStress m1 = a_b;
-    m1.merge(b_s);
-    SchedulerStress m2 = a_s;
-    m2.merge(b_b);
-    expectStressEqual(m1, m2);
-
-    SchedulerStress m3 = b_b;
-    m3.merge(a_b);
-    // merge() sums commutative integers, so even the reversed
-    // interleaving agrees.
-    expectStressEqual(m3, m1);
 }
 
 // -------------------------------------------------------- regfile

@@ -219,6 +219,19 @@ TEST(Scheduler, AllocateReleaseLifecycle)
     EXPECT_EQ(sched.busyCount(), 0u);
 }
 
+TEST(Scheduler, RejectsEntryCountsOutsideOneTo64)
+{
+    SchedulerConfig cfg;
+    for (const unsigned entries : {0u, 65u}) {
+        cfg.numEntries = entries;
+        EXPECT_THROW(Scheduler{cfg}, std::invalid_argument) << entries;
+    }
+    for (const unsigned entries : {1u, 64u}) {
+        cfg.numEntries = entries;
+        EXPECT_EQ(Scheduler{cfg}.numEntries(), entries);
+    }
+}
+
 TEST(Scheduler, FullWhenAllSlotsBusy)
 {
     SchedulerConfig cfg;

@@ -9,12 +9,6 @@
 
 namespace penelope {
 
-std::vector<OperandSample>
-collectAdderOperands(TraceGenerator &gen, std::size_t count)
-{
-    return collectAdderOperandsFrom(gen, count);
-}
-
 std::vector<double>
 operandDutyFeatures(const std::vector<OperandSample> &ops,
                     unsigned width)

@@ -37,20 +37,16 @@ struct OperandSample
  * second operand with carry-in 1, which keeps the carry-in "0" more
  * than 90% of the time as the paper observes); loads and stores
  * contribute base + displacement address generations.
- */
-std::vector<OperandSample>
-collectAdderOperands(TraceGenerator &gen, std::size_t count);
-
-/**
- * Generator-generic form of collectAdderOperands(): any source with
- * a `Uop next()` (the workload TraceGenerator, the adversarial
- * AttackTraceGenerator) feeds the same extraction -- same bounded
- * scan, same seeded subtract conversion -- so a candidate trace
- * configuration maps to one deterministic operand stream.
+ *
+ * Any source with a `Uop next()` (the workload TraceGenerator, the
+ * adversarial AttackTraceGenerator) feeds the same extraction --
+ * same bounded scan, same seeded subtract conversion -- so a
+ * candidate trace configuration maps to one deterministic operand
+ * stream.
  */
 template <class Gen>
 std::vector<OperandSample>
-collectAdderOperandsFrom(Gen &gen, std::size_t count);
+collectAdderOperands(Gen &gen, std::size_t count);
 
 /**
  * Per-input-bit zero-duty features of an operand stream: the zero
@@ -163,7 +159,7 @@ class AdderAgingAnalysis
 
 template <class Gen>
 std::vector<OperandSample>
-collectAdderOperandsFrom(Gen &gen, std::size_t count)
+collectAdderOperands(Gen &gen, std::size_t count)
 {
     std::vector<OperandSample> out;
     out.reserve(count);

@@ -30,7 +30,7 @@ std::vector<OperandSample>
 candidateOperands(const AttackConfig &attack, std::size_t count)
 {
     AttackTraceGenerator gen(attack);
-    return collectAdderOperandsFrom(gen, count);
+    return collectAdderOperands(gen, count);
 }
 
 std::vector<double>

@@ -125,10 +125,6 @@ class Scheduler
     /** Time-weighted slot occupancy (paper: 63%). */
     double occupancy(Cycle now) const;
 
-    /** Time-weighted fraction of entry-time field @p f holds live
-     *  data (paper: SRC data/imm available 70-75% of the time). */
-    double fieldOccupancy(FieldId f, Cycle now) const;
-
     /** Flush accounting and return the concatenated per-bit bias
      *  towards "0" in layout order (144 entries). */
     std::vector<double> biasVector(Cycle now);
@@ -141,11 +137,6 @@ class Scheduler
 
     /** Flush accounting to @p now and snapshot it for merging. */
     SchedulerStress snapshotStress(Cycle now);
-
-    /** Whether the AVX2 drain kernel is compiled in and usable on
-     *  this host (false in PENELOPE_ENABLE_AVX2=OFF builds); the
-     *  portable drain computes the same sums otherwise. */
-    static bool avx2Supported();
 
     const SchedulerConfig &config() const { return config_; }
 
@@ -242,24 +233,22 @@ class Scheduler
     void occupancyFlush(Cycle now);
 
     /** Fold every pending batch record into the bit-sliced counter
-     *  banks (carry-save ripple adds, record-major).  Const because
-     *  readers (fieldOccupancy) must be able to drain; the batch
-     *  state and the banks it feeds are mutable. */
-    void drainBatch() const;
+     *  banks (plane-major carry-save adds). */
+    void drainBatch();
 
     /** drainBatch(), then charge the counter banks into the per-bit
      *  counters: one 64x64 transpose per layout word turns each
      *  bank straight into per-bit totals (word b of the transposed
      *  bank is bit b's exact summed time).  Every reader of the
      *  counters goes through this. */
-    void foldBatch() const;
+    void foldBatch();
 
     /** Flush the parked busy span of every deferred release as the
      *  busy-only record the release itself would have emitted, so
      *  readers see every span charged up to its entry's last event.
      *  Needs no "now": the idle span keeps accruing from the
      *  entry's timestamp. */
-    void sweepPending() const;
+    void sweepPending();
 
     /** Recompute repairPlans_/fieldHasIsv_ from decisions_. */
     void rebuildRepairPlans();
@@ -277,10 +266,7 @@ class Scheduler
 
     SchedulerConfig config_;
 
-    /** Mutable: const readers sweep deferred releases (which
-     *  converts a pending entry to its post-release image) before
-     *  folding the per-bit counters. */
-    mutable std::vector<Entry> entries_;
+    std::vector<Entry> entries_;
 
     /** Per-field packed-layout placement. */
     std::vector<FieldSlot> slots_;
@@ -310,15 +296,14 @@ class Scheduler
     std::vector<bool> fieldHasIsv_;
     std::vector<FieldRepairPlan> repairPlans_; ///< per field
 
-    /** Per-bit duty accounting over the 144-bit layout.  Mutable:
-     *  const readers fold the pending batch into them. */
-    mutable std::array<std::uint64_t, kLayoutBits> zeroTotal_{};
-    mutable std::array<std::uint64_t, kLayoutBits> busyZero_{}; ///< in use
+    /** Per-bit duty accounting over the 144-bit layout. */
+    std::array<std::uint64_t, kLayoutBits> zeroTotal_{};
+    std::array<std::uint64_t, kLayoutBits> busyZero_{}; ///< in use
 
     /** Per-field in-use time.  Fields are used whole, so the
      *  per-bit in-use times the snapshots expose are one shared
      *  counter per field, not a per-bit counter. */
-    mutable std::array<std::uint64_t, numFields> fieldBusyTime_{};
+    std::array<std::uint64_t, numFields> fieldBusyTime_{};
 
     /**
      * Pending flush records, stored struct-of-arrays.  Record v of
@@ -330,24 +315,22 @@ class Scheduler
      * in use), all maintained bit-at-append.
      */
     static constexpr unsigned kBatchDepth = 64;
-    /** Lane-major, padded to four words per record so a lane's
-     *  image is one aligned 32-byte load in the vector drain; the
-     *  pad word is zero-initialised and never written. */
-    alignas(32) mutable std::uint64_t batchImage_[kBatchDepth][4]{};
-    mutable std::uint64_t batchDt_[kBatchDepth];
+    /** Lane-major: record v's image is row v. */
+    std::uint64_t batchImage_[kBatchDepth][kLayoutWords]{};
+    std::uint64_t batchDt_[kBatchDepth];
     /** Busy-span duration per record: equal to batchDt_ for a busy
      *  flush, 0 for an idle flush, and the parked release duration
      *  for a merged busy+idle record. */
-    mutable std::uint64_t batchBusyDt_[kBatchDepth];
-    mutable std::uint64_t batchBusy_ = 0; ///< lanes w/ fields in use
-    mutable std::uint64_t batchS1_ = 0;   ///< lanes w/ Src1Data live
-    mutable std::uint64_t batchS2_ = 0;   ///< lanes w/ Src2Data live
-    mutable std::uint64_t batchImm_ = 0;  ///< lanes w/ Imm live
-    mutable unsigned batchCount_ = 0;
+    std::uint64_t batchBusyDt_[kBatchDepth];
+    std::uint64_t batchBusy_ = 0; ///< lanes w/ fields in use
+    std::uint64_t batchS1_ = 0;   ///< lanes w/ Src1Data live
+    std::uint64_t batchS2_ = 0;   ///< lanes w/ Src2Data live
+    std::uint64_t batchImm_ = 0;  ///< lanes w/ Imm live
+    unsigned batchCount_ = 0;
 
     /** Entries with a deferred release parked (bit = entry index;
      *  every entry fits one mask word). */
-    mutable std::uint64_t pendingMask_ = 0;
+    std::uint64_t pendingMask_ = 0;
 
     /**
      * Bit-sliced binary counters holding drained-but-unfolded
@@ -365,18 +348,18 @@ class Scheduler
      * share one duration sum and each capture field keeps its own
      * (fields are used whole), folded into fieldBusyTime_.
      */
-    mutable std::uint64_t oneBank_[kBatchDepth][kLayoutWords]{};
-    mutable std::uint64_t busyZeroBank_[kBatchDepth][kLayoutWords]{};
-    mutable std::uint64_t dtGrand_ = 0;     ///< sum dt, all records
-    mutable std::uint64_t busyDtGrand_ = 0; ///< sum busy-span dt
-    mutable std::uint64_t s1DtGrand_ = 0;   ///< sum dt, Src1Data live
-    mutable std::uint64_t s2DtGrand_ = 0;   ///< sum dt, Src2Data live
-    mutable std::uint64_t immDtGrand_ = 0;  ///< sum dt, Imm live
+    std::uint64_t oneBank_[kBatchDepth][kLayoutWords]{};
+    std::uint64_t busyZeroBank_[kBatchDepth][kLayoutWords]{};
+    std::uint64_t dtGrand_ = 0;     ///< sum dt, all records
+    std::uint64_t busyDtGrand_ = 0; ///< sum busy-span dt
+    std::uint64_t s1DtGrand_ = 0;   ///< sum dt, Src1Data live
+    std::uint64_t s2DtGrand_ = 0;   ///< sum dt, Src2Data live
+    std::uint64_t immDtGrand_ = 0;  ///< sum dt, Imm live
 
     /** Valid-bit zero-time carried by merged records' idle spans
      *  (their image keeps valid = 1 from the busy span; the one
      *  bit the release would have dropped is credited here). */
-    mutable std::uint64_t validIdleGrand_ = 0;
+    std::uint64_t validIdleGrand_ = 0;
 
     /** Total flushed residence time (identical for every bit:
      *  each entry flush covers the whole layout). */

@@ -444,6 +444,25 @@ TEST(Inversion, PaperThresholdTables)
 
 // ---------------------------------------------------------- Timing
 
+/** FNV-1a over a bias tracker's integer state (total time, then
+ *  every bit's zero time): everything its bias vector derives
+ *  from. */
+std::uint64_t
+biasDigest(const BitBiasTracker &bias)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    mix(bias.totalTime());
+    for (unsigned b = 0; b < bias.width(); ++b)
+        mix(bias.zeroTime(b));
+    return h;
+}
+
 TEST(Timing, BaselineCyclesScaleWithUops)
 {
     WorkloadSet w;
@@ -481,7 +500,9 @@ TEST(Timing, StreamReplayMatchesGeneratorRun)
 {
     // The materialised MemStream must drive a MemTimingSim exactly
     // as the generator it was drawn from does, for every mechanism
-    // on either structure.
+    // on either structure, and both must equal the absolute pins
+    // (the bias digests show the data column reaches the cells'
+    // accounting).
     WorkloadSet w;
     constexpr std::size_t n = 6000;
     TraceGenerator stream_gen = w.generator(97);
@@ -493,7 +514,40 @@ TEST(Timing, StreamReplayMatchesGeneratorRun)
         MechanismKind::None, MechanismKind::SetFixed50,
         MechanismKind::WayFixed50, MechanismKind::LineFixed50,
         MechanismKind::LineDynamic60};
-    for (const MechanismKind kind : kinds) {
+    struct Pin
+    {
+        std::uint64_t memOps, dl0Hits, dl0Misses, dtlbHits, dtlbMisses;
+        double cycles, dl0AvgInvertRatio, dtlbAvgInvertRatio;
+        std::uint64_t dl0Bias, dtlbBias;
+    };
+    // [mechanism][DL0, DTLB]
+    const Pin pinned[5][2] = {
+        {{2583, 2123, 460, 2484, 99, 0x1.832fffffffcd3p+13, 0x0p+0,
+          0x0p+0, 0xce1a4dace28fbec9ull, 0xc993663c3dd2eb6cull},
+         {2583, 2123, 460, 2484, 99, 0x1.832fffffffcd3p+13, 0x0p+0,
+          0x0p+0, 0xce1a4dace28fbec9ull, 0xc993663c3dd2eb6cull}},
+        {{2583, 2080, 503, 2484, 99, 0x1.934fffffffcd3p+13, 0x1p-1,
+          0x0p+0, 0x830b3cfc189f1a35ull, 0x9987918bf0db422cull},
+         {2583, 2123, 460, 2479, 104, 0x1.87dfffffffcd3p+13, 0x0p+0,
+          0x1p-1, 0xc240e7d6c346e080ull, 0xc9eef1087848ca69ull}},
+        {{2583, 2077, 506, 2484, 99, 0x1.946fffffffcd3p+13, 0x1p-1,
+          0x0p+0, 0x5905ff70a5fbc23dull, 0x2044ce3d6c7b3ef1ull},
+         {2583, 2123, 460, 2480, 103, 0x1.86efffffffcd3p+13, 0x0p+0,
+          0x1p-1, 0xc3eee963f3d781bfull, 0x1502bf25da10d61bull}},
+        {{2583, 2073, 510, 2484, 99, 0x1.95efffffffccep+13,
+          0x1.edf0b4b124f45p-2, 0x0p+0, 0xf7969c3a5646c757ull,
+          0x0855a0b498d4deebull},
+         {2583, 2123, 460, 2474, 109, 0x1.8c8fffffffcd3p+13, 0x0p+0,
+          0x1.f74caf5c573c9p-2, 0x2f6f7ab36a79a7fbull,
+          0x81a7dedb3023fa45ull}},
+        {{2583, 2047, 536, 2484, 99, 0x1.9fafffffffcd3p+13,
+          0x1.9a849c0d51963p-2, 0x0p+0, 0x8718ddb20a4b3ddaull,
+          0x430eaab480a81887ull},
+         {2583, 2123, 460, 2484, 99, 0x1.832fffffffcd3p+13, 0x0p+0,
+          0x0p+0, 0xce1a4dace28fbec9ull, 0xc993663c3dd2eb6cull}},
+    };
+    for (std::size_t k = 0; k < 5; ++k) {
+        const MechanismKind kind = kinds[k];
         for (const bool on_dl0 : {true, false}) {
             SCOPED_TRACE(std::string(mechanismName(kind)) +
                          (on_dl0 ? " on DL0" : " on DTLB"));
@@ -530,6 +584,22 @@ TEST(Timing, StreamReplayMatchesGeneratorRun)
             EXPECT_EQ(
                 by_gen.dtlb().finalizeDataBias(end).biasVector(),
                 by_stream.dtlb().finalizeDataBias(end).biasVector());
+
+            const Pin &want = pinned[k][on_dl0 ? 0 : 1];
+            EXPECT_EQ(b.uops, n);
+            EXPECT_EQ(b.memOps, want.memOps);
+            EXPECT_EQ(b.dl0Hits, want.dl0Hits);
+            EXPECT_EQ(b.dl0Misses, want.dl0Misses);
+            EXPECT_EQ(b.dtlbHits, want.dtlbHits);
+            EXPECT_EQ(b.dtlbMisses, want.dtlbMisses);
+            EXPECT_EQ(b.cycles, want.cycles);
+            EXPECT_EQ(b.dl0AvgInvertRatio, want.dl0AvgInvertRatio);
+            EXPECT_EQ(b.dtlbAvgInvertRatio, want.dtlbAvgInvertRatio);
+            EXPECT_EQ(biasDigest(by_stream.dl0().finalizeDataBias(end)),
+                      want.dl0Bias);
+            EXPECT_EQ(
+                biasDigest(by_stream.dtlb().finalizeDataBias(end)),
+                want.dtlbBias);
         }
     }
 }
@@ -575,25 +645,6 @@ TEST(Timing, DynamicLosesLessThanFixed)
 
 
 // ------------------------------------------------ Kernel identity
-
-/** FNV-1a over a bias tracker's integer state (total time, then
- *  every bit's zero time): everything its bias vector derives
- *  from. */
-std::uint64_t
-biasDigest(const BitBiasTracker &bias)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    const auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    };
-    mix(bias.totalTime());
-    for (unsigned b = 0; b < bias.width(); ++b)
-        mix(bias.zeroTime(b));
-    return h;
-}
 
 /** Exact statistics of one pinned MemTimingSim replay; the MRU
  *  histogram and invert ratio belong to the cache carrying the

@@ -28,16 +28,18 @@ runOne(const WorkloadSet &workload, unsigned index,
               << workload.generator(index).params().wssBytes / 1024
               << " KB)\n";
 
+    // Generate the trace once; every mechanism replays it.
+    TraceGenerator gen = workload.generator(index);
+    const MemStream stream = MemStream::generate(gen, 120'000);
     double base_cycles = 0.0;
     for (const MechanismKind mech :
          {MechanismKind::None, MechanismKind::SetFixed50,
           MechanismKind::LineFixed50,
           MechanismKind::LineDynamic60}) {
-        TraceGenerator gen = workload.generator(index);
         MemTimingSim sim(CacheConfig(), CacheConfig::tlb(128, 8),
                          MemTimingParams(), mech,
                          MechanismKind::None, 0.05);
-        const MemSimResult r = sim.run(gen, 120'000);
+        const MemSimResult r = sim.run(stream);
         if (mech == MechanismKind::None) {
             base_cycles = r.cycles;
             std::cout << "  baseline: miss rate "

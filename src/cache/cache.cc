@@ -28,6 +28,7 @@ Cache::Cache(const CacheConfig &config)
       match_(static_cast<std::size_t>(config.numSets()) * config.ways,
              kNoLine),
       lastUse_(match_.size(), 0),
+      lastAccess_(match_.size(), 0),
       lines_(match_.size()),
       mruHits_(config.ways),
       usableSetCount_(config.numSets()),
@@ -155,6 +156,35 @@ Cache::pickVictim(unsigned set)
     return lru;
 }
 
+void
+Cache::logTieEvictions(std::vector<TieEviction> *log)
+{
+    assert(!log || !policy_);
+    tieLog_ = log;
+}
+
+void
+Cache::logTieEviction(unsigned set)
+{
+    // Without a policy the window is every way, in way order.  Only
+    // the access right after the oldest can share its cycle, and it
+    // decides the victim only from a lower way.
+    const std::size_t base = slot(set, 0);
+    unsigned oldest = 0;
+    for (unsigned w = 1; w < config_.ways; ++w) {
+        if (lastAccess_[base + w] < lastAccess_[base + oldest])
+            oldest = w;
+    }
+    const std::uint64_t older = lastAccess_[base + oldest];
+    for (unsigned w = 0; w < oldest; ++w) {
+        if (lastAccess_[base + w] == older + 1) {
+            tieLog_->push_back(
+                {older, lastUse_[base + w] == lastUse_[base + oldest]});
+            return;
+        }
+    }
+}
+
 bool
 Cache::touchHitLine(unsigned set, unsigned way, Cycle now, bool store,
                     Word data)
@@ -176,9 +206,12 @@ Cache::fill(unsigned set, std::uint64_t line_no, Cycle now,
             bool has_data, Word data)
 {
     AccessResult result;
+    const std::uint64_t ordinal = accesses();
     ++misses_;
     const unsigned victim = pickVictim(set);
     const std::size_t at = slot(set, victim);
+    if (tieLog_ && match_[at] != kNoLine)
+        logTieEviction(set);
     Line &line = lines_[at];
     if (line.inverted) {
         // Ratio bookkeeping before the state change.
@@ -193,6 +226,7 @@ Cache::fill(unsigned set, std::uint64_t line_no, Cycle now,
     match_[at] = line_no;
     line.inverted = false;
     lastUse_[at] = now;
+    lastAccess_[at] = ordinal;
     // Every fill draws from rng_, even when data is given.  The
     // draw is deliberate: the mechanisms share rng_, so every
     // result depends on it (README, "Known deviations").

@@ -15,14 +15,14 @@
  * age evenly.  The valid/state bits encode valid+non-inverted or
  * invalid+inverted, exactly as the paper describes.
  *
- * Kernel layout: each set keeps two parallel per-way arrays, the
- * line number while valid (else a sentinel) and the last-use cycle,
- * so a lookup reads 16 bytes per way and never the cold per-line
- * record (data image, inverted/shadow bits).  Only ways of the
- * usable window ever hold valid lines -- fills pick window ways,
- * and setUsableSets/setUsableWays invert every line outside the
- * window -- so a branch-free scan of the whole set finds exactly
- * the hits a window-order scan would.
+ * Kernel layout: each set keeps parallel per-way arrays, the line
+ * number while valid (else a sentinel), the last-use cycle and the
+ * last access's ordinal, so a lookup reads 16 bytes per way and
+ * never the cold per-line record (data image, inverted/shadow
+ * bits).  Only ways of the usable window ever hold valid lines --
+ * fills pick window ways, and setUsableSets/setUsableWays invert
+ * every line outside the window -- so a branch-free scan of the
+ * whole set finds exactly the hits a window-order scan would.
  */
 
 #ifndef PENELOPE_CACHE_CACHE_HH
@@ -98,6 +98,19 @@ struct AccessResult
 };
 
 /**
+ * An LRU eviction a cycle tie could decide (Cache::logTieEvictions).
+ * The two oldest lines of the full set were last touched by the
+ * consecutive accesses @p older and older + 1, and the newer line
+ * sits at the lower way: if both accesses fell in one cycle the
+ * newer line is evicted, else the older one.
+ */
+struct TieEviction
+{
+    std::uint64_t older = 0;  ///< ordinal of the older access
+    bool tied = false;        ///< both accesses in one cycle
+};
+
+/**
  * The cache proper.  Addresses are byte addresses; tags store the
  * full line number so set remapping (set/way inversion) can never
  * produce false hits.
@@ -122,7 +135,9 @@ class Cache
     AccessResult access(Addr addr, bool is_write, Cycle now,
                         std::optional<Word> data = std::nullopt);
 
-    /** Advance policy machinery by one cycle. */
+    /** Let the policy act at cycle @p now.  Drivers differ in
+     *  cadence: Pipeline ticks once per cycle, MemTimingSim once
+     *  per uop (README, "Known deviations"). */
     void
     tick(Cycle now)
     {
@@ -184,6 +199,17 @@ class Cache
 
     bool lineValid(unsigned set, unsigned way) const;
     bool lineInverted(unsigned set, unsigned way) const;
+
+    /**
+     * Append every LRU eviction a cycle tie could decide to @p log
+     * (null stops logging); the cache must carry no policy.
+     * Accesses are numbered in order from 0 (accesses() before
+     * each).  For an LRU cache these evictions are the only way time
+     * reaches its hits and misses: logged with their tie status,
+     * they let a replay under other timing check that it evicts
+     * alike.
+     */
+    void logTieEvictions(std::vector<TieEviction> *log);
 
     /** Deterministic RNG used for random picks (seeded per cache). */
     Rng &rng() { return rng_; }
@@ -251,6 +277,9 @@ class Cache
     /** Pick a victim way among usable ways of @p set. */
     unsigned pickVictim(unsigned set);
 
+    /** Log the eviction from full @p set if a tie could decide it. */
+    void logTieEviction(unsigned set);
+
     /** The way of @p set's window to invert (or shadow-mark, with
      *  @p skip_shadow): the first plain-invalid line in window
      *  order, else the LRU valid one (first on a tie); lines
@@ -266,7 +295,9 @@ class Cache
     unsigned lineShift_;             ///< log2(lineBytes)
     std::vector<std::uint64_t> match_; ///< line number or kNoLine
     std::vector<Cycle> lastUse_;
+    std::vector<std::uint64_t> lastAccess_; ///< ordinal of last use
     std::vector<Line> lines_;
+    std::vector<TieEviction> *tieLog_ = nullptr;
     std::unique_ptr<InversionPolicy> policy_;
 
     std::uint64_t hits_ = 0;
@@ -323,6 +354,7 @@ Cache::access(Addr addr, bool is_write, Cycle now,
     unsigned pos = 0;
     for (unsigned w = 0; w < ways; ++w)
         pos += (match[w] != kNoLine) & (last_use[w] > ref);
+    lastAccess_[base + way] = hits_ + misses_;
     ++hits_;
     mruHits_.add(pos);
     last_use[way] = now;

@@ -35,7 +35,9 @@ class InversionPolicy
     /** Called once when installed. */
     virtual void attach(Cache &, Cycle) {}
 
-    /** Called every cycle by Cache::tick. */
+    /** Called by every Cache::tick: once per cycle under Pipeline,
+     *  once per uop under MemTimingSim (README, "Known
+     *  deviations"). */
     virtual void onCycle(Cache &, Cycle) {}
 
     /** Called after a miss fill (the last flag: the victim was an

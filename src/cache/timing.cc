@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 
 #include "common/threadpool.hh"
 #include "core/engine.hh"
@@ -66,18 +67,122 @@ sameGeometry(const CacheConfig &a, const CacheConfig &b)
         std::bit_cast<std::uint64_t>(b.writePortFreeProb);
 }
 
-/**
- * The missing cells of one trace: one stream, one baseline per
- * distinct geometry pair, and one mechanism run per cell.
- */
-std::vector<MemLossSample>
-simulateTraceCells(const WorkloadSet &workload, unsigned index,
-                   std::size_t uops_per_trace,
-                   const std::vector<MemCell> &cells,
-                   const MemTimingParams &params, double time_scale)
+bool
+testBit(const std::vector<std::uint64_t> &bits, std::size_t k)
 {
-    TraceGenerator gen = workload.generator(index);
-    const MemStream stream = MemStream::generate(gen, uops_per_trace);
+    return (bits[k >> 6] >> (k & 63)) & 1;
+}
+
+void
+setBit(std::vector<std::uint64_t> &bits, std::size_t k)
+{
+    bits[k >> 6] |= std::uint64_t(1) << (k & 63);
+}
+
+/** Clear @p record for @p mem_uops memory uops and log @p cache's
+ *  tie evictions into it (no-op for a null record). */
+void
+beginRecord(Cache &cache, MissRecord *record, std::size_t mem_uops)
+{
+    if (!record)
+        return;
+    record->misses.assign((mem_uops + 63) / 64, 0);
+    record->ties.clear();
+    cache.logTieEvictions(&record->ties);
+}
+
+/** The records simulateStreamCells replays against: one per
+ *  geometry of one side, from the first run that simulated it
+ *  without a mechanism. */
+struct SideRecord
+{
+    const CacheConfig *geometry;
+    MissRecord record;
+};
+
+const MissRecord *
+findRecord(const std::vector<SideRecord> &records,
+           const CacheConfig &geometry)
+{
+    for (const SideRecord &r : records) {
+        if (sameGeometry(*r.geometry, geometry))
+            return &r.record;
+    }
+    return nullptr;
+}
+
+/** Whether replays may charge @p geometry's misses from a record:
+ *  see simulateStreamCells. */
+bool
+replayable(const CacheConfig &geometry, const MemTimingParams &params)
+{
+    return params.baseCpi >= 0.5 &&
+        geometry.replacement == ReplacementPolicy::Lru;
+}
+
+} // namespace
+
+std::vector<MemLossSample>
+simulateStreamCells(const MemStream &stream,
+                    const std::vector<MemCell> &cells,
+                    const MemTimingParams &params, double time_scale)
+{
+    std::vector<SideRecord> dl0_records;
+    std::vector<SideRecord> dtlb_records;
+    auto sim = [&](const MemCell &cell, MechanismKind dl0,
+                   MechanismKind dtlb) {
+        return MemTimingSim(cell.dl0, cell.dtlb, params, dl0, dtlb,
+                            time_scale);
+    };
+    constexpr MechanismKind none = MechanismKind::None;
+
+    // A geometry pair's cycles without mechanisms: replay the cache
+    // not yet recorded (the DTLB if both are) against the other's
+    // record, else run both; keep the records of new geometries.
+    auto baseline = [&](const MemCell &cell) {
+        const MissRecord *dl0 = findRecord(dl0_records, cell.dl0);
+        const MissRecord *dtlb = findRecord(dtlb_records, cell.dtlb);
+        MissRecord dl0_new;
+        MissRecord dtlb_new;
+        std::optional<MemSimResult> r;
+        if (dl0) {
+            r = sim(cell, none, none)
+                    .replay(stream, MemSide::Dtlb, *dl0, &dtlb_new);
+        } else if (dtlb) {
+            r = sim(cell, none, none)
+                    .replay(stream, MemSide::Dl0, *dtlb, &dl0_new);
+        }
+        if (!r)
+            r = sim(cell, none, none).run(stream, &dl0_new, &dtlb_new);
+        if (!dl0 && replayable(cell.dl0, params))
+            dl0_records.push_back({&cell.dl0, std::move(dl0_new)});
+        if (!dtlb && replayable(cell.dtlb, params))
+            dtlb_records.push_back({&cell.dtlb, std::move(dtlb_new)});
+        return r->cycles;
+    };
+
+    // A cell's run: a mechanism on one side replays that side alone
+    // against the other side's record.
+    auto mechanism = [&](const MemCell &cell) {
+        const bool on_dl0 = cell.dtlbMechanism == none;
+        if (on_dl0 != (cell.dl0Mechanism == none)) {
+            const MissRecord *other = on_dl0
+                ? findRecord(dtlb_records, cell.dtlb)
+                : findRecord(dl0_records, cell.dl0);
+            if (other) {
+                if (const auto r =
+                        sim(cell, cell.dl0Mechanism,
+                            cell.dtlbMechanism)
+                            .replay(stream,
+                                    on_dl0 ? MemSide::Dl0
+                                           : MemSide::Dtlb,
+                                    *other))
+                    return *r;
+            }
+        }
+        return sim(cell, cell.dl0Mechanism, cell.dtlbMechanism)
+            .run(stream);
+    };
 
     struct Baseline
     {
@@ -95,16 +200,10 @@ simulateTraceCells(const WorkloadSet &workload, unsigned index,
                     sameGeometry(b.geometry->dtlb, cell.dtlb);
             });
         if (base == baselines.end()) {
-            MemTimingSim sim(cell.dl0, cell.dtlb, params,
-                             MechanismKind::None, MechanismKind::None,
-                             time_scale);
-            baselines.push_back({&cell, sim.run(stream).cycles});
+            baselines.push_back({&cell, baseline(cell)});
             base = baselines.end() - 1;
         }
-        MemTimingSim mech(cell.dl0, cell.dtlb, params,
-                          cell.dl0Mechanism, cell.dtlbMechanism,
-                          time_scale);
-        const MemSimResult rm = mech.run(stream);
+        const MemSimResult rm = mechanism(cell);
         out[c].loss = rm.cycles / base->cycles - 1.0;
         out[c].normalizedCycles = rm.cycles / base->cycles;
         out[c].dl0InvertRatio = rm.dl0AvgInvertRatio;
@@ -112,8 +211,6 @@ simulateTraceCells(const WorkloadSet &workload, unsigned index,
     }
     return out;
 }
-
-} // namespace
 
 const char *
 mechanismName(MechanismKind kind)
@@ -204,7 +301,8 @@ MemStream::generate(TraceGenerator &gen, std::size_t num_uops)
 
 template <class Next>
 MemSimResult
-MemTimingSim::runLoop(std::size_t num_uops, Next &&next)
+MemTimingSim::runLoop(std::size_t num_uops, Next &&next,
+                      MissRecord *dl0_record, MissRecord *dtlb_record)
 {
     PENELOPE_OBS_COUNTER("memsim.runs", "1").add();
     MemSimResult r;
@@ -216,16 +314,22 @@ MemTimingSim::runLoop(std::size_t num_uops, Next &&next)
         dtlb_.tick(now);
         cycles += params_.baseCpi;
         if (ref.kind != MemKind::Other) {
-            ++r.memOps;
             const bool is_write = ref.kind == MemKind::Store;
             const AccessResult tlb =
                 dtlb_.access(ref.addr, false, now, ref.addr >> 12);
-            if (!tlb.hit)
+            if (!tlb.hit) {
                 cycles += params_.dtlbMissPenalty;
+                if (dtlb_record)
+                    setBit(dtlb_record->misses, r.memOps);
+            }
             const AccessResult l1 =
                 dl0_.access(ref.addr, is_write, now, ref.data);
-            if (!l1.hit)
+            if (!l1.hit) {
                 cycles += params_.dl0MissPenalty;
+                if (dl0_record)
+                    setBit(dl0_record->misses, r.memOps);
+            }
+            ++r.memOps;
         }
     }
     r.uops = num_uops;
@@ -254,18 +358,109 @@ MemTimingSim::run(TraceGenerator &gen, std::size_t num_uops)
 }
 
 MemSimResult
-MemTimingSim::run(const MemStream &stream)
+MemTimingSim::run(const MemStream &stream, MissRecord *dl0_record,
+                  MissRecord *dtlb_record)
 {
+    beginRecord(dl0_, dl0_record, stream.addrs.size());
+    beginRecord(dtlb_, dtlb_record, stream.addrs.size());
     std::size_t mem = 0;
     std::size_t i = 0;
-    return runLoop(stream.size(), [&] {
-        const MemKind kind = stream.kinds[i++];
+    const MemSimResult r = runLoop(
+        stream.size(),
+        [&] {
+            const MemKind kind = stream.kinds[i++];
+            if (kind == MemKind::Other)
+                return MemRef{};
+            const MemRef ref{kind, stream.addrs[mem],
+                             stream.data[mem]};
+            ++mem;
+            return ref;
+        },
+        dl0_record, dtlb_record);
+    dl0_.logTieEvictions(nullptr);
+    dtlb_.logTieEvictions(nullptr);
+    return r;
+}
+
+std::optional<MemSimResult>
+MemTimingSim::replay(const MemStream &stream, MemSide side,
+                     const MissRecord &other, MissRecord *record)
+{
+    PENELOPE_OBS_COUNTER("memsim.side_runs", "1").add();
+    // Registered before any fallback, so a dump shows a 0.
+    const auto &fallbacks = PENELOPE_OBS_COUNTER("memsim.fallbacks", "1");
+    assert(params_.baseCpi >= 0.5);
+    const bool on_dl0 = side == MemSide::Dl0;
+    Cache &cache = on_dl0 ? dl0_ : dtlb_;
+    const std::size_t mem_uops = stream.addrs.size();
+    beginRecord(cache, record, mem_uops);
+    // Bit k: memory uops k - 1 and k share a cycle.
+    std::vector<std::uint64_t> tied((mem_uops + 63) / 64, 0);
+    std::uint64_t other_misses = 0;
+    double cycles = 0.0;
+    Cycle last = ~Cycle(0);
+    std::size_t k = 0;
+    for (const MemKind kind : stream.kinds) {
+        const Cycle now = static_cast<Cycle>(cycles);
+        cache.tick(now);
+        cycles += params_.baseCpi;
         if (kind == MemKind::Other)
-            return MemRef{};
-        const MemRef ref{kind, stream.addrs[mem], stream.data[mem]};
-        ++mem;
-        return ref;
-    });
+            continue;
+        if (now == last)
+            setBit(tied, k);
+        last = now;
+        const Addr addr = stream.addrs[k];
+        const bool other_miss = testBit(other.misses, k);
+        other_misses += other_miss;
+        // Penalties in the two-cache loop's order: DTLB, then DL0.
+        bool miss;
+        if (on_dl0) {
+            if (other_miss)
+                cycles += params_.dtlbMissPenalty;
+            miss = !dl0_.access(addr, kind == MemKind::Store, now,
+                                stream.data[k])
+                        .hit;
+            if (miss)
+                cycles += params_.dl0MissPenalty;
+        } else {
+            miss = !dtlb_.access(addr, false, now, addr >> 12).hit;
+            if (miss)
+                cycles += params_.dtlbMissPenalty;
+            if (other_miss)
+                cycles += params_.dl0MissPenalty;
+        }
+        if (record && miss)
+            setBit(record->misses, k);
+        ++k;
+    }
+    cache.logTieEvictions(nullptr);
+    for (const TieEviction &e : other.ties) {
+        if (testBit(tied, e.older + 1) != e.tied) {
+            fallbacks.add();
+            return std::nullopt;
+        }
+    }
+
+    MemSimResult r;
+    r.uops = stream.size();
+    r.memOps = mem_uops;
+    r.cycles = cycles;
+    const Cycle end = static_cast<Cycle>(cycles);
+    const double ratio = cache.averageInvertRatio(end);
+    if (on_dl0) {
+        r.dl0Hits = dl0_.hits();
+        r.dl0Misses = dl0_.misses();
+        r.dtlbHits = mem_uops - other_misses;
+        r.dtlbMisses = other_misses;
+        r.dl0AvgInvertRatio = ratio;
+    } else {
+        r.dl0Hits = mem_uops - other_misses;
+        r.dl0Misses = other_misses;
+        r.dtlbHits = dtlb_.hits();
+        r.dtlbMisses = dtlb_.misses();
+        r.dtlbAvgInvertRatio = ratio;
+    }
+    return r;
 }
 
 std::vector<std::vector<MemLossSample>>
@@ -289,8 +484,10 @@ simulateMemCells(const WorkloadSet &workload,
         },
         [&](unsigned index, std::size_t,
             const std::vector<MemCell> &missing) {
-            return simulateTraceCells(workload, index, uops_per_trace,
-                                      missing, params, time_scale);
+            TraceGenerator gen = workload.generator(index);
+            return simulateStreamCells(
+                MemStream::generate(gen, uops_per_trace), missing,
+                params, time_scale);
         });
 }
 

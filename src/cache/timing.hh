@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache.hh"
@@ -106,6 +107,26 @@ struct MemStream
     std::size_t size() const { return kinds.size(); }
 };
 
+/** The cache a one-cache replay simulates. */
+enum class MemSide : std::uint8_t
+{
+    Dl0,
+    Dtlb,
+};
+
+/**
+ * What one run recorded of a cache without a mechanism: its misses
+ * and the evictions a cycle tie could decide.  Under any timing that
+ * ties each logged eviction's two accesses alike, the cache hits and
+ * misses exactly as recorded, so a replay can charge its misses
+ * without simulating it.
+ */
+struct MissRecord
+{
+    std::vector<std::uint64_t> misses; ///< bit k: memory uop k missed
+    std::vector<TieEviction> ties;     ///< Cache::logTieEvictions
+};
+
 /**
  * One DL0 + DTLB pair driven by a uop stream.
  */
@@ -123,16 +144,40 @@ class MemTimingSim
     MemSimResult run(TraceGenerator &gen, std::size_t num_uops);
 
     /** Run every uop of @p stream; the same result as run(gen, n)
-     *  on the generator the stream was drawn from. */
-    MemSimResult run(const MemStream &stream);
+     *  on the generator the stream was drawn from.  A non-null
+     *  record receives that cache's misses and tie evictions; a
+     *  recorded cache must carry no mechanism. */
+    MemSimResult run(const MemStream &stream,
+                     MissRecord *dl0_record = nullptr,
+                     MissRecord *dtlb_record = nullptr);
+
+    /**
+     * Simulate only the @p side cache of @p stream and charge the
+     * other side's misses from @p other, a record of the other
+     * geometry without a mechanism on the same stream.  The result
+     * is exactly run(stream)'s, the unsimulated side reading its
+     * hits and misses from @p other and an invert ratio of 0 --
+     * unless a logged eviction of @p other ties differently under
+     * this run's timing.  Then the other cache might have evicted
+     * differently, and the result is nullopt.  A non-null @p record
+     * records the simulated cache as run() does.  Needs
+     * MemTimingParams::baseCpi >= 0.5, so that only consecutive
+     * accesses can share a cycle.
+     */
+    std::optional<MemSimResult> replay(const MemStream &stream,
+                                       MemSide side,
+                                       const MissRecord &other,
+                                       MissRecord *record = nullptr);
 
     Cache &dl0() { return dl0_; }
     Cache &dtlb() { return dtlb_; }
 
   private:
-    /** The one simulation loop; @p next yields one MemRef per uop. */
+    /** The two-cache loop; @p next yields one MemRef per uop. */
     template <class Next>
-    MemSimResult runLoop(std::size_t num_uops, Next &&next);
+    MemSimResult runLoop(std::size_t num_uops, Next &&next,
+                         MissRecord *dl0_record = nullptr,
+                         MissRecord *dtlb_record = nullptr);
 
     MemTimingParams params_;
     Cache dl0_;
@@ -184,12 +229,10 @@ struct MemCell
  * The driver is trace-major: one engine task per trace looks every
  * cell up in @p cache (per-cell keys, so entries written by a
  * one-cell call are shared), and only if some cell misses does it
- * generate the trace once into a MemStream, run each distinct
- * (DL0, DTLB) geometry's baseline once, and run each missing cell's
- * mechanism.  Geometry equality ignores CacheConfig::name, exactly
- * as the cache key does.  Tasks share nothing and samples land in
- * per-trace slots, so the result is bit-identical for any @p jobs
- * and with a cold, warm, or absent cache.
+ * generate the trace once into a MemStream and price the missing
+ * cells with simulateStreamCells.  Tasks share nothing and samples
+ * land in per-trace slots, so the result is bit-identical for any
+ * @p jobs and with a cold, warm, or absent cache.
  */
 std::vector<std::vector<MemLossSample>>
 simulateMemCells(const WorkloadSet &workload,
@@ -200,6 +243,34 @@ simulateMemCells(const WorkloadSet &workload,
                  double time_scale = 0.1, unsigned jobs = 1,
                  ThreadPool *pool = nullptr,
                  ResultCache *cache = nullptr);
+
+/**
+ * Price @p cells on one stream: each distinct (DL0, DTLB) geometry
+ * pair's baseline once, then each cell's mechanism.  Geometry
+ * equality ignores CacheConfig::name, exactly as the cache key does.
+ *
+ * A cache without a mechanism is simulated as rarely as is exact.
+ * Its hits and misses depend on time only through LRU ties: two
+ * lines last used in one cycle keep the first way, not the older
+ * line.  At baseCpi >= 0.5 only consecutive accesses share a cycle,
+ * so a tie can move a victim only when the two oldest lines of a
+ * full set came from consecutive accesses and the newer one sits at
+ * the lower way.  The first baseline runs both caches and records
+ * each one's misses and such evictions (MissRecord).  A later
+ * baseline that shares a geometry with a recorded cache simulates
+ * only its other cache (MemTimingSim::replay) and records it too;
+ * a cell with a mechanism on one side simulates only that side.  A
+ * replay that ties some recorded eviction differently is discarded
+ * and the cell runs both caches, as does every cell with two
+ * mechanisms, a non-LRU cache without a mechanism, or
+ * baseCpi < 0.5.  Samples are bit-identical to two-cache runs of
+ * every cell.
+ */
+std::vector<MemLossSample>
+simulateStreamCells(const MemStream &stream,
+                    const std::vector<MemCell> &cells,
+                    const MemTimingParams &params = MemTimingParams(),
+                    double time_scale = 0.1);
 
 /** Fold one cell's per-trace samples, in trace order, into Table-3
  *  statistics; @p dl0_ratio picks which invert ratio is averaged. */

@@ -8,31 +8,11 @@
 namespace penelope {
 
 PmosAgingTracker::PmosAgingTracker(const Netlist &netlist)
-    : netlist_(netlist)
+    : netlist_(netlist),
+      deviceSlot_(netlist.pmosDeviceSlots()),
+      slotNet_(netlist.pmosGateNets()),
+      slotZeroTime_(slotNet_.size(), 0)
 {
-    // Devices gated by the same net share one zero-time slot: they
-    // always observe the same value, so per-device counters would
-    // only be duplicates.  Sort-based grouping rather than a map:
-    // the tracker is rebuilt per analysis call, so construction
-    // cost is on the measured path.  Slots are in ascending net
-    // order, so the batch observe loops sweep the word array in
-    // order.
-    const auto &devices = netlist.pmosDevices();
-    slotNet_.reserve(devices.size());
-    for (const PmosDevice &d : devices)
-        slotNet_.push_back(d.gateSignal);
-    std::sort(slotNet_.begin(), slotNet_.end());
-    slotNet_.erase(std::unique(slotNet_.begin(), slotNet_.end()),
-                   slotNet_.end());
-
-    deviceSlot_.reserve(devices.size());
-    for (const PmosDevice &d : devices) {
-        deviceSlot_.push_back(static_cast<std::uint32_t>(
-            std::lower_bound(slotNet_.begin(), slotNet_.end(),
-                             d.gateSignal) -
-            slotNet_.begin()));
-    }
-    slotZeroTime_.assign(slotNet_.size(), 0);
 }
 
 void

@@ -134,12 +134,14 @@ class PmosAgingTracker
   private:
     const Netlist &netlist_;
 
-    /** Per device: index into the per-net slot arrays. */
-    std::vector<std::uint32_t> deviceSlot_;
+    /** Per device: index into the per-net slot arrays.  The
+     *  grouping is the netlist's (Netlist::pmosDeviceSlots), built
+     *  once at finalize(), so a tracker only allocates counters. */
+    const std::vector<std::uint32_t> &deviceSlot_;
 
     /** Per slot: the gate net (ascending) and its accumulated
      *  zero-time. */
-    std::vector<SignalId> slotNet_;
+    const std::vector<SignalId> &slotNet_;
     std::vector<std::uint64_t> slotZeroTime_;
 
     /** Shared total observed time (identical for every device). */

@@ -429,6 +429,24 @@ Netlist::finalize(unsigned wide_fanout)
         }
     }
 
+    // Group devices by gate net, sort-based rather than a map.
+    // Ascending nets let the trackers' batch observe loops sweep
+    // the net word array in order.
+    pmosGateNets_.clear();
+    for (const PmosDevice &d : pmos_)
+        pmosGateNets_.push_back(d.gateSignal);
+    std::sort(pmosGateNets_.begin(), pmosGateNets_.end());
+    pmosGateNets_.erase(
+        std::unique(pmosGateNets_.begin(), pmosGateNets_.end()),
+        pmosGateNets_.end());
+    pmosDeviceSlots_.clear();
+    for (const PmosDevice &d : pmos_) {
+        pmosDeviceSlots_.push_back(static_cast<std::uint32_t>(
+            std::lower_bound(pmosGateNets_.begin(),
+                             pmosGateNets_.end(), d.gateSignal) -
+            pmosGateNets_.begin()));
+    }
+
     // Logic depth.
     std::vector<unsigned> sig_depth(producers_.size(), 0);
     depth_ = 0;
@@ -454,6 +472,20 @@ Netlist::pmosDevices() const
 {
     assert(finalized_);
     return pmos_;
+}
+
+const std::vector<SignalId> &
+Netlist::pmosGateNets() const
+{
+    assert(finalized_);
+    return pmosGateNets_;
+}
+
+const std::vector<std::uint32_t> &
+Netlist::pmosDeviceSlots() const
+{
+    assert(finalized_);
+    return pmosDeviceSlots_;
 }
 
 SignalId

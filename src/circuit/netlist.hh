@@ -186,6 +186,15 @@ class Netlist
     /** Extracted PMOS devices (valid after finalize()). */
     const std::vector<PmosDevice> &pmosDevices() const;
 
+    /**
+     * The distinct gate nets of the PMOS devices, ascending, and per
+     * device the index of its gate net there (valid after
+     * finalize()).  Devices gated by one net always observe the same
+     * value, so PmosAgingTracker keeps one zero-time slot per net.
+     */
+    const std::vector<SignalId> &pmosGateNets() const;
+    const std::vector<std::uint32_t> &pmosDeviceSlots() const;
+
     /** Total PMOS count (valid after finalize()). */
     std::size_t numPmos() const { return pmos_.size(); }
 
@@ -249,6 +258,8 @@ class Netlist
     std::vector<std::string> inputNames_;
     std::vector<unsigned> fanout_;
     std::vector<PmosDevice> pmos_;
+    std::vector<SignalId> pmosGateNets_;
+    std::vector<std::uint32_t> pmosDeviceSlots_;
     std::vector<std::uint32_t> forcedWide_;
     unsigned depth_ = 0;
     bool finalized_ = false;

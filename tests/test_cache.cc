@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -17,6 +18,7 @@
 #include "cache/cache.hh"
 #include "cache/inversion.hh"
 #include "cache/timing.hh"
+#include "obs/metrics.hh"
 #include "trace/workload.hh"
 
 namespace penelope {
@@ -601,6 +603,220 @@ TEST(Timing, StreamReplayMatchesGeneratorRun)
                 biasDigest(by_stream.dtlb().finalizeDataBias(end)),
                 want.dtlbBias);
         }
+    }
+}
+
+/** Table 3's cells, in runTable3Experiment's order: each DL0 row's
+ *  mechanisms on the default DTLB, each DTLB row's on the default
+ *  DL0, WayFixed50% on the default DL0, LineFixed50% on both. */
+std::vector<MemCell>
+table3Cells()
+{
+    const CacheConfig dl0;
+    const CacheConfig dtlb = CacheConfig::tlb(128, 8);
+    const MechanismKind mechanisms[] = {MechanismKind::SetFixed50,
+                                        MechanismKind::LineFixed50,
+                                        MechanismKind::LineDynamic60};
+    std::vector<MemCell> cells;
+    for (const unsigned ways : {8u, 4u}) {
+        for (const unsigned kb : {32u, 16u, 8u}) {
+            CacheConfig row;
+            row.sizeBytes = kb * 1024;
+            row.ways = ways;
+            for (const MechanismKind m : mechanisms)
+                cells.push_back({row, dtlb, m, MechanismKind::None});
+        }
+    }
+    for (const unsigned entries : {128u, 64u, 32u}) {
+        for (const MechanismKind m : mechanisms) {
+            cells.push_back({dl0, CacheConfig::tlb(entries, 8),
+                             MechanismKind::None, m});
+        }
+    }
+    cells.push_back({dl0, dtlb, MechanismKind::WayFixed50,
+                     MechanismKind::None});
+    cells.push_back({dl0, dtlb, MechanismKind::LineFixed50,
+                     MechanismKind::LineFixed50});
+    return cells;
+}
+
+/** The oracle: @p cell as two two-cache runs, baseline and
+ *  mechanism, folded as the driver folds them. */
+MemLossSample
+jointSample(const MemStream &stream, const MemCell &cell,
+            double time_scale)
+{
+    MemTimingSim base(cell.dl0, cell.dtlb, MemTimingParams(),
+                      MechanismKind::None, MechanismKind::None,
+                      time_scale);
+    MemTimingSim mech(cell.dl0, cell.dtlb, MemTimingParams(),
+                      cell.dl0Mechanism, cell.dtlbMechanism,
+                      time_scale);
+    const double base_cycles = base.run(stream).cycles;
+    const MemSimResult r = mech.run(stream);
+    return {r.cycles / base_cycles - 1.0, r.cycles / base_cycles,
+            r.dl0AvgInvertRatio, r.dtlbAvgInvertRatio};
+}
+
+void
+expectSameBits(const MemLossSample &a, const MemLossSample &b)
+{
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.loss),
+              std::bit_cast<std::uint64_t>(b.loss));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.normalizedCycles),
+              std::bit_cast<std::uint64_t>(b.normalizedCycles));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.dl0InvertRatio),
+              std::bit_cast<std::uint64_t>(b.dl0InvertRatio));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.dtlbInvertRatio),
+              std::bit_cast<std::uint64_t>(b.dtlbInvertRatio));
+}
+
+std::uint64_t
+counterValue(const char *name)
+{
+    const obs::Snapshot snap = obs::Registry::instance().scrape();
+    const obs::SnapshotMetric *m = snap.find(name);
+    return m ? m->scalar() : 0;
+}
+
+TEST(Timing, SplitReplayMatchesJoint)
+{
+    // Every Table-3 cell, priced by the split driver, equals two
+    // two-cache runs bit for bit, on traces of the default and of
+    // another workload seed.  Per trace the split runs both caches
+    // twice (the first baseline and the two-sided cell) and one
+    // cache for the other 7 baselines and 28 cells.  Two more cells
+    // have a non-LRU DL0: its baselines replay it against the
+    // DTLB's record, the random one carries a mechanism and replays
+    // likewise, but the pLRU one carries none while the DTLB does,
+    // so that cell runs both caches.
+    std::vector<MemCell> cells = table3Cells();
+    ASSERT_EQ(cells.size(), 29u);
+    CacheConfig plru;
+    plru.replacement = ReplacementPolicy::PseudoLru;
+    CacheConfig random;
+    random.replacement = ReplacementPolicy::Random;
+    cells.push_back({plru, CacheConfig::tlb(128, 8), MechanismKind::None,
+                     MechanismKind::LineFixed50});
+    cells.push_back({random, CacheConfig::tlb(128, 8),
+                     MechanismKind::LineFixed50, MechanismKind::None});
+    constexpr double time_scale = 0.05;
+    const obs::ScopedEnable enable;
+    const std::uint64_t runs_before = counterValue("memsim.runs");
+    const std::uint64_t sides_before =
+        counterValue("memsim.side_runs");
+    const std::uint64_t fallbacks_before =
+        counterValue("memsim.fallbacks");
+    unsigned streams = 0;
+    for (const std::uint64_t seed :
+         {std::uint64_t(0x50454e454c4f50), std::uint64_t(0x5eed)}) {
+        const WorkloadSet w(seed);
+        for (const unsigned index : w.strided(96)) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " trace " +
+                         std::to_string(index));
+            TraceGenerator gen = w.generator(index);
+            const MemStream stream = MemStream::generate(gen, 20000);
+            const std::vector<MemLossSample> split =
+                simulateStreamCells(stream, cells, MemTimingParams(),
+                                    time_scale);
+            ++streams;
+            ASSERT_EQ(split.size(), cells.size());
+            for (std::size_t c = 0; c < cells.size(); ++c) {
+                SCOPED_TRACE("cell " + std::to_string(c));
+                expectSameBits(split[c],
+                               jointSample(stream, cells[c],
+                                           time_scale));
+            }
+        }
+    }
+    if (obs::kCompiledIn) {
+        // The oracle makes 2 two-cache runs per cell, the split 3
+        // per stream plus one per fallback.
+        EXPECT_EQ(counterValue("memsim.side_runs") - sides_before,
+                  streams * 38u);
+        EXPECT_EQ(counterValue("memsim.runs") - runs_before,
+                  streams * (3 + 2 * cells.size()) +
+                      counterValue("memsim.fallbacks") -
+                      fallbacks_before);
+    }
+}
+
+TEST(Timing, SplitReplayGuardCatchesTieFlip)
+{
+    // One-set DL0 and DTLB, two ways each.  In the baseline, DTLB
+    // accesses 3 (page B, way 1) and 4 (page A, way 0) share cycle
+    // 99, so access 5 (page C) evicts the newer page A by the
+    // first-way tie rule, and access 6 misses on it.  WayFixed50%
+    // leaves the DL0 one way, so access 3 misses the DL0: its 12
+    // cycles split the tie, page B goes instead and access 6 hits.
+    // The DTLB's recorded misses are wrong for that cell, and only
+    // the tie guard can tell.
+    CacheConfig dl0;
+    dl0.sizeBytes = 128;
+    dl0.ways = 2;
+    const CacheConfig dtlb = CacheConfig::tlb(2, 2);
+    ASSERT_EQ(dl0.numSets(), 1u);
+    ASSERT_EQ(dtlb.numSets(), 1u);
+
+    MemStream stream;
+    const Addr page_a = 0x0000, page_b = 0x1000, page_c = 0x2000;
+    for (const Addr addr :
+         {page_a, page_b, page_b + 0x40, Addr(1), Addr(1), page_b,
+          page_a, page_c, page_a}) {
+        if (addr == 1) {
+            stream.kinds.push_back(MemKind::Other);
+            continue;
+        }
+        stream.kinds.push_back(MemKind::Load);
+        stream.addrs.push_back(addr);
+        stream.data.push_back(addr);
+    }
+
+    MemTimingSim reference(dl0, dtlb, MemTimingParams(),
+                           MechanismKind::None, MechanismKind::None);
+    MissRecord dl0_record;
+    MissRecord dtlb_record;
+    reference.run(stream, &dl0_record, &dtlb_record);
+    ASSERT_EQ(dtlb_record.ties.size(), 1u);
+    EXPECT_EQ(dtlb_record.ties[0].older, 3u);
+    EXPECT_TRUE(dtlb_record.ties[0].tied);
+    EXPECT_EQ(dtlb_record.misses,
+              std::vector<std::uint64_t>{0b1100011});
+
+    const MemCell cell{dl0, dtlb, MechanismKind::WayFixed50,
+                       MechanismKind::None};
+    const MemSimResult joint =
+        MemTimingSim(dl0, dtlb, MemTimingParams(), cell.dl0Mechanism,
+                     MechanismKind::None, 1.0)
+            .run(stream);
+    EXPECT_EQ(joint.dtlbMisses, 3u);
+
+    // The guard fires ...
+    EXPECT_FALSE(MemTimingSim(dl0, dtlb, MemTimingParams(),
+                              cell.dl0Mechanism, MechanismKind::None,
+                              1.0)
+                     .replay(stream, MemSide::Dl0, dtlb_record));
+    // ... where the unguarded replay charges a fourth DTLB miss.
+    MissRecord unguarded = dtlb_record;
+    unguarded.ties.clear();
+    const auto wrong =
+        MemTimingSim(dl0, dtlb, MemTimingParams(), cell.dl0Mechanism,
+                     MechanismKind::None, 1.0)
+            .replay(stream, MemSide::Dl0, unguarded);
+    ASSERT_TRUE(wrong);
+    EXPECT_EQ(wrong->dtlbMisses, 4u);
+    EXPECT_EQ(wrong->cycles, joint.cycles + 30);
+
+    // The driver falls back to the two-cache run.
+    const obs::ScopedEnable enable;
+    const std::uint64_t fallbacks_before =
+        counterValue("memsim.fallbacks");
+    const std::vector<MemLossSample> split =
+        simulateStreamCells(stream, {cell}, MemTimingParams(), 1.0);
+    expectSameBits(split[0], jointSample(stream, cell, 1.0));
+    if (obs::kCompiledIn) {
+        EXPECT_EQ(counterValue("memsim.fallbacks") - fallbacks_before,
+                  1u);
     }
 }
 

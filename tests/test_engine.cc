@@ -467,12 +467,18 @@ expectSameSamples(const std::vector<MemLossSample> &a,
     }
 }
 
+/** Cache simulations so far: two-cache runs plus one-cache
+ *  replays, less the replays a fallback repeated as two-cache runs. */
 std::uint64_t
 memsimRuns()
 {
     const obs::Snapshot snap = obs::Registry::instance().scrape();
-    const obs::SnapshotMetric *m = snap.find("memsim.runs");
-    return m ? m->scalar() : 0;
+    auto count = [&](const char *name) -> std::uint64_t {
+        const obs::SnapshotMetric *m = snap.find(name);
+        return m ? m->scalar() : 0;
+    };
+    return count("memsim.runs") + count("memsim.side_runs") -
+        count("memsim.fallbacks");
 }
 
 TEST(MemCells, MultiCellMatchesOneCellCalls)

@@ -49,7 +49,6 @@
 #include "core/registry.hh"
 #include "core/resultcache.hh"
 #include "core/surrogate_sweep.hh"
-#include "obs/exposition.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -130,11 +129,6 @@ usage(std::ostream &os, int exit_code)
           "sorted 'obs: name value'\n"
           "               snapshot to stderr after the run (stdout "
           "is unchanged)\n"
-          "  --metrics-port PORT\n"
-          "               serve Prometheus text exposition over "
-          "HTTP while running\n"
-          "               (0 = ephemeral; the port is announced on "
-          "stderr)\n"
           "  --trace-out FILE\n"
           "               write a Chrome trace_event JSON span "
           "trace (load it in\n"
@@ -447,8 +441,6 @@ main(int argc, char **argv)
     bool surrogate_stats_mode = false;
 
     bool metrics_dump = false;
-    bool metrics_port_set = false;
-    std::uint16_t metrics_port = 0;
     std::string trace_out;
 
     for (int i = 1; i < argc; ++i) {
@@ -461,13 +453,6 @@ main(int argc, char **argv)
             return 0;
         } else if (!std::strcmp(arg, "--metrics-dump")) {
             metrics_dump = true;
-        } else if (!std::strcmp(arg, "--metrics-port")) {
-            if (!parseCount("--metrics-port",
-                            i + 1 < argc ? argv[++i] : nullptr, 0,
-                            65535, value))
-                return 2;
-            metrics_port = static_cast<std::uint16_t>(value);
-            metrics_port_set = true;
         } else if (!std::strcmp(arg, "--trace-out")) {
             if (i + 1 >= argc) {
                 std::cerr << "penelope_bench: --trace-out "
@@ -558,17 +543,14 @@ main(int argc, char **argv)
     }
 
     // Observability session: emission stays runtime-off unless a
-    // flag asks for it, and every sink writes to stderr, a file or
-    // a socket -- stdout carries only experiment statistics either
-    // way.  The guard tears everything down on every exit path; its
-    // destructor joins the server thread first.
+    // flag asks for it, and every sink writes to stderr or a file --
+    // stdout carries only experiment statistics either way.  The
+    // guard tears everything down on every exit path.
     struct ObsGuard
     {
         bool dump = false;
-        obs::MetricsServer server;
         ~ObsGuard()
         {
-            server.stop();
             obs::Tracer::instance().close();
             if (dump) {
                 std::cerr << obs::renderDump(
@@ -577,7 +559,7 @@ main(int argc, char **argv)
         }
     } obs_guard;
     obs_guard.dump = metrics_dump;
-    if (metrics_dump || metrics_port_set || !trace_out.empty())
+    if (metrics_dump || !trace_out.empty())
         obs::Registry::instance().setEnabled(true);
     if (!trace_out.empty()) {
         std::string error;
@@ -587,17 +569,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (metrics_port_set) {
-        std::string error;
-        if (!obs_guard.server.start(metrics_port, &error)) {
-            std::cerr << "penelope_bench: --metrics-port: "
-                      << error << "\n";
-            return 2;
-        }
-        std::cerr << "penelope_bench: metrics on port "
-                  << obs_guard.server.port() << "\n";
-    }
-
     if (surrogate_stats_mode) {
         // After the parse loop so --jobs/--surrogate-audit apply
         // in any argument order.

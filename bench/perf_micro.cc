@@ -682,7 +682,7 @@ BM_ObsCounterIncDisabled(benchmark::State &state)
 }
 BENCHMARK(BM_ObsCounterIncDisabled);
 
-/** One histogram record: bucket index (bit_width) + two bumps. */
+/** One histogram record: two bumps (count and sum). */
 void
 BM_ObsHistogramRecord(benchmark::State &state)
 {
@@ -700,8 +700,8 @@ BM_ObsHistogramRecord(benchmark::State &state)
 BENCHMARK(BM_ObsHistogramRecord);
 
 /** A full scrape: merge every live shard + retired totals into a
- *  sorted snapshot.  Cold-path (--metrics-dump, --metrics-port
- *  requests), so ms-scale is acceptable; track it anyway. */
+ *  sorted snapshot.  Cold-path (once per --metrics-dump run), so
+ *  ms-scale is acceptable; track it anyway. */
 void
 BM_ObsScrape(benchmark::State &state)
 {

@@ -25,7 +25,6 @@ struct MetricDef
     std::string name;
     MetricKind kind = MetricKind::Counter;
     std::string unit;
-    std::string help;
     std::uint32_t slot = kInvalidSlot; ///< shard base
 };
 
@@ -83,7 +82,7 @@ slotCount(MetricKind kind)
 
 std::uint32_t
 registerMetric(MetricKind kind, const std::string &name,
-               const std::string &unit, const std::string &help)
+               const std::string &unit)
 {
     State &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
@@ -98,7 +97,6 @@ registerMetric(MetricKind kind, const std::string &name,
     def.name = name;
     def.kind = kind;
     def.unit = unit;
-    def.help = help;
     const std::size_t need = slotCount(kind);
     if (s.nextSlot + need > kSlotCapacity)
         std::abort();
@@ -157,22 +155,6 @@ monotonicMicros()
             .count());
 }
 
-std::uint64_t
-SnapshotMetric::count() const
-{
-    std::uint64_t n = 0;
-    for (std::size_t b = 0;
-         b < kHistBuckets && b < values.size(); ++b)
-        n += values[b];
-    return n;
-}
-
-std::uint64_t
-SnapshotMetric::sum() const
-{
-    return values.size() == kHistSlots ? values[kHistBuckets] : 0;
-}
-
 const SnapshotMetric *
 Snapshot::find(std::string_view name) const
 {
@@ -180,6 +162,26 @@ Snapshot::find(std::string_view name) const
         if (m.name == name)
             return &m;
     return nullptr;
+}
+
+std::string
+renderDump(const Snapshot &snap)
+{
+    std::string out;
+    for (const auto &m : snap.metrics) {
+        if (m.kind == MetricKind::Histogram) {
+            out += "obs: " + m.name + ".count " +
+                std::to_string(m.count()) + "\n";
+            out += "obs: " + m.name + ".sum " +
+                std::to_string(m.sum()) + " " + m.unit + "\n";
+            continue;
+        }
+        out += "obs: " + m.name + " " + std::to_string(m.scalar());
+        if (m.unit != "1")
+            out += " " + m.unit;
+        out.push_back('\n');
+    }
+    return out;
 }
 
 Registry &
@@ -190,31 +192,22 @@ Registry::instance()
 }
 
 Counter
-Registry::counter(const std::string &name,
-                  const std::string &unit,
-                  const std::string &help)
+Registry::counter(const std::string &name, const std::string &unit)
 {
-    return Counter(
-        registerMetric(MetricKind::Counter, name, unit, help));
+    return Counter(registerMetric(MetricKind::Counter, name, unit));
 }
 
 Histogram
-Registry::histogram(const std::string &name,
-                    const std::string &unit,
-                    const std::string &help)
+Registry::histogram(const std::string &name, const std::string &unit)
 {
     return Histogram(
-        registerMetric(MetricKind::Histogram, name, unit, help));
+        registerMetric(MetricKind::Histogram, name, unit));
 }
 
 void
 Registry::setEnabled(bool on)
 {
-#ifndef PENELOPE_NO_OBS
     detail::g_enabled.store(on, std::memory_order_relaxed);
-#else
-    (void)on;
-#endif
 }
 
 Snapshot

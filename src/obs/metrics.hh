@@ -2,7 +2,7 @@
  * @file
  * Zero-cost-when-off metrics registry.
  *
- * A process-wide registry of named counters and power-of-two
+ * A process-wide registry of named counters and count/sum
  * histograms, built for instrumenting hot loops that
  * must stay bit-identical and fast whether observability is on or
  * off:
@@ -14,31 +14,25 @@
  *    retired totals of exited threads, the same merge discipline
  *    the ISV statistics use: writers never contend, readers sum.
  *  - The *runtime-off* fast path is one relaxed atomic-bool load
- *    per site; until something enables the registry (a `--metrics-*`
- *    flag or `--trace-out`) no
+ *    per site; until something enables the registry
+ *    (`--metrics-dump` or `--trace-out`) no
  *    shard is ever allocated and no slot is ever touched.
- *  - The *compile-out* path (`PENELOPE_NO_OBS`) turns every
- *    emission body into nothing; registration still works so the
- *    CLI surface (`--metrics-dump`, `--version`) stays wired.
  *
  * Emission never writes to stdout and never touches an RNG
  * stream: the printed statistics of any run are byte-identical
- * with observability on, off, or compiled out (CI asserts this).
+ * with observability on or off (CI asserts this).
  *
- * Histogram buckets are consecutive powers of two: bucket 0 holds
- * exactly the value 0 and bucket b (1..64) holds values in
- * [2^(b-1), 2^b) -- i.e. bucket(v) == std::bit_width(v).  One
- * extra slot accumulates the raw sum so scrapes can report means.
+ * A histogram is two slots: the observation count and the raw sum,
+ * so a scrape reports means (`--metrics-dump` prints both).
  */
 
 #ifndef PENELOPE_OBS_METRICS_HH
 #define PENELOPE_OBS_METRICS_HH
 
-#include <array>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace penelope {
@@ -50,32 +44,8 @@ enum class MetricKind : std::uint8_t
     Histogram = 1,
 };
 
-/** True when the emission paths are compiled in at all. */
-#ifdef PENELOPE_NO_OBS
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
-/** Power-of-two histogram geometry: buckets 0..64 plus a sum
- *  slot.  bucketIndex(0) == 0; bucketIndex(v) == bit_width(v). */
-inline constexpr std::size_t kHistBuckets = 65;
-inline constexpr std::size_t kHistSlots = kHistBuckets + 1;
-
-inline constexpr std::size_t
-bucketIndex(std::uint64_t v)
-{
-    return static_cast<std::size_t>(std::bit_width(v));
-}
-
-/** Inclusive upper bound of bucket @p b (the Prometheus `le`). */
-inline constexpr std::uint64_t
-bucketBound(std::size_t b)
-{
-    return b == 0 ? 0
-        : b >= 64 ? ~std::uint64_t{0}
-                  : (std::uint64_t{1} << b) - 1;
-}
+/** Histogram geometry: the count slot, then the sum slot. */
+inline constexpr std::size_t kHistSlots = 2;
 
 /** Slot capacity of one thread shard; registration fails fast
  *  (std::abort) if the process ever outgrows it. */
@@ -123,11 +93,7 @@ bump(std::uint32_t slot, std::uint64_t n)
 inline bool
 enabled()
 {
-#ifdef PENELOPE_NO_OBS
-    return false;
-#else
     return detail::g_enabled.load(std::memory_order_relaxed);
-#endif
 }
 
 /** Microseconds on the process-wide monotonic clock every span
@@ -145,13 +111,9 @@ class Counter
     void
     add(std::uint64_t n = 1) const
     {
-#ifndef PENELOPE_NO_OBS
         if (!detail::g_enabled.load(std::memory_order_relaxed))
             return;
         detail::bump(slot_, n);
-#else
-        (void)n;
-#endif
     }
 
   private:
@@ -160,8 +122,8 @@ class Counter
     std::uint32_t slot_ = kInvalidSlot;
 };
 
-/** Power-of-two-bucketed value distribution (durations in us,
- *  sizes in bytes, ...).  record() bumps one bucket and the sum. */
+/** Value distribution (durations in us, sizes in bytes, ...)
+ *  kept as count and sum.  record() bumps both. */
 class Histogram
 {
   public:
@@ -170,16 +132,10 @@ class Histogram
     void
     record(std::uint64_t v) const
     {
-#ifndef PENELOPE_NO_OBS
         if (!detail::g_enabled.load(std::memory_order_relaxed))
             return;
-        detail::bump(base_ + static_cast<std::uint32_t>(
-                                 bucketIndex(v)),
-                     1);
-        detail::bump(base_ + kHistBuckets, v);
-#else
-        (void)v;
-#endif
+        detail::bump(base_, 1);
+        detail::bump(base_ + 1, v);
     }
 
   private:
@@ -203,21 +159,34 @@ struct SnapshotMetric
         return values.empty() ? 0 : values[0];
     }
 
-    /** Histogram observation count (sum over buckets). */
-    std::uint64_t count() const;
-    /** Histogram raw sum slot. */
-    std::uint64_t sum() const;
+    /** Histogram observation count (slot 0). */
+    std::uint64_t
+    count() const
+    {
+        return scalar();
+    }
+
+    /** Histogram raw sum (slot 1). */
+    std::uint64_t
+    sum() const
+    {
+        return values.size() == kHistSlots ? values[1] : 0;
+    }
 };
 
 /** A merged point-in-time view of every registered metric, sorted
- *  by name.  This is what --metrics-dump prints and what
- *  --metrics-port serves. */
+ *  by name.  This is what --metrics-dump prints. */
 struct Snapshot
 {
     std::vector<SnapshotMetric> metrics;
 
     const SnapshotMetric *find(std::string_view name) const;
 };
+
+/** Sorted `obs: name value` lines, one metric per line and
+ *  histograms as `.count` / `.sum`: the `--metrics-dump` listing,
+ *  written to stderr, never stdout. */
+std::string renderDump(const Snapshot &snap);
 
 /** The process-wide registry.  Registration is cold (mutexed map
  *  by name, idempotent); emission goes through the handles. */
@@ -227,11 +196,9 @@ class Registry
     static Registry &instance();
 
     Counter counter(const std::string &name,
-                    const std::string &unit = "1",
-                    const std::string &help = "");
+                    const std::string &unit = "1");
     Histogram histogram(const std::string &name,
-                        const std::string &unit = "1",
-                        const std::string &help = "");
+                        const std::string &unit = "1");
 
     /** Turn runtime emission on/off (relaxed; takes effect on the
      *  next site hit).  Off never deallocates: re-enabling keeps

@@ -23,7 +23,7 @@ tracerState()
 }
 
 /** Small dense per-thread id for the "tid" field. */
-[[maybe_unused]] std::uint32_t
+std::uint32_t
 threadTid()
 {
     static thread_local std::uint32_t tid = 0;
@@ -35,7 +35,7 @@ threadTid()
 
 /** Defensive label escape: drop anything that would need JSON
  *  escaping (labels are compile-time-ish identifiers). */
-[[maybe_unused]] void
+void
 appendEscaped(std::string &out, std::string_view s)
 {
     for (const char c : s) {
@@ -97,12 +97,6 @@ void
 Tracer::complete(std::string_view name, std::string_view cat,
                  std::uint64_t ts_us, std::uint64_t dur_us)
 {
-#ifdef PENELOPE_NO_OBS
-    (void)name;
-    (void)cat;
-    (void)ts_us;
-    (void)dur_us;
-#else
     if (!active())
         return;
     const std::uint32_t tid = threadTid();
@@ -126,7 +120,6 @@ Tracer::complete(std::string_view name, std::string_view cat,
         return;
     std::fwrite(line.data(), 1, line.size(), s.file);
     ++s.events;
-#endif
 }
 
 std::uint64_t

@@ -17,10 +17,8 @@
  * shared axis.  Thread ids are small dense integers assigned per
  * thread on first emission.
  *
- * Cost discipline matches the metrics registry: inactive tracer =
- * one relaxed bool per span site; PENELOPE_NO_OBS compiles span
- * bodies out entirely (open/close stay, producing a valid empty
- * trace so the CLI surface keeps working).
+ * Cost discipline matches the metrics registry: an inactive
+ * tracer costs one relaxed bool per span site.
  */
 
 #ifndef PENELOPE_OBS_TRACE_HH
@@ -78,41 +76,32 @@ class ScopedSpan
     explicit ScopedSpan(std::string_view name,
                         std::string_view cat = "penelope")
     {
-#ifndef PENELOPE_NO_OBS
         if (Tracer::instance().active()) {
             name_ = name;
             cat_ = cat;
             begin_ = monotonicMicros();
             armed_ = true;
         }
-#else
-        (void)name;
-        (void)cat;
-#endif
     }
 
     ~ScopedSpan()
     {
-#ifndef PENELOPE_NO_OBS
         if (armed_) {
             const std::uint64_t end = monotonicMicros();
             Tracer::instance().complete(
                 name_, cat_, begin_,
                 end > begin_ ? end - begin_ : 0);
         }
-#endif
     }
 
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;
 
   private:
-#ifndef PENELOPE_NO_OBS
     std::string_view name_;
     std::string_view cat_;
     std::uint64_t begin_ = 0;
     bool armed_ = false;
-#endif
 };
 
 } // namespace obs

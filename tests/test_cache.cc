@@ -729,16 +729,13 @@ TEST(Timing, SplitReplayMatchesJoint)
             }
         }
     }
-    if (obs::kCompiledIn) {
-        // The oracle makes 2 two-cache runs per cell, the split 3
-        // per stream plus one per fallback.
-        EXPECT_EQ(counterValue("memsim.side_runs") - sides_before,
-                  streams * 38u);
-        EXPECT_EQ(counterValue("memsim.runs") - runs_before,
-                  streams * (3 + 2 * cells.size()) +
-                      counterValue("memsim.fallbacks") -
-                      fallbacks_before);
-    }
+    // The oracle makes 2 two-cache runs per cell, the split 3 per
+    // stream plus one per fallback.
+    EXPECT_EQ(counterValue("memsim.side_runs") - sides_before,
+              streams * 38u);
+    EXPECT_EQ(counterValue("memsim.runs") - runs_before,
+              streams * (3 + 2 * cells.size()) +
+                  counterValue("memsim.fallbacks") - fallbacks_before);
 }
 
 TEST(Timing, SplitReplayGuardCatchesTieFlip)
@@ -814,10 +811,7 @@ TEST(Timing, SplitReplayGuardCatchesTieFlip)
     const std::vector<MemLossSample> split =
         simulateStreamCells(stream, {cell}, MemTimingParams(), 1.0);
     expectSameBits(split[0], jointSample(stream, cell, 1.0));
-    if (obs::kCompiledIn) {
-        EXPECT_EQ(counterValue("memsim.fallbacks") - fallbacks_before,
-                  1u);
-    }
+    EXPECT_EQ(counterValue("memsim.fallbacks") - fallbacks_before, 1u);
 }
 
 TEST(Timing, MechanismNamesExhaustive)

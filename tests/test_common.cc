@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit and property tests for the common library: RNG, statistics,
- * bit words, duty-cycle counters and table rendering.
+ * bit words, duty-cycle counters, table rendering and the
+ * `--version` build record.
  */
 
 #include <gtest/gtest.h>
@@ -9,12 +10,15 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "common/bitword.hh"
+#include "common/buildinfo.hh"
 #include "common/duty.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "core/resultcache.hh"
 
 namespace penelope {
 namespace {
@@ -466,6 +470,17 @@ TEST(CsvWriter, EscapesSpecials)
     csv.writeRow({"plain", "with,comma", "with\"quote"});
     EXPECT_EQ(os.str(),
               "plain,\"with,comma\",\"with\"\"quote\"\n");
+}
+
+// ------------------------------------------------------- BuildInfo
+
+/** `--version` prints this record, and benchmark runs log it with
+ *  every measurement: the header, then the result-cache salt. */
+TEST(BuildInfo, TextIsHeaderAndCacheSalt)
+{
+    EXPECT_EQ(buildInfoText(), "penelope_bench\n  cache-salt: " +
+                                   std::string(kResultCacheSalt) +
+                                   "\n");
 }
 
 } // namespace

@@ -508,9 +508,7 @@ TEST(MemCells, MultiCellMatchesOneCellCalls)
 
     // Baselines: (DL0, DTLB128) for cells 0, 1, 4, 5; (DL0 8KB
     // 4-way, DTLB128); (DL0, DTLB32); (DL0 port 0.5, DTLB128).
-    if (obs::kCompiledIn) {
-        EXPECT_EQ(runs, traces.size() * (cells.size() + 4));
-    }
+    EXPECT_EQ(runs, traces.size() * (cells.size() + 4));
 }
 
 TEST(MemCells, PartialWarmCacheStoresOnlyMissingCells)

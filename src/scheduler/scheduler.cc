@@ -13,9 +13,9 @@ namespace penelope {
 
 namespace {
 
-/** Batch drains of the 64-cycle slot-image accumulator.  File-scope handle: the drain runs once per 64
- *  replayed cycles, and the disabled cost must stay one
- *  relaxed branch. */
+/** Histogram folds of the scheduler's duty accounting (one per
+ *  statistics read that follows a flush).  File-scope handle: the
+ *  disabled cost must stay one relaxed branch. */
 const obs::Counter g_schedulerDrains =
     obs::Registry::instance().counter("scheduler.drains");
 
@@ -71,13 +71,63 @@ constexpr std::uint64_t kSrc1MaskW1 = (std::uint64_t(1) << 20) - 1;
 constexpr std::uint64_t kSrc2MaskW1 = 0xffffffffull << 20;
 constexpr std::uint64_t kImmMaskW1 = 0xfffull << 52;
 constexpr std::uint64_t kImmMaskW2 = 0xfull;
+constexpr std::uint64_t kLayoutMaskW2 = 0xffffull; // bits 128..143
+
+constexpr std::uint32_t kAllFields = 0x3ffffu;
+constexpr std::uint32_t kSrc1DataBit = std::uint32_t(1)
+    << kSrc1DataField;
+constexpr std::uint32_t kSrc2DataBit = std::uint32_t(1)
+    << kSrc2DataField;
+constexpr std::uint32_t kImmBit = std::uint32_t(1) << kImmField;
+constexpr unsigned kValidField = 0;
+
+/** Layout mask of the fields in @p used, which holds every
+ *  always-used field (a busy slot's). */
+inline std::array<std::uint64_t, 3>
+inUseMask(std::uint32_t used)
+{
+    return {kAlwaysMaskW0 | (used & kSrc1DataBit ? kSrc1MaskW0 : 0u),
+            (used & kSrc1DataBit ? kSrc1MaskW1 : 0u) |
+                (used & kSrc2DataBit ? kSrc2MaskW1 : 0u) |
+                (used & kImmBit ? kImmMaskW1 : 0u),
+            kAlwaysMaskW2 | (used & kImmBit ? kImmMaskW2 : 0u)};
+}
+
+/** Add @p dt at each of @p words' 18 layout byte values. */
+inline void
+chargeBytes(std::array<std::array<std::uint64_t, 256>, 18> &hist,
+            std::uint64_t w0, std::uint64_t w1, std::uint64_t w2,
+            std::uint64_t dt)
+{
+    for (unsigned i = 0; i < 8; ++i) {
+        hist[i][(w0 >> (8 * i)) & 0xff] += dt;
+        hist[8 + i][(w1 >> (8 * i)) & 0xff] += dt;
+    }
+    hist[16][w2 & 0xff] += dt;
+    hist[17][(w2 >> 8) & 0xff] += dt;
+}
+
+/** Charge one byte's histogram into its 8 per-bit counters (bin v
+ *  adds to every bit set in v) and clear it. */
+inline void
+foldByte(std::array<std::uint64_t, 256> &hist, std::uint64_t *bits)
+{
+    for (unsigned v = 1; v < 256; ++v) {
+        const std::uint64_t t = hist[v];
+        if (t == 0)
+            continue;
+        for (unsigned m = v; m; m &= m - 1)
+            bits[std::countr_zero(m)] += t;
+    }
+    hist.fill(0);
+}
 
 } // namespace
 
 Scheduler::Scheduler(const SchedulerConfig &config)
     : config_(config)
 {
-    // Deferred releases are tracked in one 64-bit entry mask.
+    // The replay driver keeps due releases in one 64-bit entry mask.
     if (config_.numEntries < 1 || config_.numEntries > 64) {
         throw std::invalid_argument(
             "Scheduler: numEntries must be 1..64");
@@ -93,23 +143,16 @@ Scheduler::Scheduler(const SchedulerConfig &config)
     decisions_.assign(layout.totalBits(), BitDecision{});
     dutyGens_.assign(layout.totalBits(), DutyGenerator(1.0));
 
-    slots_.reserve(layout.count());
-    rinv_.reserve(layout.count());
     for (unsigned f = 0; f < layout.count(); ++f) {
         const FieldSpec &spec = layout.spec(f);
         assert(spec.width >= 1 && spec.width < 64);
-        FieldSlot s;
-        s.widthMask = (std::uint64_t(1) << spec.width) - 1;
-        s.word0 = spec.offset / 64;
-        s.shift0 = spec.offset % 64;
-        s.bitsInWord0 = std::min(spec.width, 64 - s.shift0);
-        s.straddles = s.bitsInWord0 < spec.width;
-        slots_.push_back(s);
-        rinv_.push_back(BitWord(spec.width).inverted());
+        for (unsigned g = spec.offset; g < spec.offset + spec.width; ++g)
+            fieldMask_[f][g / 64] |= std::uint64_t(1) << (g % 64);
     }
+    // RINV starts as the inversion of all-zero fields.
+    rinv_.fill(~std::uint64_t(0));
 
     fieldInvertedTime_.assign(layout.count(), 0);
-    fieldHasIsv_.assign(layout.count(), false);
     rebuildRepairPlans();
 
     // The fused allocate path composes images from the layout
@@ -132,6 +175,7 @@ Scheduler::Scheduler(const SchedulerConfig &config)
     assert(layout.spec(FieldId::Src2Data).offset == kSrc2DataOff);
     assert(layout.spec(FieldId::Imm).offset == kImmOff);
     assert(layout.spec(FieldId::Opcode).offset == kOpcodeOff);
+    assert(static_cast<unsigned>(FieldId::Valid) == kValidField);
     assert(static_cast<unsigned>(FieldId::Src1Data) ==
            kSrc1DataField);
     assert(static_cast<unsigned>(FieldId::Src2Data) ==
@@ -144,7 +188,6 @@ void
 Scheduler::configureProtection(std::vector<BitDecision> decisions)
 {
     assert(decisions.size() == fieldLayout().totalBits());
-    foldBatch();
     decisions_ = std::move(decisions);
     for (unsigned b = 0; b < decisions_.size(); ++b)
         dutyGens_[b].setK(decisions_[b].k);
@@ -155,40 +198,37 @@ void
 Scheduler::rebuildRepairPlans()
 {
     const FieldLayout &layout = fieldLayout();
-    repairPlans_.assign(layout.count(), FieldRepairPlan{});
+    keepMask_ = all1Mask_ = isvMask_ = LayoutWords{};
+    kBits_.clear();
+    isvFields_ = 0;
     for (unsigned f = 0; f < layout.count(); ++f) {
         const FieldSpec &spec = layout.spec(f);
-        FieldRepairPlan &plan = repairPlans_[f];
-        plan.keepMask = 0;
-        for (unsigned b = 0; b < spec.width; ++b) {
-            const unsigned global = spec.offset + b;
-            const std::uint64_t bit = std::uint64_t(1) << b;
-            switch (decisions_[global].technique) {
+        for (unsigned g = spec.offset; g < spec.offset + spec.width; ++g) {
+            const unsigned w = g / 64;
+            const std::uint64_t bit = std::uint64_t(1) << (g % 64);
+            const Technique t = decisions_[g].technique;
+            switch (t) {
               case Technique::All1:
-                plan.all1Mask |= bit;
+                all1Mask_[w] |= bit;
                 break;
               case Technique::All0:
                 break; // uncovered bits come out 0
               case Technique::All1K:
-                plan.kBits.push_back(
-                    {static_cast<std::uint8_t>(b),
-                     static_cast<std::uint16_t>(global), false});
-                break;
               case Technique::All0K:
-                plan.kBits.push_back(
-                    {static_cast<std::uint8_t>(b),
-                     static_cast<std::uint16_t>(global), true});
+                kBits_.push_back({static_cast<std::uint8_t>(f),
+                                  static_cast<std::uint8_t>(g),
+                                  t == Technique::All0K});
                 break;
               case Technique::Isv:
-                plan.isvMask |= bit;
+                isvMask_[w] |= bit;
+                isvFields_ |= std::uint32_t(1) << f;
                 break;
               case Technique::None:
               case Technique::Unprotectable:
-                plan.keepMask |= bit;
+                keepMask_[w] |= bit;
                 break;
             }
         }
-        fieldHasIsv_[f] = plan.isvMask != 0;
     }
 }
 
@@ -198,370 +238,66 @@ Scheduler::enableProtection(bool enabled)
     protectionEnabled_ = enabled;
 }
 
-std::uint64_t
-Scheduler::extractField(const Entry &e, unsigned field) const
+Scheduler::LayoutWords
+Scheduler::placeField(unsigned field, std::uint64_t value) const
 {
-    const FieldSlot &s = slots_[field];
-    std::uint64_t v = e.image[s.word0] >> s.shift0;
-    if (s.straddles)
-        v |= e.image[s.word0 + 1] << s.bitsInWord0;
-    return v & s.widthMask;
-}
-
-void
-Scheduler::depositField(Entry &e, unsigned field,
-                        std::uint64_t value)
-{
-    const FieldSlot &s = slots_[field];
-    value &= s.widthMask;
-    e.image[s.word0] =
-        (e.image[s.word0] & ~(s.widthMask << s.shift0)) |
-        (value << s.shift0);
-    if (s.straddles) {
-        e.image[s.word0 + 1] =
-            (e.image[s.word0 + 1] &
-             ~(s.widthMask >> s.bitsInWord0)) |
-            (value >> s.bitsInWord0);
-    }
+    const unsigned offset = fieldLayout().spec(field).offset;
+    const unsigned w = offset / 64;
+    const unsigned shift = offset % 64;
+    LayoutWords out{};
+    out[w] = value << shift;
+    if (shift != 0 && w + 1 < kLayoutWords)
+        out[w + 1] = value >> (64 - shift);
+    for (unsigned i = 0; i < kLayoutWords; ++i)
+        out[i] &= fieldMask_[field][i];
+    return out;
 }
 
 void
 Scheduler::flushEntry(Entry &e, Cycle now)
 {
     const std::uint64_t dt = now > e.since ? now - e.since : 0;
-    const std::uint64_t pend = e.pendingBusyDt;
-    if (dt == 0 && pend == 0)
+    if (dt == 0)
         return;
-    // Defer the per-bit counter adds: park the image, the durations
-    // and the in-use group lanes in the record batch.  Everything a
-    // decision reads mid-run (entryTime_, the ISV balance meters,
-    // the timestamp) is charged here, so repair behaviour -- and
-    // with it the RNG draw stream -- cannot depend on when the
-    // batch drains.
-    const unsigned v = batchCount_;
-    for (unsigned w = 0; w < kLayoutWords; ++w)
-        batchImage_[v][w] = e.image[w];
-    // A busy flush has all the always-used fields live (the fused
-    // allocate deposits them as one group), so per-field lanes
-    // reduce to one busy mask plus the three capture fields' own
-    // masks.
+    // 18 histogram adds per flush (36 when busy), whatever the image
+    // or dt: the per-bit counters are charged only when a reader
+    // folds.
+    chargeBytes(oneHist_, e.image[0], e.image[1], e.image[2], dt);
+    histPending_ = true;
     const std::uint32_t uf = e.inUseFields;
-    assert(uf == 0 || (uf & kAlwaysUsedFields) == kAlwaysUsedFields);
-    const std::uint64_t lane = std::uint64_t(1) << v;
-    if (pend) {
-        // Merged record: the deferred busy span plus the idle span
-        // since.  The parked image (valid still up) stands for both
-        // -- an unprotected release changes nothing else -- and the
-        // valid bit's idle zero-time is credited at fold.  Converting
-        // the entry here is the release epilogue the release
-        // deferred.
-        assert(uf != 0);
-        batchDt_[v] = pend + dt;
-        batchBusyDt_[v] = pend;
-        validIdleGrand_ += dt;
-        e.pendingBusyDt = 0;
-        pendingMask_ &= ~(std::uint64_t(1) << (&e - entries_.data()));
-        e.inUseFields = 0;
-        e.image[0] &= ~std::uint64_t(1); // valid drop (bit 0)
-    } else {
-        batchDt_[v] = dt;
-        batchBusyDt_[v] = uf ? dt : 0;
-    }
     if (uf) {
-        batchBusy_ |= lane;
-        if (uf & (std::uint32_t(1) << kSrc1DataField))
-            batchS1_ |= lane;
-        if (uf & (std::uint32_t(1) << kSrc2DataField))
-            batchS2_ |= lane;
-        if (uf & (std::uint32_t(1) << kImmField))
-            batchImm_ |= lane;
+        // A busy slot has every always-used field live (the fused
+        // allocate deposits them as one group).
+        assert((uf & kAlwaysUsedFields) == kAlwaysUsedFields);
+        const auto use = inUseMask(uf);
+        chargeBytes(busyZeroHist_, ~e.image[0] & use[0],
+                    ~e.image[1] & use[1], ~e.image[2] & use[2], dt);
+        busyTime_ += dt;
+        if (uf & kSrc1DataBit)
+            src1Time_ += dt;
+        if (uf & kSrc2DataBit)
+            src2Time_ += dt;
+        if (uf & kImmBit)
+            immTime_ += dt;
     }
-    if (++batchCount_ == kBatchDepth)
-        drainBatch();
     entryTime_ += dt;
-    if (dt) {
-        for (std::uint32_t m = e.holdsInverted; m; m &= m - 1) {
-            fieldInvertedTime_[static_cast<unsigned>(
-                std::countr_zero(m))] += dt;
-        }
-    }
+    for (std::uint32_t m = e.holdsInverted; m; m &= m - 1)
+        fieldInvertedTime_[static_cast<unsigned>(std::countr_zero(m))] +=
+            dt;
     e.since = now;
 }
 
-namespace {
-
-/**
- * Carry-save add of a 3-word bit mask into a bit-sliced counter
- * bank at weight 2^level: positions set in the mask gain 2^level in
- * their per-bit binary counter.  A ripple step is three ANDs and
- * three XORs; binary-counter amortisation makes it O(1) levels per
- * add.  Carries past the top level drop -- the counters sum mod
- * 2^64, the same wrap-around the per-bit counters have.
- */
-inline void
-bankAdd(std::uint64_t (*bank)[3], unsigned level, std::uint64_t m0,
-        std::uint64_t m1, std::uint64_t m2)
-{
-    while ((m0 | m1 | m2) != 0 && level < 64) {
-        std::uint64_t *row = bank[level];
-        const std::uint64_t c0 = row[0] & m0;
-        const std::uint64_t c1 = row[1] & m1;
-        const std::uint64_t c2 = row[2] & m2;
-        row[0] ^= m0;
-        row[1] ^= m1;
-        row[2] ^= m2;
-        m0 = c0;
-        m1 = c1;
-        m2 = c2;
-        ++level;
-    }
-}
-
-/**
- * Three-word carry-save accumulator: batches up to eight
- * equally-weighted mask adds in registers before touching the
- * memory bank.  The register chain is fixed-depth and branch-free
- * (a dense mask would otherwise ripple ~log2(popcount) levels of
- * the bank per add, each a load/store round trip); only the rare
- * eights overflow -- every 8th add per bit -- reaches the bank
- * mid-stream.
- */
-struct Csa3
-{
-    std::uint64_t ones[3]{};
-    std::uint64_t twos[3]{};
-    std::uint64_t fours[3]{};
-};
-
-inline void
-csaAdd(Csa3 &a, std::uint64_t (*bank)[3], unsigned level,
-       std::uint64_t m0, std::uint64_t m1, std::uint64_t m2)
-{
-    const std::uint64_t c0 = a.ones[0] & m0;
-    const std::uint64_t c1 = a.ones[1] & m1;
-    const std::uint64_t c2 = a.ones[2] & m2;
-    a.ones[0] ^= m0;
-    a.ones[1] ^= m1;
-    a.ones[2] ^= m2;
-    const std::uint64_t d0 = a.twos[0] & c0;
-    const std::uint64_t d1 = a.twos[1] & c1;
-    const std::uint64_t d2 = a.twos[2] & c2;
-    a.twos[0] ^= c0;
-    a.twos[1] ^= c1;
-    a.twos[2] ^= c2;
-    const std::uint64_t e0 = a.fours[0] & d0;
-    const std::uint64_t e1 = a.fours[1] & d1;
-    const std::uint64_t e2 = a.fours[2] & d2;
-    a.fours[0] ^= d0;
-    a.fours[1] ^= d1;
-    a.fours[2] ^= d2;
-    if (e0 | e1 | e2)
-        bankAdd(bank, level + 3, e0, e1, e2);
-}
-
-inline void
-csaFlush(const Csa3 &a, std::uint64_t (*bank)[3], unsigned level)
-{
-    if (a.ones[0] | a.ones[1] | a.ones[2])
-        bankAdd(bank, level, a.ones[0], a.ones[1], a.ones[2]);
-    if (a.twos[0] | a.twos[1] | a.twos[2])
-        bankAdd(bank, level + 1, a.twos[0], a.twos[1], a.twos[2]);
-    if (a.fours[0] | a.fours[1] | a.fours[2])
-        bankAdd(bank, level + 2, a.fours[0], a.fours[1], a.fours[2]);
-}
-
-} // namespace
-
 void
-Scheduler::drainBatch()
+Scheduler::foldHistograms()
 {
-    const unsigned n = batchCount_;
-    if (n == 0)
+    if (!histPending_)
         return;
+    histPending_ = false;
     g_schedulerDrains.add();
-    batchCount_ = 0;
-    const std::uint64_t busy = batchBusy_;
-    const std::uint64_t s1 = batchS1_;
-    const std::uint64_t s2 = batchS2_;
-    const std::uint64_t imm = batchImm_;
-    batchBusy_ = batchS1_ = batchS2_ = batchImm_ = 0;
-
-    // Transpose the two duration columns into bit-planes: plane l
-    // of a column is the lane set whose records' duration has bit
-    // l, i.e. the records whose mask carries weight 2^l into the
-    // level-l counters.  Padding lanes get dt = 0 and fall in no
-    // plane; so do idle records in the busy-span column.
-    std::uint64_t planes[kBatchDepth];
-    std::uint64_t busy_planes[kBatchDepth];
-    std::uint64_t dt_or = 0;
-    std::uint64_t busy_dt_or = 0;
-    for (unsigned v = 0; v < n; ++v) {
-        planes[v] = batchDt_[v];
-        busy_planes[v] = batchBusyDt_[v];
-        dt_or |= batchDt_[v];
-        busy_dt_or |= batchBusyDt_[v];
-        dtGrand_ += batchDt_[v];
+    for (unsigned i = 0; i < kLayoutBytes; ++i) {
+        foldByte(oneHist_[i], &oneTime_[8 * i]);
+        foldByte(busyZeroHist_[i], &busyZero_[8 * i]);
     }
-    for (unsigned v = n; v < kBatchDepth; ++v) {
-        planes[v] = 0;
-        busy_planes[v] = 0;
-    }
-    transpose64x64(planes);
-    transpose64x64(busy_planes);
-    const unsigned num_planes = 64 -
-        static_cast<unsigned>(std::countl_zero(dt_or | 1));
-    const unsigned num_busy_planes = 64 -
-        static_cast<unsigned>(std::countl_zero(busy_dt_or | 1));
-
-    // Busy records: per-field duration sums, and the zeroed in-use
-    // complement each plane pass reads.  The in-use words are
-    // rebuilt from the three capture-field lanes -- a busy record
-    // always has the whole always-used group live (asserted at
-    // append).
-    std::uint64_t z[kBatchDepth][kLayoutWords];
-    for (std::uint64_t m = busy; m; m &= m - 1) {
-        const unsigned v =
-            static_cast<unsigned>(std::countr_zero(m));
-        const std::uint64_t dt = batchBusyDt_[v];
-        busyDtGrand_ += dt;
-        std::uint64_t um0 = kAlwaysMaskW0;
-        std::uint64_t um1 = 0;
-        std::uint64_t um2 = kAlwaysMaskW2;
-        if ((s1 >> v) & 1) {
-            um0 |= kSrc1MaskW0;
-            um1 |= kSrc1MaskW1;
-            s1DtGrand_ += dt;
-        }
-        if ((s2 >> v) & 1) {
-            um1 |= kSrc2MaskW1;
-            s2DtGrand_ += dt;
-        }
-        if ((imm >> v) & 1) {
-            um1 |= kImmMaskW1;
-            um2 |= kImmMaskW2;
-            immDtGrand_ += dt;
-        }
-        z[v][0] = ~batchImage_[v][0] & um0;
-        z[v][1] = ~batchImage_[v][1] & um1;
-        z[v][2] = ~batchImage_[v][2] & um2;
-    }
-
-    // Plane-major accumulation: every record in plane l adds its
-    // image into the level-l counters through a register CSA; the
-    // busy-span planes do the same with the zeroed in-use
-    // complements (their lanes are busy by construction -- an idle
-    // record's busy span is 0).
-    for (unsigned l = 0; l < num_planes; ++l) {
-        const std::uint64_t lanes = planes[l];
-        if (!lanes)
-            continue;
-        Csa3 one_acc;
-        for (std::uint64_t m = lanes; m; m &= m - 1) {
-            const unsigned v =
-                static_cast<unsigned>(std::countr_zero(m));
-            csaAdd(one_acc, oneBank_, l, batchImage_[v][0],
-                   batchImage_[v][1], batchImage_[v][2]);
-        }
-        csaFlush(one_acc, oneBank_, l);
-    }
-    for (unsigned l = 0; l < num_busy_planes; ++l) {
-        const std::uint64_t lanes = busy_planes[l];
-        if (!lanes)
-            continue;
-        Csa3 zero_acc;
-        for (std::uint64_t m = lanes; m; m &= m - 1) {
-            const unsigned v =
-                static_cast<unsigned>(std::countr_zero(m));
-            csaAdd(zero_acc, busyZeroBank_, l, z[v][0], z[v][1],
-                   z[v][2]);
-        }
-        csaFlush(zero_acc, busyZeroBank_, l);
-    }
-}
-
-void
-Scheduler::sweepPending()
-{
-    // Emit the busy-only record each parked release deferred, and
-    // run the release epilogue (valid drop, in-use clear).  The
-    // entry's timestamp is untouched: its idle span keeps accruing
-    // and flushes as a plain idle record later -- the same two
-    // spans a non-deferred release would have produced.
-    for (std::uint64_t p = pendingMask_; p; p &= p - 1) {
-        Entry &e = entries_[static_cast<unsigned>(
-            std::countr_zero(p))];
-        assert(e.pendingBusyDt != 0 && e.inUseFields != 0);
-        const unsigned v = batchCount_;
-        for (unsigned w = 0; w < kLayoutWords; ++w)
-            batchImage_[v][w] = e.image[w];
-        batchDt_[v] = e.pendingBusyDt;
-        batchBusyDt_[v] = e.pendingBusyDt;
-        const std::uint64_t lane = std::uint64_t(1) << v;
-        const std::uint32_t uf = e.inUseFields;
-        batchBusy_ |= lane;
-        if (uf & (std::uint32_t(1) << kSrc1DataField))
-            batchS1_ |= lane;
-        if (uf & (std::uint32_t(1) << kSrc2DataField))
-            batchS2_ |= lane;
-        if (uf & (std::uint32_t(1) << kImmField))
-            batchImm_ |= lane;
-        e.pendingBusyDt = 0;
-        e.inUseFields = 0;
-        e.image[0] &= ~std::uint64_t(1); // valid drop (bit 0)
-        if (++batchCount_ == kBatchDepth)
-            drainBatch();
-    }
-    pendingMask_ = 0;
-}
-
-void
-Scheduler::foldBatch()
-{
-    sweepPending();
-    drainBatch();
-    if (dtGrand_ == 0)
-        return;
-
-    // zeroTotal_: every bit spent the grand duration total minus
-    // its banked one-time at zero.  Transposing a bank word's 64
-    // levels yields each bit's exact total directly: transposed
-    // word b has bit l set iff level l held bit b, i.e. it *is*
-    // sum_l 2^l.  Merged records keep valid = 1 over their idle
-    // span; the one bit their release would have dropped is
-    // credited with validIdleGrand_.
-    zeroTotal_[kValidOff] += validIdleGrand_;
-    validIdleGrand_ = 0;
-    for (unsigned w = 0; w < kLayoutWords; ++w) {
-        const unsigned hi = std::min(64u, kLayoutBits - w * 64);
-        std::uint64_t col[kBatchDepth];
-        for (unsigned l = 0; l < kBatchDepth; ++l) {
-            col[l] = oneBank_[l][w];
-            oneBank_[l][w] = 0;
-        }
-        transpose64x64(col);
-        for (unsigned b = 0; b < hi; ++b)
-            zeroTotal_[w * 64 + b] += dtGrand_ - col[b];
-
-        for (unsigned l = 0; l < kBatchDepth; ++l) {
-            col[l] = busyZeroBank_[l][w];
-            busyZeroBank_[l][w] = 0;
-        }
-        transpose64x64(col);
-        for (unsigned b = 0; b < hi; ++b)
-            busyZero_[w * 64 + b] += col[b];
-    }
-    dtGrand_ = 0;
-
-    // In-use time: fields are used whole, so the always-used group
-    // shares one duration sum and each capture field has its own.
-    for (std::uint32_t m = kAlwaysUsedFields; m; m &= m - 1) {
-        fieldBusyTime_[static_cast<unsigned>(std::countr_zero(m))] +=
-            busyDtGrand_;
-    }
-    fieldBusyTime_[kSrc1DataField] += s1DtGrand_;
-    fieldBusyTime_[kSrc2DataField] += s2DtGrand_;
-    fieldBusyTime_[kImmField] += immDtGrand_;
-    busyDtGrand_ = s1DtGrand_ = s2DtGrand_ = immDtGrand_ = 0;
 }
 
 void
@@ -569,7 +305,7 @@ Scheduler::flushAll(Cycle now)
 {
     for (Entry &e : entries_)
         flushEntry(e, now);
-    foldBatch();
+    foldHistograms();
     occupancyFlush(now);
 }
 
@@ -583,54 +319,65 @@ Scheduler::occupancyFlush(Cycle now)
     }
 }
 
-std::uint64_t
-Scheduler::repairBits(unsigned field, std::uint64_t current,
-                      bool write_isv)
+void
+Scheduler::repairImage(LayoutWords &image, std::uint32_t fields,
+                       const LayoutWords &region,
+                       std::uint32_t write_isv)
 {
-    const FieldRepairPlan &plan = repairPlans_[field];
-    std::uint64_t out = (current & plan.keepMask) | plan.all1Mask;
-    // The balance meter alternates polarity so entries hold
-    // inverted contents 50% of the overall time: write the
-    // inverted sample, or the plain (re-inverted) sample when
-    // inverted residence already leads.
-    const std::uint64_t isv_src = write_isv
-        ? rinv_[field].lo()
-        : ~rinv_[field].lo();
-    out |= isv_src & plan.isvMask;
-    for (const FieldRepairPlan::KBit &kb : plan.kBits) {
-        const bool one = dutyGens_[kb.global].next() != kb.inverted;
-        out |= std::uint64_t(one) << kb.bit;
+    // ISV fields outside write_isv take the plain (re-inverted)
+    // sample.
+    LayoutWords isv_src = rinv_;
+    for (std::uint32_t m = fields & isvFields_ & ~write_isv; m;
+         m &= m - 1) {
+        const unsigned f = static_cast<unsigned>(std::countr_zero(m));
+        for (unsigned w = 0; w < kLayoutWords; ++w)
+            isv_src[w] ^= fieldMask_[f][w];
     }
-    return out;
+    for (unsigned w = 0; w < kLayoutWords; ++w) {
+        const std::uint64_t out = (image[w] & keepMask_[w]) |
+            all1Mask_[w] | (isv_src[w] & isvMask_[w]);
+        image[w] = (image[w] & ~region[w]) | (out & region[w]);
+    }
+    for (const KBit &kb : kBits_) {
+        if (((fields >> kb.field) & 1) &&
+            dutyGens_[kb.global].next() != kb.inverted)
+            image[kb.global / 64] |= std::uint64_t(1) << (kb.global % 64);
+    }
 }
 
 BitWord
 Scheduler::repairValue(unsigned field, const BitWord &current,
                        bool write_isv)
 {
-    return BitWord(fieldLayout().spec(field).width,
-                   repairBits(field, current.lo(), write_isv));
+    const FieldSpec &spec = fieldLayout().spec(field);
+    LayoutWords image = placeField(field, current.lo());
+    const std::uint32_t bit = std::uint32_t(1) << field;
+    repairImage(image, bit, fieldMask_[field], write_isv ? bit : 0);
+    const unsigned w = spec.offset / 64;
+    const unsigned shift = spec.offset % 64;
+    std::uint64_t v = image[w] >> shift;
+    if (shift != 0 && w + 1 < kLayoutWords)
+        v |= image[w + 1] << (64 - shift);
+    return BitWord(spec.width, v);
 }
 
 void
-Scheduler::applyRepair(Entry &e, unsigned field)
+Scheduler::repairFields(Entry &e, std::uint32_t fields,
+                        const LayoutWords &region)
 {
     // ISV balance meter (timestamps, Section 3.2.2): write inverted
     // contents while non-inverted residence leads, plain samples
     // otherwise, so entries hold inverted values 50% of the
     // overall time.
-    const bool write_isv = fieldHasIsv_[field] &&
-        entryTime_ - fieldInvertedTime_[field] >=
-            fieldInvertedTime_[field];
-    depositField(e, field,
-                 repairBits(field, extractField(e, field),
-                            write_isv));
-    if (fieldHasIsv_[field]) {
-        if (write_isv)
-            e.holdsInverted |= std::uint32_t(1) << field;
-        else
-            e.holdsInverted &= ~(std::uint32_t(1) << field);
+    const std::uint32_t isv = fields & isvFields_;
+    std::uint32_t write_isv = 0;
+    for (std::uint32_t m = isv; m; m &= m - 1) {
+        const unsigned f = static_cast<unsigned>(std::countr_zero(m));
+        if (entryTime_ - fieldInvertedTime_[f] >= fieldInvertedTime_[f])
+            write_isv |= std::uint32_t(1) << f;
     }
+    e.holdsInverted = (e.holdsInverted & ~isv) | write_isv;
+    repairImage(e.image, fields, region, write_isv);
 }
 
 void
@@ -642,14 +389,15 @@ Scheduler::sampleRinv(const Uop &uop, const RenameTags &tags)
     // Only fields the sampled uop actually populates are refreshed:
     // inverting a dont-care zero would bias RINV to all-ones.
     const FieldLayout &layout = fieldLayout();
-    for (unsigned f = 0; f < layout.count(); ++f) {
-        const FieldSpec &spec = layout.spec(f);
-        if (!fieldHasIsv_[f])
+    for (std::uint32_t m = isvFields_; m; m &= m - 1) {
+        const unsigned f = static_cast<unsigned>(std::countr_zero(m));
+        const FieldId id = layout.spec(f).id;
+        if (!fieldUsedByUop(id, uop, tags))
             continue;
-        if (!fieldUsedByUop(spec.id, uop, tags))
-            continue;
-        rinv_[f] =
-            fieldValue(spec.id, uop, tags).inverted();
+        const LayoutWords v =
+            placeField(f, fieldValue(id, uop, tags).inverted().lo());
+        for (unsigned w = 0; w < kLayoutWords; ++w)
+            rinv_[w] = (rinv_[w] & ~fieldMask_[f][w]) | v[w];
     }
 }
 
@@ -679,17 +427,13 @@ Scheduler::allocate(const Uop &uop, const RenameTags &tags,
     // Fused field deposit: compose the uop's whole 144-bit image
     // and in-use mask with shifts against the constant layout, then
     // merge in one read-modify-write per word.  Field for field
-    // this deposits exactly what the spec-driven loop
-    // (fieldUsedByUop / fieldValue / depositField / setFieldInUse)
-    // would -- values are masked to their field widths the same way
-    // depositField does -- it just never touches the spec table.
-    const bool use_s1 = uop.usesSrc1() && !tags.ready1;
-    const bool use_s2 = uop.usesSrc2() && !tags.ready2;
-    const bool use_imm = uop.hasImm;
+    // this deposits exactly what the spec-driven path
+    // (fieldUsedByUop / fieldValue) would -- values are masked to
+    // their field widths -- it just never touches the spec table.
     const std::uint32_t used = kAlwaysUsedFields |
-        (use_s1 ? std::uint32_t(1) << kSrc1DataField : 0u) |
-        (use_s2 ? std::uint32_t(1) << kSrc2DataField : 0u) |
-        (use_imm ? std::uint32_t(1) << kImmField : 0u);
+        (uop.usesSrc1() && !tags.ready1 ? kSrc1DataBit : 0u) |
+        (uop.usesSrc2() && !tags.ready2 ? kSrc2DataBit : 0u) |
+        (uop.hasImm ? kImmBit : 0u);
 
     const std::uint64_t s1 = uop.srcVal1 & 0xffffffffull;
     const std::uint64_t s2 = uop.srcVal2 & 0xffffffffull;
@@ -715,39 +459,28 @@ Scheduler::allocate(const Uop &uop, const RenameTags &tags,
     const std::uint64_t b2 = (imm >> (64 - kImmOff % 64)) |
         (std::uint64_t(uop.opcode & 0xfff) << (kOpcodeOff % 64));
 
-    const std::uint64_t um0 =
-        kAlwaysMaskW0 | (use_s1 ? kSrc1MaskW0 : 0u);
-    const std::uint64_t um1 = (use_s1 ? kSrc1MaskW1 : 0u) |
-        (use_s2 ? kSrc2MaskW1 : 0u) | (use_imm ? kImmMaskW1 : 0u);
-    const std::uint64_t um2 =
-        kAlwaysMaskW2 | (use_imm ? kImmMaskW2 : 0u);
-
-    e.image[0] = (e.image[0] & ~um0) | (b0 & um0);
-    e.image[1] = (e.image[1] & ~um1) | (b1 & um1);
-    e.image[2] = (e.image[2] & ~um2) | (b2 & um2);
+    const auto um = inUseMask(used);
+    e.image[0] = (e.image[0] & ~um[0]) | (b0 & um[0]);
+    e.image[1] = (e.image[1] & ~um[1]) | (b1 & um[1]);
+    e.image[2] = (e.image[2] & ~um[2]) | (b2 & um[2]);
     e.inUseFields = used;
     e.holdsInverted &= ~used;
 
     // Unused fields of a busy slot may hold repair values (they are
-    // written through the allocate port anyway).  Ascending field
-    // order, like the spec-driven loop, so the per-bit duty
-    // generators advance in the same sequence.
-    if (protectionEnabled_) {
-        for (std::uint32_t m = ~used & 0x3ffffu; m; m &= m - 1) {
-            applyRepair(e, static_cast<unsigned>(
-                               std::countr_zero(m)));
-        }
+    // written through the allocate port anyway).
+    if (protectionEnabled_ && (~used & kAllFields) != 0) {
+        repairFields(e, ~used & kAllFields,
+                     {~um[0], ~um[1], ~um[2] & kLayoutMaskW2});
     }
     return static_cast<int>(idx);
 }
 
 void
-Scheduler::release(unsigned entry, Cycle now, bool port_available)
+Scheduler::release(unsigned entry, Cycle now, bool /*port_available*/)
 {
     assert(entry < entries_.size());
     Entry &e = entries_[entry];
     assert(e.busy);
-    assert(e.pendingBusyDt == 0);
     occupancyFlush(now);
     e.busy = false;
     --busyCount_;
@@ -755,46 +488,17 @@ Scheduler::release(unsigned entry, Cycle now, bool port_available)
     if (++freeTail_ == config_.numEntries)
         freeTail_ = 0;
 
-    // Unprotected release: the only image change is the valid drop,
-    // so park the busy span and let the next flush of this entry
-    // emit one merged busy+idle record.  The decision-feeding state
-    // (entryTime_, ISV meters, timestamp) is still charged here,
-    // exactly like a flush.
-    if (!protectionEnabled_ && now > e.since) {
-        const std::uint64_t dt = now - e.since;
-        e.pendingBusyDt = dt;
-        pendingMask_ |= std::uint64_t(1) << entry;
-        entryTime_ += dt;
-        for (std::uint32_t m = e.holdsInverted; m; m &= m - 1) {
-            fieldInvertedTime_[static_cast<unsigned>(
-                std::countr_zero(m))] += dt;
-        }
-        e.since = now;
-        return;
-    }
-
-    const FieldLayout &layout = fieldLayout();
     flushEntry(e, now);
     e.inUseFields = 0;
 
     // The valid bit drops to 0 on release; its contents are always
     // live, so it cannot be repaired.
-    const unsigned valid_field =
-        static_cast<unsigned>(FieldId::Valid);
-    depositField(e, valid_field, 0);
-    e.holdsInverted &= ~(std::uint32_t(1) << valid_field);
-
-    if (!protectionEnabled_)
-        return;
-    for (unsigned f = 0; f < layout.count(); ++f) {
-        if (f == valid_field)
-            continue;
-        // Without a free allocate port the update is delayed by a
-        // cycle or two, which is negligible against multi-cycle
-        // residences (Section 3.2); model it as applied.
-        if (!port_available)
-            ++repairsDelayed_;
-        applyRepair(e, f);
+    e.image[0] &= ~(std::uint64_t(1) << kValidOff);
+    e.holdsInverted &= ~(std::uint32_t(1) << kValidField);
+    if (protectionEnabled_) {
+        repairFields(e, kAllFields & ~(std::uint32_t(1) << kValidField),
+                     {~(std::uint64_t(1) << kValidOff), ~std::uint64_t(0),
+                      kLayoutMaskW2});
     }
 }
 
@@ -845,11 +549,18 @@ Scheduler::snapshotStress(Cycle now)
     s.totalBias.reserve(layout.count());
     s.busyBias.reserve(layout.count());
     s.fieldUseTime.reserve(layout.count());
+    std::array<std::uint64_t, kLayoutBits> zero_total;
+    for (unsigned b = 0; b < kLayoutBits; ++b)
+        zero_total[b] = entryTime_ - oneTime_[b];
     for (unsigned f = 0; f < layout.count(); ++f) {
         const FieldSpec &spec = layout.spec(f);
-        const std::uint64_t use_time = fieldBusyTime_[f];
+        const std::uint32_t bit = std::uint32_t(1) << f;
+        const std::uint64_t use_time = bit == kSrc1DataBit ? src1Time_
+            : bit == kSrc2DataBit ? src2Time_
+            : bit == kImmBit      ? immTime_
+                                  : busyTime_;
         s.totalBias.push_back(BitBiasTracker::fromTimes(
-            spec.width, &zeroTotal_[spec.offset], entryTime_));
+            spec.width, &zero_total[spec.offset], entryTime_));
         s.busyBias.push_back(BitBiasTracker::fromTimes(
             spec.width, &busyZero_[spec.offset], use_time));
         s.fieldUseTime.push_back(use_time);

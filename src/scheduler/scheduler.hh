@@ -3,22 +3,24 @@
  * NBTI-aware scheduler model (Section 4.5).
  *
  * An explicitly managed block with short idle time and many fields
- * of distinct usage/bias patterns.  Protection writes per-field
- * repair values from a RINV register into slots when they are
- * released (and into fields left unused by the occupying uop at
- * allocation), using the per-bit techniques chosen by the Figure-3
- * casuistic.
+ * of distinct usage/bias patterns.  Protection writes repair values
+ * into a slot when it is released (every field but Valid) and into
+ * the fields the occupying uop leaves unused at allocation, using the
+ * per-bit techniques chosen by the Figure-3 casuistic: layout-wide
+ * keep/ALL1/ISV masks repair the whole image at once, ISV bits come
+ * from a RINV register image, and only the K%-duty bits keep per-bit
+ * generator state.
  *
- * Duty accounting is word-parallel: every entry packs its 18 fields
- * into one 144-bit slot image (three 64-bit words) with a single
- * residence timestamp.  A flush appends the image and its durations
- * to a 64-record batch; a full batch drains into bit-sliced counter
- * banks, and readers fold the banks into plain per-bit counters
- * (total zero-time, in-use zero-time) and per-field in-use times
- * with one 64x64 transpose per layout word.  Per-field
- * BitBiasTracker views are materialised only when a snapshot is
- * taken; the sums are exact unsigned integers, so the statistics
- * are bit-identical to charging every bit on every event.
+ * Every entry packs its 18 fields into one 144-bit slot image (three
+ * 64-bit words) with a single residence timestamp.  Duty accounting
+ * is by byte histograms: a flush adds the residence to one bin per
+ * image byte (18 bins) and, while the slot is busy, to one bin per
+ * byte of the zeroed in-use complement.  Readers fold each byte's
+ * 255 non-zero bins into its 8 per-bit counters, so a flush costs
+ * the same few indexed adds whatever the image or the duration, and
+ * the sums are the exact unsigned integers that charging every bit
+ * on every event gives.  Per-field BitBiasTracker views are
+ * materialised only when a snapshot is taken.
  */
 
 #ifndef PENELOPE_SCHEDULER_SCHEDULER_HH
@@ -114,8 +116,11 @@ class Scheduler
     /** Allocate a slot for @p uop; returns -1 when full. */
     int allocate(const Uop &uop, const RenameTags &tags, Cycle now);
 
-    /** Release a slot (issue); repair values are written through a
-     *  spare allocate port when @p port_available. */
+    /** Release a slot (issue).  Repair values go through a spare
+     *  allocate port; without one (@p port_available false) the
+     *  write is delayed by a cycle or two, which is negligible
+     *  against multi-cycle residences (Section 3.2), so it is
+     *  modelled as applied either way. */
     void release(unsigned entry, Cycle now, bool port_available);
 
     unsigned numEntries() const { return config_.numEntries; }
@@ -140,21 +145,27 @@ class Scheduler
 
     const SchedulerConfig &config() const { return config_; }
 
-    /** Build the repair value for one field at this instant.
+    /** Build the repair value for one field at this instant: the
+     *  whole-image repair recipe applied to that field alone.
      *  @p write_isv gates the ISV bits (the 50%-of-overall-time
-     *  balance meter, Section 3.2.2).  Branch-free: the per-bit
-     *  technique switch is precomputed into per-field masks; only
-     *  the K%-duty bits keep per-bit generator state (public so
-     *  tests can pin the mask recipe against the scalar form). */
+     *  balance meter, Section 3.2.2); the field's K%-duty bits
+     *  advance their generators (public so tests can pin the mask
+     *  recipe against the scalar form). */
     BitWord repairValue(unsigned field, const BitWord &current,
                         bool write_isv);
 
   private:
-    /** Bits and 64-bit words in the packed slot layout. */
+    /** Bits, bytes and 64-bit words in the packed slot layout. */
     static constexpr unsigned kLayoutBits = 144;
+    static constexpr unsigned kLayoutBytes = kLayoutBits / 8;
     static constexpr unsigned kLayoutWords = 3;
 
     using LayoutWords = std::array<std::uint64_t, kLayoutWords>;
+
+    /** Summed durations per byte value, one 256-bin row per layout
+     *  byte. */
+    using ByteHistograms =
+        std::array<std::array<std::uint64_t, 256>, kLayoutBytes>;
 
     struct Entry
     {
@@ -172,94 +183,50 @@ class Scheduler
         /** Residence of the current image (shared by all fields:
          *  every image change flushes the whole entry). */
         Cycle since = 0;
-
-        /** Deferred-release busy duration awaiting a merged flush.
-         *  An unprotected release changes the image by one bit (the
-         *  valid drop), so its busy record and the idle record that
-         *  follows can share one batch slot: the release parks its
-         *  duration here and the next flush emits both spans as one
-         *  record with a separate busy duration (the valid bit's
-         *  idle zero-time is corrected at fold). */
-        Cycle pendingBusyDt = 0;
     };
 
-    /** Precomputed placement of one field in the packed layout. */
-    struct FieldSlot
+    /** One ALL1-K%/ALL0-K% bit (these keep per-bit duty generator
+     *  state). */
+    struct KBit
     {
-        std::uint64_t widthMask; ///< (1 << width) - 1
-        unsigned word0;
-        unsigned shift0;
-        unsigned bitsInWord0; ///< < width when the field straddles
-        bool straddles;
+        std::uint8_t field;
+        std::uint8_t global; ///< layout-order bit index
+        bool inverted;       ///< ALL0-K%: write !next()
     };
 
-    /**
-     * Word-level repair recipe for one field, precomputed from the
-     * per-bit decisions so repairValue needs no per-bit technique
-     * dispatch.  Bits not covered by any mask (ALL0) stay 0.
-     */
-    struct FieldRepairPlan
-    {
-        /** None/Unprotectable bits: keep the current contents. */
-        std::uint64_t keepMask = ~std::uint64_t(0);
+    /** @p value at field @p field's place in the layout (bits past
+     *  the field's width dropped). */
+    LayoutWords placeField(unsigned field, std::uint64_t value) const;
 
-        /** ALL1 bits: pin to 1. */
-        std::uint64_t all1Mask = 0;
-
-        /** ISV bits: written from RINV (or its inversion). */
-        std::uint64_t isvMask = 0;
-
-        /** One ALL1-K%/ALL0-K% bit (these keep per-bit duty
-         *  generator state; listed in ascending bit order so the
-         *  generators advance exactly as in the per-bit loop). */
-        struct KBit
-        {
-            std::uint8_t bit;     ///< bit index within the field
-            std::uint16_t global; ///< layout-order bit index
-            bool inverted;        ///< ALL0-K%: write !next()
-        };
-        std::vector<KBit> kBits;
-    };
-
-    /** Extract/deposit one field of an entry's packed image. */
-    std::uint64_t extractField(const Entry &e, unsigned field) const;
-    void depositField(Entry &e, unsigned field, std::uint64_t value);
-
-    /** Append the entry's image residence up to @p now to the
-     *  record batch. */
+    /** Charge the entry's image residence up to @p now to the byte
+     *  histograms, the in-use sums and the ISV balance meters. */
     void flushEntry(Entry &e, Cycle now);
 
     void flushAll(Cycle now);
     void occupancyFlush(Cycle now);
 
-    /** Fold every pending batch record into the bit-sliced counter
-     *  banks (plane-major carry-save adds). */
-    void drainBatch();
+    /** Charge every histogram bin into the per-bit counters and
+     *  clear the histograms.  Every reader of the counters goes
+     *  through this. */
+    void foldHistograms();
 
-    /** drainBatch(), then charge the counter banks into the per-bit
-     *  counters: one 64x64 transpose per layout word turns each
-     *  bank straight into per-bit totals (word b of the transposed
-     *  bank is bit b's exact summed time).  Every reader of the
-     *  counters goes through this. */
-    void foldBatch();
-
-    /** Flush the parked busy span of every deferred release as the
-     *  busy-only record the release itself would have emitted, so
-     *  readers see every span charged up to its entry's last event.
-     *  Needs no "now": the idle span keeps accruing from the
-     *  entry's timestamp. */
-    void sweepPending();
-
-    /** Recompute repairPlans_/fieldHasIsv_ from decisions_. */
+    /** Recompute the repair masks, kBits_ and isvFields_ from
+     *  decisions_. */
     void rebuildRepairPlans();
 
-    /** repairValue on packed field bits. */
-    std::uint64_t repairBits(unsigned field, std::uint64_t current,
-                             bool write_isv);
+    /** Write the repair of @p fields (whose layout mask is
+     *  @p region) into @p image: keep/ALL1/ISV masks over the whole
+     *  image, then the K% bits in layout order.  ISV bits of fields
+     *  in @p write_isv come from RINV, the others' from its
+     *  inversion. */
+    void repairImage(LayoutWords &image, std::uint32_t fields,
+                     const LayoutWords &region, std::uint32_t write_isv);
 
-    /** Apply a repair to an entry's field and update its
-     *  inverted-residence bookkeeping. */
-    void applyRepair(Entry &e, unsigned field);
+    /** Repair @p fields (layout mask @p region) of an entry,
+     *  choosing each ISV field's polarity from its balance meter
+     *  and updating the entry's inverted-residence bookkeeping. */
+    void repairFields(Entry &e, std::uint32_t fields,
+                      const LayoutWords &region);
 
     /** Refresh the ISV bits of RINV from @p uop's field values. */
     void sampleRinv(const Uop &uop, const RenameTags &tags);
@@ -268,8 +235,8 @@ class Scheduler
 
     std::vector<Entry> entries_;
 
-    /** Per-field packed-layout placement. */
-    std::vector<FieldSlot> slots_;
+    /** Per-field layout masks. */
+    std::array<LayoutWords, numFields> fieldMask_{};
 
     /** FIFO free list: slots rotate evenly, so every entry sees
      *  repair writes (and tag/slot usage is self-balanced).  A
@@ -284,82 +251,41 @@ class Scheduler
     std::vector<BitDecision> decisions_;
     std::vector<DutyGenerator> dutyGens_; ///< per layout bit
 
-    /** RINV register, one BitWord per field. */
-    std::vector<BitWord> rinv_;
+    /** The Figure-3 decisions as layout masks.  None/Unprotectable
+     *  bits keep their contents, ALL1 bits are pinned to 1, ISV bits
+     *  are written from RINV; every other bit comes out 0 unless it
+     *  is a K% bit. */
+    LayoutWords keepMask_{};
+    LayoutWords all1Mask_{};
+    LayoutWords isvMask_{};
+    std::vector<KBit> kBits_; ///< ascending layout order
+    std::uint32_t isvFields_ = 0; ///< fields with an ISV bit
+
+    /** RINV register image in layout order. */
+    LayoutWords rinv_{};
     std::uint64_t allocCount_ = 0;
-    std::uint64_t repairsDelayed_ = 0;
 
     /** Per-field ISV balance meters.  Only inverted residence is
      *  accumulated; non-inverted residence is entryTime_ minus it
      *  (every flush charges each field exactly once). */
     std::vector<std::uint64_t> fieldInvertedTime_;
-    std::vector<bool> fieldHasIsv_;
-    std::vector<FieldRepairPlan> repairPlans_; ///< per field
 
-    /** Per-bit duty accounting over the 144-bit layout. */
-    std::array<std::uint64_t, kLayoutBits> zeroTotal_{};
+    /** Unfolded durations by byte value: of the image, and of its
+     *  zeroed in-use complement while the slot is busy. */
+    ByteHistograms oneHist_{};
+    ByteHistograms busyZeroHist_{};
+    bool histPending_ = false; ///< a flush since the last fold
+
+    /** Per-bit duty accounting over the 144-bit layout (folded). */
+    std::array<std::uint64_t, kLayoutBits> oneTime_{};
     std::array<std::uint64_t, kLayoutBits> busyZero_{}; ///< in use
 
-    /** Per-field in-use time.  Fields are used whole, so the
-     *  per-bit in-use times the snapshots expose are one shared
-     *  counter per field, not a per-bit counter. */
-    std::array<std::uint64_t, numFields> fieldBusyTime_{};
-
-    /**
-     * Pending flush records, stored struct-of-arrays.  Record v of
-     * the batch occupies lane/bit v of the in-use group masks.
-     *
-     * In-use lanes need no per-field storage: the three conditional
-     * capture fields get their own lane masks and every other field
-     * shares the busy-record mask (a free entry's flush has no field
-     * in use), all maintained bit-at-append.
-     */
-    static constexpr unsigned kBatchDepth = 64;
-    /** Lane-major: record v's image is row v. */
-    std::uint64_t batchImage_[kBatchDepth][kLayoutWords]{};
-    std::uint64_t batchDt_[kBatchDepth];
-    /** Busy-span duration per record: equal to batchDt_ for a busy
-     *  flush, 0 for an idle flush, and the parked release duration
-     *  for a merged busy+idle record. */
-    std::uint64_t batchBusyDt_[kBatchDepth];
-    std::uint64_t batchBusy_ = 0; ///< lanes w/ fields in use
-    std::uint64_t batchS1_ = 0;   ///< lanes w/ Src1Data live
-    std::uint64_t batchS2_ = 0;   ///< lanes w/ Src2Data live
-    std::uint64_t batchImm_ = 0;  ///< lanes w/ Imm live
-    unsigned batchCount_ = 0;
-
-    /** Entries with a deferred release parked (bit = entry index;
-     *  every entry fits one mask word). */
-    std::uint64_t pendingMask_ = 0;
-
-    /**
-     * Bit-sliced binary counters holding drained-but-unfolded
-     * per-bit time sums: level l, word w is a mask whose bit b
-     * carries weight 2^l in layout bit (w*64 + b)'s pending total.
-     * The drain ripple-adds each record's image (resp. its zeroed
-     * in-use complement) at every set bit of the record's duration
-     * -- a carry-save add is a couple of word ops per level touched,
-     * amortised O(1) levels per add -- and carries past level 63
-     * drop, which is exactly the counters' mod-2^64 wrap.
-     * foldBatch() transposes each word's 64 levels to recover every
-     * bit's exact total in one step.
-     *
-     * Field in-use times need no slicing: the always-used fields
-     * share one duration sum and each capture field keeps its own
-     * (fields are used whole), folded into fieldBusyTime_.
-     */
-    std::uint64_t oneBank_[kBatchDepth][kLayoutWords]{};
-    std::uint64_t busyZeroBank_[kBatchDepth][kLayoutWords]{};
-    std::uint64_t dtGrand_ = 0;     ///< sum dt, all records
-    std::uint64_t busyDtGrand_ = 0; ///< sum busy-span dt
-    std::uint64_t s1DtGrand_ = 0;   ///< sum dt, Src1Data live
-    std::uint64_t s2DtGrand_ = 0;   ///< sum dt, Src2Data live
-    std::uint64_t immDtGrand_ = 0;  ///< sum dt, Imm live
-
-    /** Valid-bit zero-time carried by merged records' idle spans
-     *  (their image keeps valid = 1 from the busy span; the one
-     *  bit the release would have dropped is credited here). */
-    std::uint64_t validIdleGrand_ = 0;
+    /** In-use time.  Fields are used whole, so the always-used
+     *  fields share one sum and each capture field keeps its own. */
+    std::uint64_t busyTime_ = 0;
+    std::uint64_t src1Time_ = 0;
+    std::uint64_t src2Time_ = 0;
+    std::uint64_t immTime_ = 0;
 
     /** Total flushed residence time (identical for every bit:
      *  each entry flush covers the whole layout). */

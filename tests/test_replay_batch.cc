@@ -2,14 +2,16 @@
  * @file
  * Replay accounting suites.
  *
- * The scheduler accumulates slot images into 64-record batches and
- * folds them with one transposed drain.  Its unprotected replays are
+ * The scheduler charges slot images to byte histograms and folds
+ * them into per-bit counters when read.  Its unprotected replays are
  * checked bit for bit against OracleReplay, a field-level reference
- * accountant with its own event loop: across workload traces,
- * partial final batches, a 64-entry scheduler, deferred-release
- * merging, mid-run reads and snapshot merge order.  Protected and
- * ISV replays write repair values the oracle does not model; their
- * exact accounting is pinned by digest.
+ * accountant with its own event loop: across workload traces, a
+ * 64-entry scheduler, mid-run reads and snapshot merge order, and
+ * against the same scalar counters over hand-driven gaps past 2^33
+ * cycles.  Protected and ISV replays write repair values the oracle
+ * does not model; their exact accounting is pinned by digest,
+ * including hand-made decisions on the fields that straddle layout
+ * words.
  *
  * The register file and the cache charge their bias trackers on
  * every value change.  Their suites pin the exact per-bit zero
@@ -81,6 +83,69 @@ struct OracleStress
     }
 };
 
+/** One slot as the reference accountant mirrors it, field by field. */
+struct OracleSlot
+{
+    bool busy = false;
+    std::uint32_t used = 0; ///< bit f: field f holds live data
+    std::vector<BitWord> value;
+    Cycle since = 0;
+    Cycle releaseAt = 0; ///< 0 = free
+
+    OracleSlot()
+    {
+        for (unsigned f = 0; f < numFields; ++f)
+            value.emplace_back(fieldLayout().spec(f).width);
+    }
+
+    /** Charge the residence since the last event up to @p now. */
+    void
+    charge(OracleStress &stress, Cycle now)
+    {
+        const std::uint64_t dt = now - since;
+        since = now;
+        if (busy)
+            stress.busyTime += dt;
+        for (unsigned f = 0; f < numFields; ++f) {
+            const FieldSpec &spec = fieldLayout().spec(f);
+            const bool live = (used >> f) & 1;
+            if (live)
+                stress.fieldUse[f] += dt;
+            for (unsigned b = 0; b < spec.width; ++b) {
+                const bool level = value[f].bit(b);
+                stress.total[spec.offset + b].observe(level, dt);
+                if (live)
+                    stress.busy[spec.offset + b].observe(level, dt);
+            }
+        }
+    }
+
+    /** Occupy the slot with @p uop's live fields. */
+    void
+    allocate(const Uop &uop, const RenameTags &tags)
+    {
+        busy = true;
+        used = 0;
+        for (unsigned f = 0; f < numFields; ++f) {
+            const FieldId id = fieldLayout().spec(f).id;
+            if (fieldUsedByUop(id, uop, tags)) {
+                used |= std::uint32_t(1) << f;
+                value[f] = fieldValue(id, uop, tags);
+            }
+        }
+    }
+
+    /** Free the slot: only the valid bit changes. */
+    void
+    release()
+    {
+        busy = false;
+        used = 0;
+        value[static_cast<unsigned>(FieldId::Valid)] = BitWord(1, 0);
+        releaseAt = 0;
+    }
+};
+
 /**
  * Field-level reference accountant for an unprotected scheduler.
  *
@@ -90,8 +155,7 @@ struct OracleStress
  * the scheduler only through allocate() and release().  It mirrors
  * each slot's fields with fieldUsedByUop/fieldValue and charges the
  * elapsed residence to scalar per-bit counters on every event.  It
- * knows nothing of the packed layout, the record batch, deferred
- * releases or the drain.
+ * knows nothing of the packed layout or the byte histograms.
  */
 class OracleReplay
 {
@@ -103,10 +167,6 @@ class OracleReplay
           rng_(config.seed),
           slots_(sched.numEntries())
     {
-        for (Slot &slot : slots_) {
-            for (unsigned f = 0; f < numFields; ++f)
-                slot.value.emplace_back(fieldLayout().spec(f).width);
-        }
     }
 
     SchedReplayResult
@@ -160,43 +220,13 @@ class OracleReplay
     OracleStress
     snapshot()
     {
-        for (Slot &slot : slots_)
-            charge(slot);
+        for (OracleSlot &slot : slots_)
+            slot.charge(stress_, now_);
         stress_.cycles = now_;
         return stress_;
     }
 
   private:
-    struct Slot
-    {
-        bool busy = false;
-        std::uint32_t used = 0; ///< bit f: field f holds live data
-        std::vector<BitWord> value;
-        Cycle since = 0;
-        Cycle releaseAt = 0; ///< 0 = free
-    };
-
-    void
-    charge(Slot &slot)
-    {
-        const std::uint64_t dt = now_ - slot.since;
-        slot.since = now_;
-        if (slot.busy)
-            stress_.busyTime += dt;
-        for (unsigned f = 0; f < numFields; ++f) {
-            const FieldSpec &spec = fieldLayout().spec(f);
-            const bool live = (slot.used >> f) & 1;
-            if (live)
-                stress_.fieldUse[f] += dt;
-            for (unsigned b = 0; b < spec.width; ++b) {
-                const bool level = slot.value[f].bit(b);
-                stress_.total[spec.offset + b].observe(level, dt);
-                if (live)
-                    stress_.busy[spec.offset + b].observe(level, dt);
-            }
-        }
-    }
-
     bool
     allocate(const Uop &uop)
     {
@@ -212,18 +242,10 @@ class OracleReplay
         const int entry = sched_.allocate(uop, tags, now_);
         if (entry < 0)
             return false;
-        Slot &slot = slots_[static_cast<unsigned>(entry)];
+        OracleSlot &slot = slots_[static_cast<unsigned>(entry)];
         EXPECT_FALSE(slot.busy) << "entry " << entry;
-        charge(slot);
-        slot.busy = true;
-        slot.used = 0;
-        for (unsigned f = 0; f < numFields; ++f) {
-            const FieldId id = fieldLayout().spec(f).id;
-            if (fieldUsedByUop(id, uop, tags)) {
-                slot.used |= std::uint32_t(1) << f;
-                slot.value[f] = fieldValue(id, uop, tags);
-            }
-        }
+        slot.charge(stress_, now_);
+        slot.allocate(uop, tags);
         slot.releaseAt = now_ + 1 + residence_(rng_);
         return true;
     }
@@ -233,20 +255,16 @@ class OracleReplay
     {
         sched_.release(entry, now_,
                        rng_.nextBool(config_.portFreeProb));
-        Slot &slot = slots_[entry];
-        charge(slot);
-        slot.busy = false;
-        slot.used = 0;
-        slot.value[static_cast<unsigned>(FieldId::Valid)] =
-            BitWord(1, 0);
-        slot.releaseAt = 0;
+        OracleSlot &slot = slots_[entry];
+        slot.charge(stress_, now_);
+        slot.release();
     }
 
     Scheduler &sched_;
     SchedReplayConfig config_;
     GeometricDist residence_;
     Rng rng_;
-    std::vector<Slot> slots_;
+    std::vector<OracleSlot> slots_;
     OracleStress stress_;
     std::uint8_t tag_ = 0;
     Cycle now_ = 0;
@@ -332,8 +350,7 @@ checkAgainstOracle(unsigned trace, std::size_t num_uops,
 
 TEST(SchedulerReplayBatch, RandomTracesMatchOracle)
 {
-    // Uop counts straddle batch boundaries (partial final batches,
-    // exactly-full batches, multi-batch runs).
+    // Short and multi-thousand-uop replays.
     const std::size_t counts[] = {63, 64, 777, 4096, 5001};
     unsigned trace = 0;
     for (const std::size_t uops : counts) {
@@ -341,7 +358,7 @@ TEST(SchedulerReplayBatch, RandomTracesMatchOracle)
         trace = (trace + 1) % 4;
     }
     // The largest geometry: every entry index, up to the top bit of
-    // the deferred-release mask, parks releases.  Long residences
+    // the replay driver's release masks, is used.  Long residences
     // keep the scheduler full for much of the run.
     SchedulerConfig widest;
     widest.numEntries = 64;
@@ -354,8 +371,8 @@ TEST(SchedulerReplayBatch, RandomTracesMatchOracle)
 TEST(SchedulerReplayBatch, MidRunReadsMatchOracle)
 {
     // A mid-run snapshotStress() flushes every entry and folds the
-    // pending batch and the parked releases.  It must see the
-    // oracle's sums, and must leave the rest of the run unchanged.
+    // byte histograms.  It must see the oracle's sums, and must
+    // leave the rest of the run unchanged.
     WorkloadSet w;
     Scheduler by_oracle{SchedulerConfig{}};
     Scheduler by_replay{SchedulerConfig{}};
@@ -396,6 +413,62 @@ TEST(SchedulerReplayBatch, MergeOrderMatchesOracle)
     ba.merge(a.stress);
     expectMatchesOracle(ab, want);
     expectMatchesOracle(ba, want);
+}
+
+TEST(SchedulerReplayBatch, LongGapsMatchScalarCounters)
+{
+    // Hand-driven allocations and releases more than 2^33 cycles
+    // apart push every per-bit total past 2^32: the snapshot must
+    // still equal the scalar per-bit counters exactly, mid-run and
+    // at the end.
+    constexpr Cycle kGap = (Cycle(1) << 33) + 12345;
+    SchedulerConfig config;
+    config.numEntries = 4;
+    Scheduler sched(config);
+    std::vector<OracleSlot> slots(config.numEntries);
+    OracleStress want;
+    WorkloadSet w;
+    TraceGenerator gen = w.generator(3);
+    Rng rng(0x10a6);
+    Cycle now = 0;
+    const auto check = [&] {
+        for (OracleSlot &slot : slots)
+            slot.charge(want, now);
+        want.cycles = now;
+        expectMatchesOracle(sched.snapshotStress(now), want);
+    };
+    for (int step = 0; step < 48; ++step) {
+        now += kGap + rng.nextInt(1000);
+        const bool release = sched.busyCount() == config.numEntries ||
+            (sched.busyCount() != 0 && rng.nextBool(0.45));
+        if (release) {
+            unsigned e = static_cast<unsigned>(
+                rng.nextInt(config.numEntries));
+            while (!slots[e].busy)
+                e = (e + 1) % config.numEntries;
+            sched.release(e, now, true);
+            slots[e].charge(want, now);
+            slots[e].release();
+        } else {
+            const Uop uop = gen.next();
+            RenameTags tags;
+            tags.dstTag = static_cast<std::uint8_t>(step);
+            tags.src1Tag = static_cast<std::uint8_t>(3 * step);
+            tags.src2Tag = static_cast<std::uint8_t>(5 * step);
+            tags.ready1 = !uop.usesSrc1() || rng.nextBool(0.5);
+            tags.ready2 = !uop.usesSrc2() || rng.nextBool(0.5);
+            const int e = sched.allocate(uop, tags, now);
+            ASSERT_GE(e, 0);
+            OracleSlot &slot = slots[static_cast<unsigned>(e)];
+            slot.charge(want, now);
+            slot.allocate(uop, tags);
+        }
+        if (step == 20)
+            check();
+    }
+    check();
+    EXPECT_GT(want.total[0].totalTime(), std::uint64_t(1) << 38);
+    EXPECT_GT(want.busy[0].totalTime(), std::uint64_t(1) << 36);
 }
 
 /** FNV-1a over a snapshot's integer state (and the bit pattern of
@@ -444,11 +517,33 @@ TEST(SchedulerReplayBatch, ProtectionAndIsvOnPinned)
         unsigned trace;
         SchedulerConfig sched;
         std::vector<SchedPin> legs; ///< one run() + snapshot each
+        /** Hand-made decisions; empty = profile the trace. */
+        std::vector<BitDecision> decisions = {};
     };
     SchedulerConfig fast_isv;
     fast_isv.isvSampleInterval = 1;
     SchedulerConfig small; // fills up: stalls and back-to-back reuse
     small.numEntries = 8;
+    SchedulerConfig widest;
+    widest.numEntries = 64;
+    // ALL1, ALL1-K%, ISV, ALL0-K%, ALL0 and kept bits interleaved on
+    // Src1Data (straddles words 0/1), Imm (words 1/2) and Opcode:
+    // whole-image repair across word boundaries, and the K% draw
+    // order across fields.
+    std::vector<BitDecision> straddling(fieldLayout().totalBits());
+    const Technique kinds[6] = {
+        Technique::All1, Technique::All1K, Technique::Isv,
+        Technique::All0K, Technique::All0, Technique::None,
+    };
+    for (const FieldId id :
+         {FieldId::Src1Data, FieldId::Imm, FieldId::Opcode}) {
+        const FieldSpec &spec = fieldLayout().spec(id);
+        for (unsigned b = 0; b < spec.width; ++b) {
+            BitDecision &d = straddling[spec.offset + b];
+            d.technique = kinds[(b + spec.offset) % 6];
+            d.k = (b % 4 + 1) * 0.2;
+        }
+    }
     const std::vector<Case> cases = {
         {2, SchedulerConfig{},
          {{3000, 1223, 3000, 3000, 0, 0x6ed93694875563fdull}}},
@@ -461,14 +556,19 @@ TEST(SchedulerReplayBatch, ProtectionAndIsvOnPinned)
          {{4096, 1661, 4096, 4096, 0, 0x8993a49164d6c367ull},
           {1, 1673, 1, 1, 0, 0xed7ca686faec00ecull}}},
         {0, small, {{2000, 2046, 2000, 2000, 2029, 0x7cced0344bac1cccull}}},
+        {1, widest,
+         {{3000, 1234, 3000, 3000, 0, 0x54003deadb876983ull},
+          {777, 1562, 777, 777, 0, 0xf68ce29fa9b67516ull}},
+         straddling},
     };
     WorkloadSet w;
     for (const Case &c : cases) {
         SCOPED_TRACE(testing::Message() << "trace " << c.trace);
-        const SchedulerProfile profile =
-            profileScheduler(w, {c.trace}, 4000);
         const std::vector<BitDecision> decisions =
-            decideProtection(profile.bits);
+            c.decisions.empty()
+                ? decideProtection(
+                      profileScheduler(w, {c.trace}, 4000).bits)
+                : c.decisions;
         ASSERT_TRUE(std::any_of(
             decisions.begin(), decisions.end(),
             [](const BitDecision &d) {

@@ -221,7 +221,9 @@ parseFactor(const char *flag, const char *text, double min,
     }
     char *end = nullptr;
     const double value = std::strtod(text, &end);
-    if (!end || *end != '\0' || value < min || value > max) {
+    // Negated range test: NaN compares false both ways, so it is
+    // rejected here instead of slipping through as in range.
+    if (!end || *end != '\0' || !(value >= min && value <= max)) {
         std::cerr << "penelope_bench: " << flag
                   << " expects a number in [" << min << ", " << max
                   << "], got '" << text << "'\n";

@@ -51,93 +51,62 @@ BM_LadnerFischerEvaluate(benchmark::State &state)
 }
 BENCHMARK(BM_LadnerFischerEvaluate);
 
-/** The word-parallel netlist engine: 64 input vectors per pass.
- *  items/s counts vectors, so the per-vector speedup over
- *  BM_LadnerFischerEvaluate is the ratio of the two
- *  items_per_second counters (the CI perf-smoke floor asserts
+constexpr unsigned kBatchLanes = 64 * Netlist::kBatchWords;
+
+/** Random 32-bit operands and carry-ins filling one batch pass. */
+struct BatchOperands
+{
+    std::uint64_t a[kBatchLanes];
+    std::uint64_t b[kBatchLanes];
+    std::uint64_t cinMasks[Netlist::kBatchWords];
+
+    BatchOperands()
+    {
+        Rng rng(1);
+        for (unsigned i = 0; i < kBatchLanes; ++i) {
+            a[i] = rng() & 0xffffffff;
+            b[i] = rng() & 0xffffffff;
+        }
+        for (std::uint64_t &mask : cinMasks)
+            mask = rng();
+    }
+};
+
+/** Batched evaluate of a 32-bit @p AdderT: 256 vectors per pass,
+ *  items/s counts vectors. */
+template <class AdderT>
+void
+evaluateBatchLoop(benchmark::State &state)
+{
+    AdderT adder(32);
+    const BatchOperands ops;
+    std::vector<std::uint64_t> words;
+    std::uint64_t acc = 0;
+    for (auto _ : state) {
+        adder.evaluateBatch(ops.a, ops.b, ops.cinMasks, words);
+        acc += words.back();
+    }
+    benchmark::DoNotOptimize(acc);
+    state.SetItemsProcessed(state.iterations() * kBatchLanes);
+}
+
+/** The word-parallel netlist engine on the Ladner-Fischer adder.
+ *  The per-vector speedup over BM_LadnerFischerEvaluate is the ratio
+ *  of the two items_per_second counters (the CI perf floor asserts
  *  >= 10x). */
 void
 BM_NetlistEvaluateBatch(benchmark::State &state)
 {
-    LadnerFischerAdder adder(32);
-    Rng rng(1);
-    std::uint64_t a[64];
-    std::uint64_t b[64];
-    for (int i = 0; i < 64; ++i) {
-        a[i] = rng() & 0xffffffff;
-        b[i] = rng() & 0xffffffff;
-    }
-    const std::uint64_t cin_mask = rng();
-    std::vector<std::uint64_t> words;
-    std::uint64_t acc = 0;
-    for (auto _ : state) {
-        adder.evaluateBatch(a, b, cin_mask, words);
-        acc += words.back();
-    }
-    benchmark::DoNotOptimize(acc);
-    state.SetItemsProcessed(state.iterations() * 64);
+    evaluateBatchLoop<LadnerFischerAdder>(state);
 }
 BENCHMARK(BM_NetlistEvaluateBatch);
 
-/** Wide netlist pass: W lane words per net in one op-stream walk
- *  (arg = W: 1 is evaluateBatch, Netlist::kWideWords is
- *  evaluateBatchWide).  items/s counts vectors, so the W ratio is
- *  the per-vector gain from amortising the op-stream decode over
- *  more lanes. */
-void
-BM_NetlistEvaluateBatchWide(benchmark::State &state)
-{
-    constexpr unsigned W = Netlist::kWideWords;
-    const unsigned net_w = static_cast<unsigned>(state.range(0));
-    LadnerFischerAdder adder(32);
-    Rng rng(1);
-    std::uint64_t a[64 * W];
-    std::uint64_t b[64 * W];
-    for (unsigned i = 0; i < net_w * 64; ++i) {
-        a[i] = rng() & 0xffffffff;
-        b[i] = rng() & 0xffffffff;
-    }
-    std::uint64_t cin_masks[W];
-    for (unsigned w = 0; w < net_w; ++w)
-        cin_masks[w] = rng();
-    std::vector<std::uint64_t> words;
-    std::uint64_t acc = 0;
-    for (auto _ : state) {
-        if (net_w == 1)
-            adder.evaluateBatch(a, b, cin_masks[0], words);
-        else
-            adder.evaluateBatchWide(a, b, cin_masks, words);
-        acc += words.back();
-    }
-    benchmark::DoNotOptimize(acc);
-    state.SetItemsProcessed(state.iterations() * net_w * 64);
-}
-BENCHMARK(BM_NetlistEvaluateBatchWide)
-    ->Arg(1)
-    ->Arg(Netlist::kWideWords);
-
 /** Batched evaluate on the Kogge-Stone adder, the largest of the
- *  three topologies.  items/s counts vectors. */
+ *  three topologies. */
 void
 BM_KoggeStoneEvaluateBatch(benchmark::State &state)
 {
-    KoggeStoneAdder adder(32);
-    Rng rng(1);
-    std::uint64_t a[64];
-    std::uint64_t b[64];
-    for (int i = 0; i < 64; ++i) {
-        a[i] = rng() & 0xffffffff;
-        b[i] = rng() & 0xffffffff;
-    }
-    const std::uint64_t cin_mask = rng();
-    std::vector<std::uint64_t> words;
-    std::uint64_t acc = 0;
-    for (auto _ : state) {
-        adder.evaluateBatch(a, b, cin_mask, words);
-        acc += words.back();
-    }
-    benchmark::DoNotOptimize(acc);
-    state.SetItemsProcessed(state.iterations() * 64);
+    evaluateBatchLoop<KoggeStoneAdder>(state);
 }
 BENCHMARK(BM_KoggeStoneEvaluateBatch);
 
@@ -159,32 +128,29 @@ BM_AgingObserve(benchmark::State &state)
 }
 BENCHMARK(BM_AgingObserve);
 
-/** Batched aging observe: 64 vectors charged per call as popcounts
- *  of the complemented net lane words. */
+/** Batched aging observe: 256 vectors charged per call as
+ *  popcounts of the complemented net lane words. */
 void
 BM_AgingObserveBatch(benchmark::State &state)
 {
     LadnerFischerAdder adder(32);
     PmosAgingTracker tracker(adder.netlist());
-    Rng rng(1);
-    std::uint64_t a[64];
-    std::uint64_t b[64];
-    for (int i = 0; i < 64; ++i) {
-        a[i] = rng() & 0xffffffff;
-        b[i] = rng() & 0xffffffff;
-    }
+    const BatchOperands ops;
     std::vector<std::uint64_t> words;
-    adder.evaluateBatch(a, b, rng(), words);
+    adder.evaluateBatch(ops.a, ops.b, ops.cinMasks, words);
+    std::uint64_t lane_masks[Netlist::kBatchWords];
+    for (std::uint64_t &mask : lane_masks)
+        mask = ~std::uint64_t(0);
     for (auto _ : state)
-        tracker.observeBatch(words.data(), ~std::uint64_t(0));
+        tracker.observeBatch(words.data(), lane_masks);
     benchmark::DoNotOptimize(tracker.zeroProb(0));
-    state.SetItemsProcessed(state.iterations() * 64);
+    state.SetItemsProcessed(state.iterations() * kBatchLanes);
 }
 BENCHMARK(BM_AgingObserveBatch);
 
 /** End-to-end batched aging of real operand samples (the Figure-5
- *  real-input path): transpose + wide netlist batch + popcount
- *  observe per 64 * Netlist::kWideWords samples. */
+ *  real-input path): transpose + netlist batch + popcount observe
+ *  per 64 * Netlist::kBatchWords samples. */
 void
 BM_AdderAgingPipeline(benchmark::State &state)
 {
@@ -717,45 +683,14 @@ BM_ObsScrape(benchmark::State &state)
 }
 BENCHMARK(BM_ObsScrape);
 
-/** BM_SchedulerReplay with the registry enabled: the CI overhead
- *  floor asserts this within 3% of the metrics-off twin. */
-void
-BM_SchedulerReplayObsOn(benchmark::State &state)
-{
-    const obs::ScopedEnable enable;
-    WorkloadSet workload;
-    Scheduler sched{SchedulerConfig{}};
-    SchedulerReplay replay(sched, SchedReplayConfig{});
-    TraceGenerator gen = workload.generator(0);
-    for (auto _ : state)
-        replay.run(gen, 256);
-    state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_SchedulerReplayObsOn);
-
-/** BM_NetlistEvaluateBatch with the registry enabled (same 3%
- *  floor). */
+/** BM_NetlistEvaluateBatch with the registry enabled: the CI
+ *  overhead ceiling asserts this within 3% of the metrics-off
+ *  twin. */
 void
 BM_NetlistEvaluateBatchObsOn(benchmark::State &state)
 {
     const obs::ScopedEnable enable;
-    LadnerFischerAdder adder(32);
-    Rng rng(1);
-    std::uint64_t a[64];
-    std::uint64_t b[64];
-    for (int i = 0; i < 64; ++i) {
-        a[i] = rng() & 0xffffffff;
-        b[i] = rng() & 0xffffffff;
-    }
-    const std::uint64_t cin_mask = rng();
-    std::vector<std::uint64_t> words;
-    std::uint64_t acc = 0;
-    for (auto _ : state) {
-        adder.evaluateBatch(a, b, cin_mask, words);
-        acc += words.back();
-    }
-    benchmark::DoNotOptimize(acc);
-    state.SetItemsProcessed(state.iterations() * 64);
+    evaluateBatchLoop<LadnerFischerAdder>(state);
 }
 BENCHMARK(BM_NetlistEvaluateBatchObsOn);
 

@@ -114,45 +114,22 @@ Adder::fillInputVector(std::vector<bool> &in, std::uint64_t a,
 }
 
 void
-Adder::evaluateBatch(const std::uint64_t a[64],
-                     const std::uint64_t b[64],
-                     std::uint64_t cin_mask,
+Adder::evaluateBatch(const std::uint64_t *a, const std::uint64_t *b,
+                     const std::uint64_t *cin_masks,
                      std::vector<std::uint64_t> &net_words) const
 {
     // Per-thread scratch: a const Adder is shared across the
     // engine's worker threads (transpose64x64 is destructive, so
     // operands are copied into the block first).
-    thread_local std::vector<std::uint64_t> input_words;
-    std::uint64_t block[64];
-    input_words.resize(2 * width_ + 1);
-
-    // Lane packing: transpose the 64 operand rows so word i holds
-    // bit i of every operand (lane word of primary input a_i / b_i).
-    std::copy(a, a + 64, block);
-    transpose64x64(block);
-    std::copy(block, block + width_, input_words.begin());
-    std::copy(b, b + 64, block);
-    transpose64x64(block);
-    std::copy(block, block + width_, input_words.begin() + width_);
-    input_words[2 * width_] = cin_mask;
-
-    netlist_.evaluateBatch(input_words.data(), net_words);
-}
-
-void
-Adder::evaluateBatchWide(const std::uint64_t *a,
-                         const std::uint64_t *b,
-                         const std::uint64_t *cin_masks,
-                         std::vector<std::uint64_t> &net_words) const
-{
-    constexpr unsigned W = Netlist::kWideWords;
+    constexpr unsigned W = Netlist::kBatchWords;
     thread_local std::vector<std::uint64_t> input_words;
     std::uint64_t block[64];
     input_words.resize((2 * width_ + 1) * W);
 
-    // Per word: transpose that word's 64 operand rows, then scatter
-    // into the interleaved [input * W + w] layout the wide engine
-    // consumes.
+    // Lane packing per word: transpose that word's 64 operand rows
+    // so row i holds bit i of every operand (the lane word of
+    // primary input a_i / b_i), then scatter into the interleaved
+    // [input * W + w] layout the netlist consumes.
     for (unsigned w = 0; w < W; ++w) {
         std::copy(a + w * 64, a + w * 64 + 64, block);
         transpose64x64(block);
@@ -165,22 +142,7 @@ Adder::evaluateBatchWide(const std::uint64_t *a,
         input_words[2 * width_ * W + w] = cin_masks[w];
     }
 
-    netlist_.evaluateBatchWide(input_words.data(), net_words);
-}
-
-void
-Adder::batchSums(const std::vector<std::uint64_t> &net_words,
-                 std::uint64_t sums[64],
-                 std::uint64_t *cout_mask) const
-{
-    std::uint64_t block[64];
-    for (unsigned i = 0; i < width_; ++i)
-        block[i] = net_words[sum_[i]];
-    std::fill(block + width_, block + 64, 0);
-    transpose64x64(block);
-    std::copy(block, block + 64, sums);
-    if (cout_mask)
-        *cout_mask = net_words[cout_];
+    netlist_.evaluateBatch(input_words.data(), net_words);
 }
 
 std::uint64_t

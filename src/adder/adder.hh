@@ -56,43 +56,18 @@ class Adder
                            bool *cout = nullptr) const;
 
     /**
-     * Evaluate 64 operand triples in one netlist pass.  @p a and
-     * @p b each hold 64 operand values (lane v uses a[v], b[v] and
-     * bit v of @p cin_mask); pad unused lanes with zeros.  The
-     * operands are bit-transposed into per-input lane words and run
-     * through Netlist::evaluateBatch; @p net_words receives one lane
-     * word per net, ready for PmosAgingTracker::observeBatch or
-     * batchSums().
+     * Evaluate 64 * Netlist::kBatchWords operand triples in one
+     * netlist pass.  @p a and @p b hold that many operand values
+     * (word w covers lanes [w * 64, w * 64 + 64), lane l of word w
+     * uses bit l of @p cin_masks[w]); pad unused lanes with zeros.
+     * The operands are bit-transposed into per-input lane words and
+     * run through Netlist::evaluateBatch; @p net_words receives
+     * kBatchWords interleaved lane words per net, ready for
+     * PmosAgingTracker::observeBatch.
      */
-    void evaluateBatch(const std::uint64_t a[64],
-                       const std::uint64_t b[64],
-                       std::uint64_t cin_mask,
+    void evaluateBatch(const std::uint64_t *a, const std::uint64_t *b,
+                       const std::uint64_t *cin_masks,
                        std::vector<std::uint64_t> &net_words) const;
-
-    /**
-     * Wide form of evaluateBatch(): evaluate 64 *
-     * Netlist::kWideWords operand triples in one netlist pass.
-     * @p a and @p b hold that many operand values (word w covers
-     * lanes [w * 64, w * 64 + 64), lane l of word w uses bit l of
-     * @p cin_masks[w]); @p net_words receives kWideWords
-     * interleaved lane words per net, ready for
-     * PmosAgingTracker::observeBatchWide.  Word w of every net is
-     * bit-for-bit what evaluateBatch() over that word's operands
-     * would produce.
-     */
-    void evaluateBatchWide(const std::uint64_t *a,
-                           const std::uint64_t *b,
-                           const std::uint64_t *cin_masks,
-                           std::vector<std::uint64_t> &net_words)
-        const;
-
-    /**
-     * Extract the 64 per-lane sums (and the carry-out lane mask)
-     * from a net-word array produced by evaluateBatch().
-     */
-    void batchSums(const std::vector<std::uint64_t> &net_words,
-                   std::uint64_t sums[64],
-                   std::uint64_t *cout_mask = nullptr) const;
 
     const std::vector<SignalId> &sumSignals() const { return sum_; }
     SignalId coutSignal() const { return cout_; }

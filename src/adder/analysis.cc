@@ -73,22 +73,34 @@ syntheticOperands(const Adder &adder, unsigned index,
     cin = in.carryIn;
 }
 
-/** One batched pass over all eight synthetic inputs: lane l holds
- *  the netlist under synthetic input l. */
+/** One batched pass over all eight synthetic inputs: lane l of
+ *  word 0 holds the netlist under synthetic input l (the other
+ *  words carry zero operands and are never observed). */
 void
 evaluateSyntheticLanes(const Adder &adder,
                        std::vector<std::uint64_t> &net_words)
 {
-    std::uint64_t a[64] = {};
-    std::uint64_t b[64] = {};
-    std::uint64_t cin_mask = 0;
+    constexpr std::size_t lanes = std::size_t(64) * Netlist::kBatchWords;
+    std::uint64_t a[lanes] = {};
+    std::uint64_t b[lanes] = {};
+    std::uint64_t cin_masks[Netlist::kBatchWords] = {};
     for (unsigned l = 0; l < 8; ++l) {
         bool cin = false;
         syntheticOperands(adder, l, a[l], b[l], cin);
         if (cin)
-            cin_mask |= std::uint64_t(1) << l;
+            cin_masks[0] |= std::uint64_t(1) << l;
     }
-    adder.evaluateBatch(a, b, cin_mask, net_words);
+    adder.evaluateBatch(a, b, cin_masks, net_words);
+}
+
+/** Charge the synthetic lanes @p mask selects (all in word 0). */
+void
+observeSyntheticLanes(PmosAgingTracker &tracker,
+                      const std::vector<std::uint64_t> &net_words,
+                      std::uint64_t mask)
+{
+    const std::uint64_t lane_masks[Netlist::kBatchWords] = {mask};
+    tracker.observeBatch(net_words.data(), lane_masks);
 }
 
 std::vector<double>
@@ -128,8 +140,8 @@ AdderAgingAnalysis::zeroProbsForInputs(
     PmosAgingTracker tracker(adder_.netlist());
     for (unsigned index : indices) {
         assert(index < 8);
-        tracker.observeBatch(words.data(),
-                             std::uint64_t(1) << index);
+        observeSyntheticLanes(tracker, words,
+                              std::uint64_t(1) << index);
     }
     return trackerProbs(tracker);
 }
@@ -138,11 +150,11 @@ std::vector<double>
 AdderAgingAnalysis::zeroProbsForOperands(
     const std::vector<OperandSample> &ops) const
 {
-    // One op-stream pass covers kWideWords * 64 operand samples.
+    // One op-stream pass covers kBatchWords * 64 operand samples.
     // Padding lanes carry zero operands and are masked out of the
     // accounting, so the per-device counts -- hence the returned
     // probabilities -- do not depend on the chunking.
-    constexpr unsigned W = Netlist::kWideWords;
+    constexpr unsigned W = Netlist::kBatchWords;
     constexpr std::size_t chunk = std::size_t(64) * W;
     PmosAgingTracker tracker(adder_.netlist());
     std::vector<std::uint64_t> words;
@@ -173,8 +185,8 @@ AdderAgingAnalysis::zeroProbsForOperands(
         }
         PENELOPE_OBS_COUNTER("netlist.lanes_used", "lanes")
             .add(count);
-        adder_.evaluateBatchWide(a, b, cin_masks, words);
-        tracker.observeBatchWide(words.data(), lane_masks);
+        adder_.evaluateBatch(a, b, cin_masks, words);
+        tracker.observeBatch(words.data(), lane_masks);
     }
     return trackerProbs(tracker);
 }
@@ -192,9 +204,9 @@ AdderAgingAnalysis::sweepPairs() const
     PmosAgingTracker tracker(adder_.netlist());
     for (const InputPair &pair : allInputPairs()) {
         tracker.reset();
-        tracker.observeBatch(
-            words.data(), (std::uint64_t(1) << pair.first) |
-                (std::uint64_t(1) << pair.second));
+        observeSyntheticLanes(tracker, words,
+                              (std::uint64_t(1) << pair.first) |
+                                  (std::uint64_t(1) << pair.second));
         const AgingSummary s = summarize(trackerProbs(tracker));
         entries.push_back({pair, s.narrowFullyStressedFraction});
     }

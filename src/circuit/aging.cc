@@ -28,26 +28,11 @@ PmosAgingTracker::observe(const std::vector<std::uint8_t> &signals,
 
 void
 PmosAgingTracker::observeBatch(const std::uint64_t *net_words,
-                               std::uint64_t lane_mask,
+                               const std::uint64_t *lane_masks,
                                std::uint64_t dt)
 {
-    // A net's zero lanes are the clear bits of its word.
-    for (std::size_t s = 0; s < slotNet_.size(); ++s) {
-        slotZeroTime_[s] += static_cast<std::uint64_t>(std::popcount(
-                                ~net_words[slotNet_[s]] &
-                                lane_mask)) *
-            dt;
-    }
-    totalTime_ +=
-        static_cast<std::uint64_t>(std::popcount(lane_mask)) * dt;
-}
-
-void
-PmosAgingTracker::observeBatchWide(const std::uint64_t *net_words,
-                                   const std::uint64_t *lane_masks,
-                                   std::uint64_t dt)
-{
-    constexpr unsigned W = Netlist::kWideWords;
+    // A net's zero lanes are the clear bits of its words.
+    constexpr unsigned W = Netlist::kBatchWords;
     std::uint64_t lanes = 0;
     for (unsigned w = 0; w < W; ++w) {
         lanes += static_cast<std::uint64_t>(

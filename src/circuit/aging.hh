@@ -14,10 +14,10 @@
  * one shared scalar; and every device gated by the same net always
  * observes the same value, so zero-time is stored once per distinct
  * gate net, not once per device.  observeBatch() charges a whole
- * 64-vector lane word in one step -- the zero-time of a net is the
- * popcount of its complemented lane word (masked to the valid
- * lanes) -- so a batch costs a couple of word ops per *net* instead
- * of 64 branchy updates per *device*.  All paths add exactly the
+ * batch of lane words in one step -- the zero-time of a net is the
+ * popcount of its complemented lane words (masked to the valid
+ * lanes) -- so a batch costs a few word ops per *net* instead
+ * of 256 branchy updates per *device*.  All paths add exactly the
  * same integers, so every probability (and everything downstream:
  * summaries, guardbands, experiment stdout) is bit-identical
  * between scalar and batched accounting.
@@ -73,24 +73,17 @@ class PmosAgingTracker
 
     /**
      * Account a batch of net lane words (as produced by
-     * Netlist::evaluateBatch): every lane selected by @p lane_mask
-     * contributes @p dt time units, exactly as one observe() per
-     * valid lane would.  Lanes outside the mask (padding of a
-     * partial batch) are ignored entirely.
+     * Netlist::evaluateBatch): @p net_words holds
+     * Netlist::kBatchWords lane words per net, interleaved
+     * [net * kBatchWords + w], and @p lane_masks selects the valid
+     * lanes of each word.  Every selected lane contributes @p dt time
+     * units, exactly as one observe() per valid lane would; lanes
+     * outside the masks (padding of a partial batch) are ignored
+     * entirely.
      */
     void observeBatch(const std::uint64_t *net_words,
-                      std::uint64_t lane_mask, std::uint64_t dt = 1);
-
-    /**
-     * Wide form of observeBatch() for Netlist::evaluateBatchWide():
-     * @p net_words holds Netlist::kWideWords lane words per net,
-     * interleaved [net * kWideWords + w], and @p lane_masks selects
-     * the valid lanes of each word.  Exactly equivalent to
-     * kWideWords single-word observeBatch() calls.
-     */
-    void observeBatchWide(const std::uint64_t *net_words,
-                          const std::uint64_t *lane_masks,
-                          std::uint64_t dt = 1);
+                      const std::uint64_t *lane_masks,
+                      std::uint64_t dt = 1);
 
     /** Evaluate and observe an input vector in one step. */
     void applyInput(const std::vector<bool> &input_values,

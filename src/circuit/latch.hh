@@ -47,11 +47,10 @@ class LatchBank
      * Hold 64 values at once, each for @p dt cycles -- the
      * latch-bank sibling of PmosAgingTracker::observeBatch.
      * @p bit_words holds width() per-bit lane words (bit v of word
-     * b = bit b of value v, the layout Netlist::evaluateBatch
-     * produces and transpose64x64 packs), and only the lanes
-     * selected by @p lane_mask count (padding of a partial batch
-     * is ignored).  Bit-identical to 64 scalar hold() calls: both
-     * paths add exactly the same integers (see
+     * b = bit b of value v, the layout transpose64x64 packs),
+     * and only the lanes selected by @p lane_mask count (padding
+     * of a partial batch is ignored).  Bit-identical to 64 scalar
+     * hold() calls: both paths add exactly the same integers (see
      * BitBiasTracker::observeBatch).
      */
     void holdBatch(const std::uint64_t *bit_words,

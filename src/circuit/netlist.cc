@@ -227,33 +227,14 @@ Netlist::evaluateBatch(const std::uint64_t *input_words,
                        std::vector<std::uint64_t> &net_words) const
 {
     assert(finalized_);
+    constexpr unsigned W = kBatchWords;
     g_batchEvals.add();
-    g_laneCapacity.add(64);
-    net_words.resize(producers_.size());
-    evaluateBatchImpl<1>(input_words, net_words.data());
-}
+    g_laneCapacity.add(64 * W);
+    net_words.resize(producers_.size() * W);
 
-void
-Netlist::evaluateBatchWide(const std::uint64_t *input_words,
-                           std::vector<std::uint64_t> &net_words) const
-{
-    assert(finalized_);
-    g_batchEvals.add();
-    g_laneCapacity.add(64 * kWideWords);
-    net_words.resize(producers_.size() * kWideWords);
-    evaluateBatchImpl<kWideWords>(input_words, net_words.data());
-}
-
-template <unsigned W>
-void
-Netlist::evaluateBatchImpl(const std::uint64_t *input_words,
-                           std::uint64_t *net_words) const
-{
     // One switch over the compiled stream with W consecutive lane
-    // words per net ([net * W + w] interleaving).  Each word is
-    // computed with exactly the ops the W=1 pass would use, so lane
-    // values are bit-identical at both widths.
-    std::uint64_t *w = net_words;
+    // words per net ([net * W + w] interleaving).
+    std::uint64_t *w = net_words.data();
     for (const CompiledOp &op : ops_) {
         std::uint64_t *out = w + std::size_t(op.out) * W;
         const std::uint64_t *a = w + std::size_t(op.a) * W;

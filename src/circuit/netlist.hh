@@ -21,11 +21,11 @@
  * fanin nets, output net, with the common arities specialised), so
  * the evaluator is a single switch over a contiguous array with no
  * per-gate heap indirection and no `vector<bool>` proxy objects.
- * evaluateBatch() runs the stream over 64 input vectors at once:
- * net s owns word s, and bit v of that word is the net's value under
- * input vector v -- exactly what a scalar evaluate() of vector v
- * produces, which is what keeps the batched aging statistics
- * bit-identical to the scalar ones.
+ * evaluateBatch() runs the stream over 256 input vectors at once:
+ * net s owns kBatchWords lane words, and bit v of its word w is the
+ * net's value under input vector 64 * w + v -- exactly what a scalar
+ * evaluate() of that vector produces, which is what keeps the batched
+ * aging statistics bit-identical to the scalar ones.
  */
 
 #ifndef PENELOPE_CIRCUIT_NETLIST_HH
@@ -144,33 +144,23 @@ class Netlist
     void evaluate(const std::vector<bool> &input_values,
                   std::vector<std::uint8_t> &signals) const;
 
-    /** Lane words per net of one evaluateBatchWide() pass. */
-    static constexpr unsigned kWideWords = 4;
+    /** Lane words per net of one evaluateBatch() pass. */
+    static constexpr unsigned kBatchWords = 4;
 
     /**
-     * Evaluate 64 input vectors at once (valid after finalize()).
-     * @p input_words holds one lane word per primary input, in
-     * creation order: bit v of word i is input i's value under
-     * vector v.  @p net_words is resized to numSignals(); bit v of
-     * net_words[s] is exactly what evaluate() of vector v would
-     * leave in signals[s].  Unused lanes cost nothing extra and
+     * Evaluate 64 * kBatchWords input vectors in one pass over the
+     * op stream (valid after finalize()).  @p input_words holds
+     * kBatchWords lane words per primary input, in creation order,
+     * interleaved [input * kBatchWords + w]: bit v of word w is the
+     * input's value under vector 64 * w + v.  @p net_words is resized
+     * to numSignals() * kBatchWords with the same interleaving; bit v
+     * of word w of net s is exactly what evaluate() of that vector
+     * would leave in signals[s].  Unused lanes cost nothing extra and
      * carry whatever the padded input bits imply; consumers mask
      * them out (see PmosAgingTracker::observeBatch).
      */
     void evaluateBatch(const std::uint64_t *input_words,
                        std::vector<std::uint64_t> &net_words) const;
-
-    /**
-     * Evaluate 64 * kWideWords input vectors in one pass over the
-     * op stream.  @p input_words holds kWideWords lane words per
-     * primary input, interleaved [input * kWideWords + w];
-     * @p net_words is resized to numSignals() * kWideWords with the
-     * same interleaving.  Word w of every net is bit-for-bit what
-     * evaluateBatch() over the inputs' w-th words would produce.
-     */
-    void evaluateBatchWide(const std::uint64_t *input_words,
-                           std::vector<std::uint64_t> &net_words)
-        const;
 
     /**
      * Finalise the netlist: derive fanout counts, assign width
@@ -243,11 +233,6 @@ class Netlist
 
     /** Build ops_/extraFanins_ from gates_: one op per gate. */
     void compile();
-
-    /** W-word op-stream pass (W lane words per net). */
-    template <unsigned W>
-    void evaluateBatchImpl(const std::uint64_t *input_words,
-                           std::uint64_t *net_words) const;
 
     std::vector<Gate> gates_;
     std::vector<CompiledOp> ops_;

@@ -132,8 +132,7 @@ class BitBiasTracker
     /**
      * Record 64 values at once, transposed into per-bit lane
      * words: bit v of @p bit_words[b] is bit b of value v -- the
-     * same lane-word layout Netlist::evaluateBatch produces and
-     * transpose64x64 packs.  Every lane (value) selected by
+     * layout transpose64x64 packs.  Every lane (value) selected by
      * @p lane_mask contributes @p dt cycles, exactly as one
      * observe() per selected value would; padding lanes of a
      * partial batch are ignored entirely.  @p bit_words must hold

@@ -1,12 +1,13 @@
 /**
  * @file
- * Property tests for the word-parallel netlist engine: evaluateBatch
- * against scalar evaluate bit-for-bit on random netlists (every gate
- * type, batch sizes 1..128 including partial final batches), batched
- * adder sums against scalar sums, and batched-vs-scalar AgingSummary
- * identity on the Figure-2 circuit and the Ladner-Fischer adder,
- * the wide (Netlist::kWideWords) pass against the single-word one,
- * and the idempotent-finalize contract.
+ * Property tests for the word-parallel netlist engine against the
+ * scalar oracle (Netlist::evaluate + PmosAgingTracker::applyInput):
+ * evaluateBatch bit-for-bit on random netlists (every gate type,
+ * 1..300 vectors, so a partial final batch ends in each of the
+ * Netlist::kBatchWords words), batched adder sums against scalar
+ * sums, batched-vs-scalar aging identity on the Figure-2 circuit,
+ * random netlists (empty and partial lane-mask words, dt > 1) and
+ * the Ladner-Fischer adder, and the idempotent-finalize contract.
  */
 
 #include <gtest/gtest.h>
@@ -122,10 +123,38 @@ randomNetlist(Rng &rng, unsigned num_inputs, unsigned num_gates)
     return n;
 }
 
-/** Scalar-vs-batch identity over @p num_vectors random vectors. */
+constexpr unsigned kW = Netlist::kBatchWords;
+constexpr std::size_t kBatchLanes = std::size_t(64) * kW;
+
+/** Interleaved [input * kW + w] lane words of vectors
+ *  [begin, begin + count) of @p inputs (unused lanes are 0). */
+std::vector<std::uint64_t>
+packInputs(const std::vector<std::vector<bool>> &inputs,
+           std::size_t num_inputs, std::size_t begin, std::size_t count)
+{
+    std::vector<std::uint64_t> words(num_inputs * kW, 0);
+    for (std::size_t l = 0; l < count; ++l)
+        for (std::size_t i = 0; i < num_inputs; ++i)
+            if (inputs[begin + l][i])
+                words[i * kW + l / 64] |= std::uint64_t(1) << (l % 64);
+    return words;
+}
+
+/** Lane masks selecting the first @p count lanes of a batch. */
+std::vector<std::uint64_t>
+laneMasks(std::size_t count)
+{
+    std::vector<std::uint64_t> masks(kW, 0);
+    for (std::size_t l = 0; l < count; ++l)
+        masks[l / 64] |= std::uint64_t(1) << (l % 64);
+    return masks;
+}
+
+/** Scalar-vs-batch identity of every net and of the aging counts
+ *  (charged @p dt per vector) over @p num_vectors random vectors. */
 void
 checkBatchMatchesScalar(const Netlist &n, Rng &rng,
-                        std::size_t num_vectors)
+                        std::size_t num_vectors, std::uint64_t dt = 1)
 {
     std::vector<std::vector<bool>> inputs(num_vectors);
     for (auto &v : inputs) {
@@ -136,26 +165,32 @@ checkBatchMatchesScalar(const Netlist &n, Rng &rng,
 
     std::vector<std::uint8_t> scalar;
     std::vector<std::uint64_t> words;
-    std::vector<std::uint64_t> input_words(n.numInputs());
-    for (std::size_t begin = 0; begin < num_vectors; begin += 64) {
+    PmosAgingTracker scalar_tracker(n);
+    PmosAgingTracker batched_tracker(n);
+    for (std::size_t begin = 0; begin < num_vectors;
+         begin += kBatchLanes) {
         const std::size_t count =
-            std::min<std::size_t>(64, num_vectors - begin);
-        for (std::size_t i = 0; i < n.numInputs(); ++i) {
-            std::uint64_t w = 0;
-            for (std::size_t l = 0; l < count; ++l)
-                if (inputs[begin + l][i])
-                    w |= std::uint64_t(1) << l;
-            input_words[i] = w;
-        }
+            std::min(kBatchLanes, num_vectors - begin);
+        const auto input_words =
+            packInputs(inputs, n.numInputs(), begin, count);
         n.evaluateBatch(input_words.data(), words);
-        ASSERT_EQ(words.size(), n.numSignals());
+        ASSERT_EQ(words.size(), n.numSignals() * kW);
+        batched_tracker.observeBatch(words.data(),
+                                     laneMasks(count).data(), dt);
         for (std::size_t l = 0; l < count; ++l) {
             n.evaluate(inputs[begin + l], scalar);
+            scalar_tracker.observe(scalar, dt);
             for (std::size_t s = 0; s < n.numSignals(); ++s) {
-                ASSERT_EQ((words[s] >> l) & 1, scalar[s])
+                ASSERT_EQ((words[s * kW + l / 64] >> (l % 64)) & 1,
+                          scalar[s])
                     << "vector " << begin + l << " net " << s;
             }
         }
+    }
+    for (std::size_t d = 0; d < scalar_tracker.numDevices(); ++d) {
+        ASSERT_EQ(batched_tracker.zeroProb(d),
+                  scalar_tracker.zeroProb(d))
+            << "device " << d;
     }
 }
 
@@ -166,13 +201,12 @@ TEST(NetlistBatch, RandomNetlistsMatchScalar)
         const unsigned num_inputs = 1 + rng.nextInt(12);
         const unsigned num_gates = 1 + rng.nextInt(60);
         Netlist n = randomNetlist(rng, num_inputs, num_gates);
-        // Batch sizes spanning partial, exact and multi-word
-        // batches.
-        for (std::size_t vectors : {std::size_t(1), std::size_t(7),
-                                    std::size_t(64),
-                                    std::size_t(65),
-                                    std::size_t(128)}) {
-            checkBatchMatchesScalar(n, rng, vectors);
+        // Vector counts whose last batch ends inside word 0, 1, 2
+        // and 3, on a word boundary, and in a second pass.
+        for (std::size_t vectors :
+             {1, 7, 64, 65, 128, 129, 200, 256, 257, 300}) {
+            checkBatchMatchesScalar(n, rng, vectors,
+                                    1 + rng.nextInt(4));
         }
     }
 }
@@ -188,36 +222,59 @@ TEST(NetlistBatch, Figure2MatchesScalar)
 
 // ---------------------------------------------------- adder sums
 
+/** Lane @p l's sum (and carry-out) read out of the batch words. */
+std::uint64_t
+laneSum(const Adder &adder, const std::vector<std::uint64_t> &words,
+        std::size_t l, bool &cout)
+{
+    const auto bit = [&](SignalId s) {
+        return (words[s * kW + l / 64] >> (l % 64)) & 1;
+    };
+    std::uint64_t sum = 0;
+    for (unsigned i = 0; i < adder.width(); ++i)
+        sum |= bit(adder.sumSignals()[i]) << i;
+    cout = bit(adder.coutSignal()) != 0;
+    return sum;
+}
+
+/** Batched sums of @p adder over one full pass of random operands
+ *  equal the scalar evaluate() of every lane. */
+void
+checkSumsMatchScalar(const Adder &adder, Rng &rng)
+{
+    const std::uint64_t mask = adder.width() >= 64
+        ? ~std::uint64_t(0)
+        : (std::uint64_t(1) << adder.width()) - 1;
+    std::uint64_t a[kBatchLanes];
+    std::uint64_t b[kBatchLanes];
+    std::uint64_t cin_masks[kW];
+    for (std::size_t l = 0; l < kBatchLanes; ++l) {
+        a[l] = rng() & mask;
+        b[l] = rng() & mask;
+    }
+    for (auto &m : cin_masks)
+        m = rng();
+    std::vector<std::uint64_t> words;
+    adder.evaluateBatch(a, b, cin_masks, words);
+    ASSERT_EQ(words.size(), adder.netlist().numSignals() * kW);
+    for (std::size_t l = 0; l < kBatchLanes; ++l) {
+        bool cout = false;
+        bool expect_cout = false;
+        const std::uint64_t expect = adder.evaluate(
+            a[l], b[l], (cin_masks[l / 64] >> (l % 64)) & 1,
+            &expect_cout);
+        EXPECT_EQ(laneSum(adder, words, l, cout), expect)
+            << "lane " << l;
+        EXPECT_EQ(cout, expect_cout) << "lane " << l;
+    }
+}
+
 TEST(AdderBatch, SumsMatchScalarEvaluate)
 {
     for (unsigned width : {1u, 8u, 13u, 32u, 48u, 64u}) {
         LadnerFischerAdder adder(width);
-        const std::uint64_t mask = width >= 64
-            ? ~std::uint64_t(0)
-            : (std::uint64_t(1) << width) - 1;
         Rng rng(width);
-        std::uint64_t a[64];
-        std::uint64_t b[64];
-        std::uint64_t cin_mask = 0;
-        for (int l = 0; l < 64; ++l) {
-            a[l] = rng() & mask;
-            b[l] = rng() & mask;
-            if (rng.nextBool())
-                cin_mask |= std::uint64_t(1) << l;
-        }
-        std::vector<std::uint64_t> words;
-        adder.evaluateBatch(a, b, cin_mask, words);
-        std::uint64_t sums[64];
-        std::uint64_t cout_mask = 0;
-        adder.batchSums(words, sums, &cout_mask);
-        for (int l = 0; l < 64; ++l) {
-            bool cout = false;
-            const std::uint64_t expect = adder.evaluate(
-                a[l], b[l], (cin_mask >> l) & 1, &cout);
-            EXPECT_EQ(sums[l], expect) << "lane " << l;
-            EXPECT_EQ((cout_mask >> l) & 1, cout ? 1u : 0u)
-                << "lane " << l;
-        }
+        checkSumsMatchScalar(adder, rng);
     }
 }
 
@@ -225,25 +282,10 @@ TEST(AdderBatch, RippleAndKoggeStoneMatchToo)
 {
     RippleCarryAdder rc(24);
     KoggeStoneAdder ks(24);
-    for (Adder *adder : {static_cast<Adder *>(&rc),
-                         static_cast<Adder *>(&ks)}) {
+    for (const Adder *adder : {static_cast<const Adder *>(&rc),
+                               static_cast<const Adder *>(&ks)}) {
         Rng rng(0x5eed);
-        std::uint64_t a[64];
-        std::uint64_t b[64];
-        std::uint64_t cin_mask = rng();
-        for (int l = 0; l < 64; ++l) {
-            a[l] = rng() & 0xffffff;
-            b[l] = rng() & 0xffffff;
-        }
-        std::vector<std::uint64_t> words;
-        adder->evaluateBatch(a, b, cin_mask, words);
-        std::uint64_t sums[64];
-        adder->batchSums(words, sums);
-        for (int l = 0; l < 64; ++l) {
-            EXPECT_EQ(sums[l],
-                      adder->evaluate(a[l], b[l],
-                                      (cin_mask >> l) & 1));
-        }
+        checkSumsMatchScalar(*adder, rng);
     }
 }
 
@@ -272,7 +314,7 @@ TEST(AgingBatch, Figure2SummaryIdentity)
     n.finalize();
 
     Rng rng(0xa91);
-    const std::size_t num_vectors = 150; // 2 full + 1 partial batch
+    const std::size_t num_vectors = 150; // 2 full + 1 partial word
     std::vector<std::vector<bool>> inputs(num_vectors);
     for (auto &v : inputs)
         v = {rng.nextBool(), rng.nextBool(), rng.nextBool()};
@@ -283,23 +325,10 @@ TEST(AgingBatch, Figure2SummaryIdentity)
 
     PmosAgingTracker batched(n);
     std::vector<std::uint64_t> words;
-    std::vector<std::uint64_t> input_words(n.numInputs());
-    for (std::size_t begin = 0; begin < num_vectors; begin += 64) {
-        const std::size_t count =
-            std::min<std::size_t>(64, num_vectors - begin);
-        for (std::size_t i = 0; i < n.numInputs(); ++i) {
-            std::uint64_t w = 0;
-            for (std::size_t l = 0; l < count; ++l)
-                if (inputs[begin + l][i])
-                    w |= std::uint64_t(1) << l;
-            input_words[i] = w;
-        }
-        n.evaluateBatch(input_words.data(), words);
-        const std::uint64_t lane_mask = count == 64
-            ? ~std::uint64_t(0)
-            : (std::uint64_t(1) << count) - 1;
-        batched.observeBatch(words.data(), lane_mask);
-    }
+    const auto input_words =
+        packInputs(inputs, n.numInputs(), 0, num_vectors);
+    n.evaluateBatch(input_words.data(), words);
+    batched.observeBatch(words.data(), laneMasks(num_vectors).data());
 
     ASSERT_EQ(scalar.numDevices(), batched.numDevices());
     for (std::size_t i = 0; i < scalar.numDevices(); ++i)
@@ -383,7 +412,7 @@ TEST(AgingBatch, PairSweepMatchesScalarSweep)
 TEST(AgingBatch, ObserveBatchWithDt)
 {
     // dt > 1 charges every valid lane dt units, like scalar
-    // observes with the same dt.
+    // observes with the same dt (mixed dts, so dropping dt shows).
     Netlist n;
     const SignalId a = n.addInput();
     n.addInv(a);
@@ -391,88 +420,26 @@ TEST(AgingBatch, ObserveBatchWithDt)
 
     PmosAgingTracker batched(n);
     std::vector<std::uint64_t> words;
-    std::uint64_t zero = 0;
-    n.evaluateBatch(&zero, words); // input 0 in every lane
-    batched.observeBatch(words.data(), 0x7, 5); // 3 lanes, dt 5
-    std::uint64_t ones = ~std::uint64_t(0);
-    n.evaluateBatch(&ones, words);
-    batched.observeBatch(words.data(), 0x1, 5); // 1 lane, dt 5
+    const std::uint64_t in[kW] = {0, ~std::uint64_t(0), 0, 0};
+    n.evaluateBatch(in, words); // input 0 in word 0, 1 in word 1
+    const std::uint64_t zero_lanes[kW] = {0x7, 0, 0, 0};
+    batched.observeBatch(words.data(), zero_lanes, 5); // 3 lanes, dt 5
+    const std::uint64_t one_lane[kW] = {0, 0x1, 0, 0};
+    batched.observeBatch(words.data(), one_lane, 1); // 1 lane, dt 1
 
     PmosAgingTracker scalar(n);
     for (int i = 0; i < 3; ++i)
         scalar.applyInput({false}, 5);
-    scalar.applyInput({true}, 5);
+    scalar.applyInput({true}, 1);
     EXPECT_EQ(batched.zeroProb(0), scalar.zeroProb(0));
-    EXPECT_EQ(batched.zeroProb(0), 0.75);
+    EXPECT_EQ(batched.zeroProb(0), 15.0 / 16.0);
 }
 
-// ------------------------------------------------ wide (W words)
-
-constexpr unsigned kW = Netlist::kWideWords;
-
-TEST(NetlistWide, RandomNetlistsMatchSingleWord)
+TEST(AgingBatch, MaskedWordsMatchScalar)
 {
-    // Word w of an evaluateBatchWide pass must be bit-for-bit what
-    // evaluateBatch over that word's input words produces.
-    Rng rng(0x31de);
-    for (int trial = 0; trial < 10; ++trial) {
-        const unsigned num_inputs = 1 + rng.nextInt(12);
-        const unsigned num_gates = 1 + rng.nextInt(60);
-        Netlist n = randomNetlist(rng, num_inputs, num_gates);
-
-        std::vector<std::uint64_t> in(n.numInputs() * kW);
-        for (auto &w : in)
-            w = rng();
-        std::vector<std::uint64_t> wide;
-        n.evaluateBatchWide(in.data(), wide);
-        ASSERT_EQ(wide.size(), n.numSignals() * kW);
-
-        std::vector<std::uint64_t> ref;
-        std::vector<std::uint64_t> single(n.numInputs());
-        for (unsigned w = 0; w < kW; ++w) {
-            for (std::size_t i = 0; i < n.numInputs(); ++i)
-                single[i] = in[i * kW + w];
-            n.evaluateBatch(single.data(), ref);
-            for (std::size_t s = 0; s < n.numSignals(); ++s) {
-                ASSERT_EQ(wide[s * kW + w], ref[s])
-                    << "word " << w << " net " << s;
-            }
-        }
-    }
-}
-
-TEST(AdderWide, MatchesEvaluateBatchPerWord)
-{
-    LadnerFischerAdder adder(32);
-    Rng rng(0xadd3);
-    std::uint64_t a[64 * kW];
-    std::uint64_t b[64 * kW];
-    std::uint64_t cin_masks[kW];
-    for (unsigned i = 0; i < 64 * kW; ++i) {
-        a[i] = rng() & 0xffffffff;
-        b[i] = rng() & 0xffffffff;
-    }
-    for (unsigned w = 0; w < kW; ++w)
-        cin_masks[w] = rng();
-
-    const Netlist &n = adder.netlist();
-    std::vector<std::uint64_t> wide;
-    adder.evaluateBatchWide(a, b, cin_masks, wide);
-    ASSERT_EQ(wide.size(), n.numSignals() * kW);
-    std::vector<std::uint64_t> ref;
-    for (unsigned w = 0; w < kW; ++w) {
-        adder.evaluateBatch(a + w * 64, b + w * 64, cin_masks[w], ref);
-        for (std::size_t s = 0; s < n.numSignals(); ++s) {
-            ASSERT_EQ(wide[s * kW + w], ref[s])
-                << "word " << w << " net " << s;
-        }
-    }
-}
-
-TEST(AgingWide, ObserveBatchWideIdentity)
-{
-    // observeBatchWide over kW interleaved words == kW observeBatch
-    // calls, including partial and empty (masked) words.
+    // A full word, a partial word, an empty middle word and a
+    // sparse last word, charged dt = 3: exactly one scalar
+    // applyInput(dt = 3) per selected lane.
     static_assert(kW == 4, "lane_masks below cover four words");
     Rng rng(0x0b5e);
     Netlist n = randomNetlist(rng, 8, 40);
@@ -482,22 +449,24 @@ TEST(AgingWide, ObserveBatchWideIdentity)
     const std::uint64_t lane_masks[kW] = {
         ~std::uint64_t(0), 0x3ff, 0, 0xffff0000ffff0000ull};
 
-    std::vector<std::uint64_t> wide;
-    n.evaluateBatchWide(in, wide);
-    PmosAgingTracker wide_tracker(n);
-    wide_tracker.observeBatchWide(wide.data(), lane_masks, 3);
-
-    PmosAgingTracker ref_tracker(n);
-    std::vector<std::uint64_t> single(8);
     std::vector<std::uint64_t> words;
+    n.evaluateBatch(in, words);
+    PmosAgingTracker batched(n);
+    batched.observeBatch(words.data(), lane_masks, 3);
+
+    PmosAgingTracker scalar(n);
+    std::vector<bool> vec(8);
     for (unsigned w = 0; w < kW; ++w) {
-        for (std::size_t i = 0; i < 8; ++i)
-            single[i] = in[i * kW + w];
-        n.evaluateBatch(single.data(), words);
-        ref_tracker.observeBatch(words.data(), lane_masks[w], 3);
+        for (unsigned l = 0; l < 64; ++l) {
+            if (!((lane_masks[w] >> l) & 1))
+                continue;
+            for (std::size_t i = 0; i < 8; ++i)
+                vec[i] = (in[i * kW + w] >> l) & 1;
+            scalar.applyInput(vec, 3);
+        }
     }
-    for (std::size_t d = 0; d < ref_tracker.numDevices(); ++d) {
-        ASSERT_EQ(wide_tracker.zeroProb(d), ref_tracker.zeroProb(d))
+    for (std::size_t d = 0; d < scalar.numDevices(); ++d) {
+        ASSERT_EQ(batched.zeroProb(d), scalar.zeroProb(d))
             << "device " << d;
     }
 }
@@ -514,10 +483,11 @@ TEST(AgingBatch, PaddedLanesIgnored)
     n.finalize();
 
     std::vector<std::uint64_t> words;
-    const std::uint64_t in = 0x1; // lane 0 = 1, other lanes 0
-    n.evaluateBatch(&in, words);
+    const std::uint64_t in[kW] = {0x1}; // lane 0 = 1, other lanes 0
+    n.evaluateBatch(in, words);
     PmosAgingTracker tracker(n);
-    tracker.observeBatch(words.data(), 0x1);
+    const std::uint64_t lane_masks[kW] = {0x1};
+    tracker.observeBatch(words.data(), lane_masks);
     for (std::size_t i = 0; i < tracker.numDevices(); ++i) {
         // Every gate input is 1 in the one valid lane.
         EXPECT_EQ(tracker.zeroProb(i), 0.0) << "device " << i;

@@ -27,20 +27,21 @@
  *       shard files into statistics bit-identical to an unsharded
  *       run.
  *
- * Replaces the thirteen per-figure benchmark binaries.  Option
- * values are validated (the old harness fed `--stride x` through
- * atoi and silently ran with stride 0).
+ * Every flag is one row of kFlags: its name, value placeholder,
+ * accepted range, help text and effect.  --help renders the table
+ * the parser reads, so the two cannot drift; the rules that
+ * relate flags to each other live in finishCommandLine.
  */
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adder/adder.hh"
@@ -56,181 +57,343 @@ using namespace penelope;
 
 namespace {
 
-int
-usage(std::ostream &os, int exit_code)
+/** Everything the command line sets. */
+struct Cli
 {
+    ExperimentOptions options;
+    std::vector<std::string> names;
+    std::optional<unsigned> stride; ///< unset: the preset
+    std::optional<std::size_t> uops;
+    bool full = false;
+    bool all = false;
+    bool surrogateStats = false;
+    std::string cacheDir;
+    bool cacheGc = false;
+    bool shard = false;
+    std::string shardOut;
+    std::vector<std::string> mergeFiles;
+    bool metricsDump = false;
+    std::string traceOut;
+
+    /** Set by a flag that answers on its own (--help, --list,
+     *  --version): the rest of the command line is ignored, the
+     *  answer goes to stdout and the exit status is 0. */
+    void (*answer)(std::ostream &) = nullptr;
+};
+
+/** How a flag reads its value. */
+enum class Arg
+{
+    None,  ///< a switch
+    Count, ///< an integer in [min, max]
+    Real,  ///< a number in [min, max]
+    Shard, ///< I/N with N in [min, max] and I < N
+    Text,  ///< one word
+    Rest,  ///< every remaining argument, at least one
+};
+
+/** A flag's parsed value. */
+struct Value
+{
+    std::uint64_t count = 0; ///< Count; Shard: N
+    std::uint64_t index = 0; ///< Shard: I
+    double real = 0.0;       ///< Real
+    std::vector<std::string> words; ///< Text (one word), Rest
+};
+
+struct Flag
+{
+    const char *name;
+    Arg arg;
+    const char *meta; ///< the value's placeholder, nullptr for None
+    double min, max;  ///< accepted range of Count, Real and Shard
+    /** Usage text; "%r" renders the accepted range, "\n" starts a
+     *  new line. */
+    const char *help;
+    void (*apply)(Cli &, const Value &);
+};
+
+void usage(std::ostream &os);
+void listExperiments(std::ostream &os);
+
+const Flag kFlags[] = {
+    {"--list", Arg::None, nullptr, 0, 0,
+     "list registered experiments and exit",
+     [](Cli &c, const Value &) { c.answer = listExperiments; }},
+    {"--all", Arg::None, nullptr, 0, 0,
+     "run every registered experiment",
+     [](Cli &c, const Value &) { c.all = true; }},
+    {"--stride", Arg::Count, "N", 1, 531,
+     "use every N-th of the 531 traces (N in %r, default 16)",
+     [](Cli &c, const Value &v) {
+         c.stride = static_cast<unsigned>(v.count);
+     }},
+    {"--uops", Arg::Count, "N", 1, 1e9,
+     "uops per trace (N in %r, default 40000)",
+     [](Cli &c, const Value &v) { c.uops = v.count; }},
+    {"--jobs", Arg::Count, "N", 0, 4096,
+     "worker threads (N in %r, default 1; 0 = all hardware\n"
+     "threads); statistics are identical for any N",
+     [](Cli &c, const Value &v) {
+         c.options.jobs = v.count == 0
+             ? defaultJobs()
+             : static_cast<unsigned>(v.count);
+     }},
+    {"--full", Arg::None, nullptr, 0, 0,
+     "paper scale: --stride 1 --uops 200000 and slower mechanism\n"
+     "time constants; an explicit --stride or --uops wins",
+     [](Cli &c, const Value &) { c.full = true; }},
+    {"--no-surrogate", Arg::None, nullptr, 0, 0,
+     "same as --surrogate-audit 1",
+     [](Cli &c, const Value &) {
+         c.options.surrogateAuditFraction = 1.0;
+     }},
+    {"--surrogate-audit", Arg::Real, "F", 0, 1,
+     "seeded share of pruned candidates the exact engine prices\n"
+     "anyway (F in %r, default 0.03); 1 prices every candidate\n"
+     "and never fits the surrogate.  Printed figures are exact",
+     [](Cli &c, const Value &v) {
+         c.options.surrogateAuditFraction = v.real;
+     }},
+    {"--surrogate-stats", Arg::None, nullptr, 0, 0,
+     "print the surrogate's fit, costs, triage counts and a\n"
+     "same-run exhaustive vs pruned sweep, then exit (cache-free)",
+     [](Cli &c, const Value &) { c.surrogateStats = true; }},
+    {"--cache-dir", Arg::Text, "DIR", 0, 0,
+     "content-addressed per-trace result store; stdout is\n"
+     "byte-identical with a cold cache, a warm one, or none",
+     [](Cli &c, const Value &v) { c.cacheDir = v.words.front(); }},
+    {"--cache-gc", Arg::None, nullptr, 0, 0,
+     "after the run, drop every --cache-dir entry the run did\n"
+     "not touch (retired salts, changed options)",
+     [](Cli &c, const Value &) { c.cacheGc = true; }},
+    {"--shard", Arg::Shard, "I/N", 1, 531,
+     "simulate only the I-th of N round-robin slices of the\n"
+     "trace set (N in %r, I < N) and write the results as a\n"
+     "merge-ready shard file (this run's own stdout is partial)",
+     [](Cli &c, const Value &v) {
+         c.shard = true;
+         c.options.shardIndex = static_cast<unsigned>(v.index);
+         c.options.shardCount = static_cast<unsigned>(v.count);
+     }},
+    {"--shard-out", Arg::Text, "FILE", 0, 0,
+     "shard file path (default penelope_shard_I_of_N.bin)",
+     [](Cli &c, const Value &v) { c.shardOut = v.words.front(); }},
+    {"--merge", Arg::Rest, "FILE...", 0, 0,
+     "render the full statistics from shard files (all remaining\n"
+     "arguments), bit-identical to an unsharded run",
+     [](Cli &c, const Value &v) { c.mergeFiles = v.words; }},
+    {"--metrics-dump", Arg::None, nullptr, 0, 0,
+     "print a sorted 'obs: name value' metrics snapshot to\n"
+     "stderr after the run (stdout is unchanged)",
+     [](Cli &c, const Value &) { c.metricsDump = true; }},
+    {"--trace-out", Arg::Text, "FILE", 0, 0,
+     "write a Chrome trace_event JSON span trace (load it in\n"
+     "Perfetto or chrome://tracing)",
+     [](Cli &c, const Value &v) { c.traceOut = v.words.front(); }},
+    {"--version", Arg::None, nullptr, 0, 0,
+     "print the build configuration and exit",
+     [](Cli &c, const Value &) {
+         c.answer = [](std::ostream &os) { os << buildInfoText(); };
+     }},
+    {"--help", Arg::None, nullptr, 0, 0, "this message",
+     [](Cli &c, const Value &) { c.answer = usage; }},
+};
+
+/** @p flag's accepted range as "<min><between><max>". */
+std::string
+range(const Flag &flag, const char *between)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.15g%s%.15g", flag.min, between,
+                  flag.max);
+    return buf;
+}
+
+void
+usage(std::ostream &os)
+{
+    constexpr std::size_t kHelpColumn = 15;
     os << "usage: penelope_bench [experiment...] [options]\n"
           "       penelope_bench --list\n"
           "\n"
-          "options:\n"
-          "  --list       list registered experiments and exit\n"
-          "  --all        run every registered experiment\n"
-          "  --stride N   use every N-th of the 531 traces "
-          "(N >= 1, default 16)\n"
-          "  --uops N     uops per trace (N >= 1, default 40000)\n"
-          "  --jobs N     worker threads for per-trace simulation\n"
-          "               (N >= 1, default 1; 0 = all hardware "
-          "threads;\n"
-          "               statistics are identical for any N)\n"
-          "  --full       full workload (stride 1) at paper-scale "
-          "uop counts\n"
-          "  --no-surrogate\n"
-          "               disable surrogate triage: candidate "
-          "sweeps price every\n"
-          "               candidate with the exact engine.  "
-          "Printed statistics come\n"
-          "               from the exact engine in every mode; "
-          "triage only decides\n"
-          "               what to evaluate\n"
-          "  --surrogate-audit F\n"
-          "               seeded audit fraction of pruned "
-          "candidates to exact-\n"
-          "               evaluate anyway (default 0.03; 1.0 = "
-          "full audit, which\n"
-          "               bypasses the surrogate and is "
-          "byte-identical to\n"
-          "               --no-surrogate)\n"
-          "  --surrogate-stats\n"
-          "               print the fitted surrogate's "
-          "coefficients, errors, triage\n"
-          "               accounting, per-candidate costs and a "
-          "same-run exhaustive\n"
-          "               vs pruned sweep, then exit (cache-free; "
-          "CI parses the\n"
-          "               speedup floors)\n"
-          "  --cache-dir DIR\n"
-          "               content-addressed result cache: "
-          "per-trace results are looked\n"
-          "               up before simulating and stored after; "
-          "statistics (and stdout)\n"
-          "               are byte-identical with a cold cache, a "
-          "warm cache, or none\n"
-          "  --cache-gc   after the run, compact the --cache-dir "
-          "store down to the\n"
-          "               entries this run touched (a warm run "
-          "touches every entry the\n"
-          "               current salt and options can produce, so "
-          "entries from retired\n"
-          "               salts or changed options are dropped)\n"
-          "  --shard I/N  simulate only the I-th of N round-robin "
-          "slices of the trace\n"
-          "               set and write the results as a "
-          "merge-ready shard file\n"
-          "               (this run's own stdout is partial)\n"
-          "  --shard-out FILE\n"
-          "               shard file path (default "
-          "penelope_shard_I_of_N.bin)\n"
-          "  --merge F... import shard files (all remaining "
-          "arguments) and render the\n"
-          "               full statistics from them, bit-identical "
-          "to an unsharded run\n"
-          "  --metrics-dump\n"
-          "               enable the metrics registry and print a "
-          "sorted 'obs: name value'\n"
-          "               snapshot to stderr after the run (stdout "
-          "is unchanged)\n"
-          "  --trace-out FILE\n"
-          "               write a Chrome trace_event JSON span "
-          "trace (load it in\n"
-          "               Perfetto or chrome://tracing)\n"
-          "  --version    print the build configuration and exit\n"
-          "  --help       this message\n";
-    return exit_code;
-}
-
-/**
- * Parse a decimal option value with bounds checking.  Unlike the
- * old harness's atoi, rejects junk ("4x", "", "-2") and values
- * outside [min, max] with a real error message.
- */
-bool
-parseCount(const char *flag, const char *text, std::uint64_t min,
-           std::uint64_t max, std::uint64_t &out)
-{
-    if (!text || !*text) {
-        std::cerr << "penelope_bench: " << flag
-                  << " requires a value\n";
-        return false;
-    }
-    std::uint64_t value = 0;
-    for (const char *p = text; *p; ++p) {
-        if (*p < '0' || *p > '9') {
-            std::cerr << "penelope_bench: " << flag
-                      << " expects a non-negative integer, got '"
-                      << text << "'\n";
-            return false;
+          "options (a later flag overrides an earlier one):\n";
+    for (const Flag &flag : kFlags) {
+        std::string head = std::string("  ") + flag.name;
+        if (flag.meta)
+            head += std::string(" ") + flag.meta;
+        std::string help = flag.help;
+        if (const std::size_t at = help.find("%r");
+            at != std::string::npos)
+            help.replace(at, 2, range(flag, ".."));
+        os << head;
+        std::size_t column = head.size();
+        if (column >= kHelpColumn) {
+            os << '\n';
+            column = 0;
         }
-        const std::uint64_t digit =
-            static_cast<std::uint64_t>(*p - '0');
-        if (value > (UINT64_MAX - digit) / 10) {
-            std::cerr << "penelope_bench: " << flag
-                      << " value '" << text << "' is too large\n";
-            return false;
+        for (std::size_t at = 0; at < help.size();) {
+            const std::size_t eol = std::min(help.find('\n', at),
+                                             help.size());
+            os << std::string(kHelpColumn - column, ' ')
+               << help.substr(at, eol - at) << '\n';
+            column = 0;
+            at = eol + 1;
         }
-        value = value * 10 + digit;
     }
-    if (value < min || value > max) {
-        std::cerr << "penelope_bench: " << flag << " must be in ["
-                  << min << ", " << max << "], got " << value
-                  << "\n";
-        return false;
-    }
-    out = value;
-    return true;
 }
 
-/** Parse "I/N" for --shard. */
+/** Print "penelope_bench: <parts>" to stderr; returns false. */
 bool
-parseShard(const char *text, unsigned &index, unsigned &count)
+fail(const auto &...parts)
 {
-    if (!text) {
-        std::cerr << "penelope_bench: --shard requires I/N\n";
-        return false;
-    }
-    const char *slash = std::strchr(text, '/');
-    if (!slash || slash == text || !slash[1]) {
-        std::cerr << "penelope_bench: --shard expects I/N, got '"
-                  << text << "'\n";
-        return false;
-    }
-    const std::string i_text(text, slash);
-    std::uint64_t i = 0;
-    std::uint64_t n = 0;
-    if (!parseCount("--shard", i_text.c_str(), 0, 530, i) ||
-        !parseCount("--shard", slash + 1, 1, 531, n))
-        return false;
-    if (i >= n) {
-        std::cerr << "penelope_bench: --shard index " << i
-                  << " out of range for " << n << " shards\n";
-        return false;
-    }
-    index = static_cast<unsigned>(i);
-    count = static_cast<unsigned>(n);
-    return true;
+    std::cerr << "penelope_bench: ";
+    (std::cerr << ... << parts) << '\n';
+    return false;
 }
 
-/** Parse a decimal factor in [min, max] for --surrogate-audit. */
+/** Parse all of @p text as a T in [min, max]. */
+template <class T>
 bool
-parseFactor(const char *flag, const char *text, double min,
-            double max, double &out)
+parseIn(std::string_view text, double min, double max, T &out)
 {
-    if (!text || !*text) {
-        std::cerr << "penelope_bench: " << flag
-                  << " requires a value\n";
-        return false;
-    }
-    char *end = nullptr;
-    const double value = std::strtod(text, &end);
+    T value{};
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
     // Negated range test: NaN compares false both ways, so it is
-    // rejected here instead of slipping through as in range.
-    if (!end || *end != '\0' || !(value >= min && value <= max)) {
-        std::cerr << "penelope_bench: " << flag
-                  << " expects a number in [" << min << ", " << max
-                  << "], got '" << text << "'\n";
+    // rejected instead of slipping through as in range.
+    if (ec != std::errc() || end != text.data() + text.size() ||
+        !(value >= min && value <= max))
         return false;
-    }
     out = value;
     return true;
+}
+
+/** Read @p flag's value from argv past @p i, advancing @p i over
+ *  what it consumes.  Explains and returns false when the value is
+ *  missing or outside the flag's range. */
+bool
+readValue(const Flag &flag, int argc, char **argv, int &i, Value &v)
+{
+    if (flag.arg == Arg::None)
+        return true;
+    if (i + 1 >= argc)
+        return fail(flag.name, " requires ", flag.meta);
+    const std::string_view text = argv[++i];
+    switch (flag.arg) {
+      case Arg::Count:
+        return parseIn(text, flag.min, flag.max, v.count) ||
+            fail(flag.name, " expects an integer in [",
+                 range(flag, ", "), "], got '", text, "'");
+      case Arg::Real:
+        return parseIn(text, flag.min, flag.max, v.real) ||
+            fail(flag.name, " expects a number in [",
+                 range(flag, ", "), "], got '", text, "'");
+      case Arg::Shard: {
+        const std::size_t slash = text.find('/');
+        return (slash != std::string_view::npos &&
+                parseIn(text.substr(slash + 1), flag.min, flag.max,
+                        v.count) &&
+                parseIn(text.substr(0, slash), 0,
+                        static_cast<double>(v.count) - 1, v.index)) ||
+            fail(flag.name, " expects I/N with N in [",
+                 range(flag, ", "), "] and I < N, got '", text, "'");
+      }
+      case Arg::Rest:
+        v.words.assign(argv + i, argv + argc);
+        i = argc - 1;
+        return true;
+      default: // Arg::Text
+        v.words.emplace_back(text);
+        return true;
+    }
+}
+
+/** Apply every flag of the command line in order (a later flag
+ *  overrides an earlier one) and collect experiment names. */
+bool
+parseCommandLine(int argc, char **argv, Cli &cli)
+{
+    for (int i = 1; i < argc && !cli.answer; ++i) {
+        const std::string_view arg = argv[i];
+        const Flag *flag = nullptr;
+        for (const Flag &f : kFlags) {
+            if (arg == f.name)
+                flag = &f;
+        }
+        if (flag) {
+            Value value;
+            if (!readValue(*flag, argc, argv, i, value))
+                return false;
+            flag->apply(cli, value);
+        } else if (arg.starts_with('-')) {
+            fail("unknown option '", arg, "'");
+            usage(std::cerr);
+            return false;
+        } else {
+            cli.names.emplace_back(arg);
+        }
+    }
+    return true;
+}
+
+/** The rules that relate flags to each other, and the --full
+ *  preset: explains and returns false on a command line that
+ *  contradicts itself or names no known experiment. */
+bool
+finishCommandLine(Cli &cli)
+{
+    ExperimentOptions &options = cli.options;
+    options.traceStride = cli.stride.value_or(cli.full ? 1 : 16);
+    options.uopsPerTrace = cli.uops.value_or(cli.full ? 200'000 : 40'000);
+    options.cacheUops = options.uopsPerTrace;
+    if (cli.full)
+        options.mechanismTimeScale = 0.2;
+
+    if (cli.shard && !cli.mergeFiles.empty())
+        return fail("--shard and --merge are mutually exclusive");
+    if (!cli.shardOut.empty() && !cli.shard)
+        return fail("--shard-out requires --shard I/N");
+    if (cli.cacheGc && cli.cacheDir.empty())
+        return fail("--cache-gc requires --cache-dir DIR");
+    // A shard run only touches its own slice of the trace set;
+    // GC'ing on its liveness would wipe every other shard's
+    // entries from a shared store.
+    if (cli.cacheGc && cli.shard)
+        return fail("--cache-gc cannot be combined with --shard (a "
+                    "shard run touches only its slice)");
+    if (cli.shard && cli.shardOut.empty()) {
+        cli.shardOut = "penelope_shard_" +
+            std::to_string(options.shardIndex) + "_of_" +
+            std::to_string(options.shardCount) + ".bin";
+    }
+    if (cli.surrogateStats)
+        return true;
+
+    const ExperimentRegistry &registry =
+        ExperimentRegistry::instance();
+    if (cli.all) {
+        cli.names.clear();
+        for (const Experiment &e : registry.experiments())
+            cli.names.push_back(e.name);
+    }
+    if (cli.names.empty()) {
+        fail("no experiment given\n");
+        listExperiments(std::cerr);
+        std::cerr << '\n';
+        usage(std::cerr);
+        return false;
+    }
+    bool known = true;
+    for (const std::string &name : cli.names) {
+        if (!registry.find(name))
+            known = fail("unknown experiment '", name, "'");
+    }
+    if (!known) {
+        std::cerr << '\n';
+        listExperiments(std::cerr);
+    }
+    return known;
 }
 
 void
@@ -365,11 +528,9 @@ printSurrogateStats(std::ostream &os,
     }
 
     CandidateSweepConfig exhaustive_config;
-    exhaustive_config.triage = false;
     exhaustive_config.exactSamples = exact_samples;
 
     CandidateSweepConfig pruned_config = exhaustive_config;
-    pruned_config.triage = true;
     pruned_config.triageConfig.topK = options.surrogateTopK;
     pruned_config.triageConfig.auditFraction =
         options.surrogateAuditFraction;
@@ -425,124 +586,16 @@ main(int argc, char **argv)
 {
     registerBuiltinExperiments();
 
-    ExperimentOptions options;
-    options.traceStride = 16;
-    options.uopsPerTrace = 40'000;
-    options.cacheUops = 40'000;
-
-    std::vector<std::string> names;
-    std::vector<std::string> merge_files;
-    std::string cache_dir;
-    std::string shard_out;
-    bool run_all = false;
-    bool uops_set = false;
-    bool full = false;
-    bool shard_mode = false;
-    bool merge_mode = false;
-    bool cache_gc = false;
-    bool surrogate_stats_mode = false;
-
-    bool metrics_dump = false;
-    std::string trace_out;
-
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        std::uint64_t value = 0;
-        if (!std::strcmp(arg, "--help")) {
-            return usage(std::cout, 0);
-        } else if (!std::strcmp(arg, "--version")) {
-            std::cout << buildInfoText();
-            return 0;
-        } else if (!std::strcmp(arg, "--metrics-dump")) {
-            metrics_dump = true;
-        } else if (!std::strcmp(arg, "--trace-out")) {
-            if (i + 1 >= argc) {
-                std::cerr << "penelope_bench: --trace-out "
-                             "requires a path\n";
-                return 2;
-            }
-            trace_out = argv[++i];
-        } else if (!std::strcmp(arg, "--list")) {
-            listExperiments(std::cout);
-            return 0;
-        } else if (!std::strcmp(arg, "--all")) {
-            run_all = true;
-        } else if (!std::strcmp(arg, "--full")) {
-            full = true;
-        } else if (!std::strcmp(arg, "--stride")) {
-            if (!parseCount("--stride", i + 1 < argc ? argv[++i]
-                                                     : nullptr,
-                            1, 531, value))
-                return 2;
-            options.traceStride = static_cast<unsigned>(value);
-        } else if (!std::strcmp(arg, "--uops")) {
-            if (!parseCount("--uops", i + 1 < argc ? argv[++i]
-                                                   : nullptr,
-                            1, 1'000'000'000, value))
-                return 2;
-            options.uopsPerTrace =
-                static_cast<std::size_t>(value);
-            options.cacheUops = options.uopsPerTrace;
-            uops_set = true;
-        } else if (!std::strcmp(arg, "--jobs")) {
-            if (!parseCount("--jobs", i + 1 < argc ? argv[++i]
-                                                   : nullptr,
-                            0, 4096, value))
-                return 2;
-            options.jobs = value == 0
-                ? defaultJobs()
-                : static_cast<unsigned>(value);
-        } else if (!std::strcmp(arg, "--no-surrogate")) {
-            options.surrogateEnabled = false;
-        } else if (!std::strcmp(arg, "--surrogate-audit")) {
-            if (!parseFactor("--surrogate-audit",
-                             i + 1 < argc ? argv[++i] : nullptr,
-                             0.0, 1.0,
-                             options.surrogateAuditFraction))
-                return 2;
-        } else if (!std::strcmp(arg, "--surrogate-stats")) {
-            surrogate_stats_mode = true;
-        } else if (!std::strcmp(arg, "--cache-dir")) {
-            if (i + 1 >= argc) {
-                std::cerr << "penelope_bench: --cache-dir "
-                             "requires a path\n";
-                return 2;
-            }
-            cache_dir = argv[++i];
-        } else if (!std::strcmp(arg, "--cache-gc")) {
-            cache_gc = true;
-        } else if (!std::strcmp(arg, "--shard")) {
-            if (!parseShard(i + 1 < argc ? argv[++i] : nullptr,
-                            options.shardIndex,
-                            options.shardCount))
-                return 2;
-            shard_mode = true;
-        } else if (!std::strcmp(arg, "--shard-out")) {
-            if (i + 1 >= argc) {
-                std::cerr << "penelope_bench: --shard-out "
-                             "requires a path\n";
-                return 2;
-            }
-            shard_out = argv[++i];
-        } else if (!std::strcmp(arg, "--merge")) {
-            // --merge consumes every remaining argument as a
-            // shard file (experiment names go before it).
-            if (i + 1 >= argc) {
-                std::cerr << "penelope_bench: --merge requires "
-                             "at least one shard file\n";
-                return 2;
-            }
-            while (++i < argc)
-                merge_files.push_back(argv[i]);
-            merge_mode = true;
-        } else if (arg[0] == '-') {
-            std::cerr << "penelope_bench: unknown option '" << arg
-                      << "'\n";
-            return usage(std::cerr, 2);
-        } else {
-            names.push_back(arg);
-        }
+    Cli cli;
+    if (!parseCommandLine(argc, argv, cli))
+        return 2;
+    if (cli.answer) {
+        cli.answer(std::cout);
+        return 0;
     }
+    if (!finishCommandLine(cli))
+        return 2;
+    ExperimentOptions &options = cli.options;
 
     // Observability session: emission stays runtime-off unless a
     // flag asks for it, and every sink writes to stderr or a file --
@@ -560,85 +613,20 @@ main(int argc, char **argv)
             }
         }
     } obs_guard;
-    obs_guard.dump = metrics_dump;
-    if (metrics_dump || !trace_out.empty())
+    obs_guard.dump = cli.metricsDump;
+    if (cli.metricsDump || !cli.traceOut.empty())
         obs::Registry::instance().setEnabled(true);
-    if (!trace_out.empty()) {
+    if (!cli.traceOut.empty()) {
         std::string error;
-        if (!obs::Tracer::instance().open(trace_out, &error)) {
+        if (!obs::Tracer::instance().open(cli.traceOut, &error)) {
             std::cerr << "penelope_bench: --trace-out: " << error
                       << "\n";
             return 2;
         }
     }
-    if (surrogate_stats_mode) {
-        // After the parse loop so --jobs/--surrogate-audit apply
-        // in any argument order.
+    if (cli.surrogateStats) {
         printSurrogateStats(std::cout, options);
         return 0;
-    }
-
-    if (full) {
-        options.traceStride = 1;
-        options.mechanismTimeScale = 0.2;
-        if (!uops_set) {
-            options.uopsPerTrace = 200'000;
-            options.cacheUops = 200'000;
-        }
-    }
-
-    const ExperimentRegistry &registry =
-        ExperimentRegistry::instance();
-    if (run_all) {
-        names.clear();
-        for (const Experiment &e : registry.experiments())
-            names.push_back(e.name);
-    }
-    if (names.empty()) {
-        std::cerr << "penelope_bench: no experiment given\n\n";
-        listExperiments(std::cerr);
-        std::cerr << '\n';
-        return usage(std::cerr, 2);
-    }
-
-    // Validate every name before running anything.
-    bool unknown = false;
-    for (const std::string &name : names) {
-        if (!registry.find(name)) {
-            std::cerr << "penelope_bench: unknown experiment '"
-                      << name << "'\n";
-            unknown = true;
-        }
-    }
-    if (unknown) {
-        std::cerr << '\n';
-        listExperiments(std::cerr);
-        return 2;
-    }
-
-    if (shard_mode && merge_mode) {
-        std::cerr << "penelope_bench: --shard and --merge are "
-                     "mutually exclusive\n";
-        return 2;
-    }
-    if (!shard_out.empty() && !shard_mode) {
-        std::cerr << "penelope_bench: --shard-out requires "
-                     "--shard I/N\n";
-        return 2;
-    }
-    if (cache_gc && cache_dir.empty()) {
-        std::cerr << "penelope_bench: --cache-gc requires "
-                     "--cache-dir DIR\n";
-        return 2;
-    }
-    if (cache_gc && shard_mode) {
-        // A shard run only touches its own slice of the trace set;
-        // GC'ing on its liveness would wipe every other shard's
-        // entries from a shared store.
-        std::cerr << "penelope_bench: --cache-gc cannot be "
-                     "combined with --shard (a shard run touches "
-                     "only its slice)\n";
-        return 2;
     }
 
     // One persistent worker pool for the whole run: every parallel
@@ -659,11 +647,11 @@ main(int argc, char **argv)
     // computed once per process; stdout is byte-identical on every
     // path by the resultcache.hh contract.
     std::optional<ResultCache> cache;
-    if (!cache_dir.empty() || shard_mode || merge_mode) {
-        cache.emplace(cache_dir);
+    if (!cli.cacheDir.empty() || cli.shard || !cli.mergeFiles.empty()) {
+        cache.emplace(cli.cacheDir);
         options.cache = &*cache;
     }
-    for (const std::string &file : merge_files) {
+    for (const std::string &file : cli.mergeFiles) {
         if (!cache->importFrom(file)) {
             // A missing/foreign shard file only costs recompute
             // time; the merged statistics stay correct.
@@ -674,8 +662,10 @@ main(int argc, char **argv)
         }
     }
 
+    const ExperimentRegistry &registry =
+        ExperimentRegistry::instance();
     const WorkloadSet workload;
-    for (const std::string &name : names) {
+    for (const std::string &name : cli.names) {
         const Experiment *experiment = registry.find(name);
         const ExperimentContext ctx{workload, options, std::cout};
         const bool timed = obs::enabled();
@@ -692,27 +682,22 @@ main(int argc, char **argv)
         }
     }
 
-    if (shard_mode) {
-        if (shard_out.empty()) {
-            shard_out = "penelope_shard_" +
-                std::to_string(options.shardIndex) + "_of_" +
-                std::to_string(options.shardCount) + ".bin";
-        }
-        if (!cache->exportTo(shard_out)) {
+    if (cli.shard) {
+        if (!cache->exportTo(cli.shardOut)) {
             std::cerr << "penelope_bench: failed to write shard "
                          "file '"
-                      << shard_out << "'\n";
+                      << cli.shardOut << "'\n";
             return 1;
         }
         std::cerr << "penelope_bench: wrote "
-                  << cache->size() << " entries to " << shard_out
+                  << cache->size() << " entries to " << cli.shardOut
                   << " (merge with: penelope_bench ... --merge "
-                  << shard_out << " ...)\n";
+                  << cli.shardOut << " ...)\n";
     }
-    if (cache_gc) {
+    if (cli.cacheGc) {
         // The experiments above touched every entry the current
         // salt/options can key; everything else is unreachable.
-        if (!run_all) {
+        if (!cli.all) {
             std::cerr << "penelope_bench: cache-gc: note: "
                          "liveness is THIS run's experiment "
                          "selection; entries of experiments not "

@@ -20,18 +20,6 @@ struct MemRef
     Word data = 0;
 };
 
-/** Mix a cache-geometry description into a key (the name string is
- *  deliberately excluded: it never affects simulation). */
-void
-keyCacheConfig(CacheKeyBuilder &key, const CacheConfig &config)
-{
-    key.u32(config.sizeBytes)
-        .u32(config.ways)
-        .u32(config.lineBytes)
-        .u32(static_cast<std::uint32_t>(config.replacement))
-        .f64(config.writePortFreeProb);
-}
-
 /** Content hash of one trace's baseline-vs-mechanism pair. */
 Hash128
 memLossKey(const TraceSpec &spec, unsigned index,

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <optional>
 #include <ostream>
 
 #include "adder/adder.hh"
@@ -809,8 +810,8 @@ struct AttackRun
 
     /** Replay seed stream: the unprotected and protected arms of a
      *  variant replay in lockstep on it, so their comparison is
-     *  seed-controlled (the same arrival/residence/port-availability
-     *  draws), just as the Figure-8 runner does per trace. */
+     *  seed-controlled (the same arrival and residence draws), just
+     *  as the Figure-8 runner does per trace. */
     unsigned id;
 };
 
@@ -838,26 +839,6 @@ decodeResult(ByteReader &r, RfAttackShard &shard)
     return r.ok();
 }
 
-/** The register-file configuration fields every regfile attack key
- *  must cover (matches regfileReplayKey in experiments.cc). */
-void
-keyRegFileSetup(CacheKeyBuilder &key,
-                const RegFileConfig &rf_config,
-                const RegReplayConfig &replay_config, bool isv,
-                std::size_t uops)
-{
-    key.u32(rf_config.numEntries)
-        .u32(rf_config.width)
-        .u32(rf_config.sampledEntry)
-        .u32(rf_config.rinvSampleInterval)
-        .b(replay_config.fp)
-        .u32(replay_config.commitDelay)
-        .f64(replay_config.portFreeProb)
-        .u64(replay_config.seed)
-        .b(isv)
-        .u64(uops);
-}
-
 /** Content hash of one normal-workload register-file reference
  *  replay of the attack experiment. */
 Hash128
@@ -867,7 +848,7 @@ regfileNormalKey(const RegFileConfig &rf_config,
                  unsigned trace_index)
 {
     CacheKeyBuilder key("regfile-attack-normal");
-    keyRegFileSetup(key, rf_config, replay_config, isv, uops);
+    keyRegFileReplay(key, rf_config, replay_config, isv, uops);
     key.u64(trace_seed).u32(trace_index);
     return key.digest();
 }
@@ -880,7 +861,7 @@ regfileAttackKey(const RegFileConfig &rf_config,
                  unsigned run_id)
 {
     CacheKeyBuilder key("regfile-attack");
-    keyRegFileSetup(key, rf_config, replay_config, isv, uops);
+    keyRegFileReplay(key, rf_config, replay_config, isv, uops);
     key.u32(run_id)
         .u64(attack.dataValue)
         .u32(attack.hotRegs)
@@ -912,28 +893,11 @@ attackReplayKey(const SchedReplayConfig &replay_config,
                 const AttackRun &run)
 {
     CacheKeyBuilder key("sched-attack");
-    key.f64(replay_config.arrivalRate)
-        .f64(replay_config.meanResidence)
-        .f64(replay_config.portFreeProb)
-        .u64(replay_config.seed)
-        .u64(uops)
-        .u32(run.id)
-        .u64(run.attack.dataValue)
-        .u32(run.attack.imm)
-        .u32(run.attack.latency)
-        .u32(run.attack.port)
-        .u32(run.attack.mobId)
-        .u32(run.attack.flags)
-        .u32(run.attack.opcode)
-        .b(run.attack.taken)
-        .u32(run.attack.branchPeriod)
-        .u32(run.attack.hotRegs)
-        .b(!decisions.empty()); // protected arm
-    key.u64(decisions.size());
-    for (const BitDecision &d : decisions) {
-        key.u32(static_cast<std::uint32_t>(d.technique))
-            .f64(d.k);
-    }
+    keySchedReplayConfig(key, replay_config);
+    key.u64(uops).u32(run.id);
+    keyAttackConfig(key, run.attack);
+    key.b(!decisions.empty()); // protected arm
+    keyDecisions(key, decisions);
     return key.digest();
 }
 
@@ -1334,15 +1298,7 @@ runAttackSearch(const ExperimentContext &ctx)
     LadnerFischerAdder adder(32);
     AdderAgingAnalysis analysis(adder, model);
 
-    // Full audit means every proposal is priced exactly, which is
-    // what triage-off does -- so the surrogate (and its training
-    // replays) is bypassed entirely and the two modes match byte
-    // for byte, on stdout and in the cache.
-    const bool triage = options.surrogateEnabled &&
-        options.surrogateAuditFraction < 1.0;
-
     CandidateSweepConfig sweep_config;
-    sweep_config.triage = triage;
     sweep_config.triageConfig.topK = options.surrogateTopK;
     sweep_config.triageConfig.auditFraction =
         options.surrogateAuditFraction;
@@ -1350,12 +1306,11 @@ runAttackSearch(const ExperimentContext &ctx)
         mixSeed(options.surrogateSeed, 0xa0d17);
     sweep_config.exactSamples = options.attackSearchExactSamples;
 
-    CandidateSweepConfig exact_config = sweep_config;
-    exact_config.triage = false;
-
+    // A full audit prices every proposal exactly, so it skips the
+    // surrogate and its training replays altogether.
     TriageStats stats;
-    SurrogateFit fit;
-    if (triage) {
+    std::optional<SurrogateFit> fit;
+    if (options.surrogateAuditFraction < 1.0) {
         SurrogateFitConfig fit_config;
         fit_config.seed = mixSeed(options.surrogateSeed, 0xf17);
         fit = trainAttackSurrogate(
@@ -1367,8 +1322,8 @@ runAttackSearch(const ExperimentContext &ctx)
     // Random-restart greedy mutation over the trace parameters.
     // Every proposal draws from the search streams only -- never
     // from the surrogate's fit/audit streams -- so the candidate
-    // sequence is identical whether triage is on or off; triage
-    // only chooses which proposals the exact engine prices, and
+    // sequence is identical with or without triage; triage only
+    // chooses which proposals the exact engine prices, and
     // each greedy step moves to the best *exact* score among the
     // priced proposals.
     struct RestartOutcome
@@ -1381,7 +1336,7 @@ runAttackSearch(const ExperimentContext &ctx)
         Rng search(mixSeed(options.surrogateSeed, 0x5ea4c0 + r));
         AttackConfig current = randomAttackCandidate(search);
         const CandidateSweepResult seed_eval = sweepAttackCandidates(
-            analysis, {current}, nullptr, exact_config, engine,
+            analysis, {current}, nullptr, sweep_config, engine,
             options.results());
         stats.merge(seed_eval.stats);
         CandidateEval current_eval = seed_eval.best;
@@ -1396,7 +1351,7 @@ runAttackSearch(const ExperimentContext &ctx)
                     mutateAttackCandidate(current, search));
             }
             const CandidateSweepResult sr = sweepAttackCandidates(
-                analysis, proposals, triage ? &fit : nullptr,
+                analysis, proposals, fit ? &*fit : nullptr,
                 sweep_config, engine, options.results());
             stats.merge(sr.stats);
             if (!sr.evals.empty() &&
@@ -1463,8 +1418,7 @@ runAttackSearch(const ExperimentContext &ctx)
 
     // Triage accounting goes to stderr: it differs between
     // pruned and exhaustive modes by design, and stdout must stay
-    // byte-identical across jobs/cache/shard layouts *and*
-    // between --no-surrogate and full-audit.
+    // byte-identical across jobs/cache/shard layouts.
     std::cerr << "attack-search: scored "
               << stats.candidatesScored << ", pruned "
               << stats.pruned << ", exact "

@@ -41,18 +41,9 @@ regfileReplayKey(const RegFileConfig &rf_config,
                  std::uint64_t trace_seed, unsigned trace_index)
 {
     CacheKeyBuilder key("regfile-replay");
-    key.u32(rf_config.numEntries)
-        .u32(rf_config.width)
-        .u32(rf_config.sampledEntry)
-        .u32(rf_config.rinvSampleInterval)
-        .b(replay_config.fp)
-        .u32(replay_config.commitDelay)
-        .f64(replay_config.portFreeProb)
-        .u64(replay_config.seed)
-        .b(isv)
-        .u64(uops_per_trace)
-        .u64(trace_seed)
-        .u32(trace_index);
+    keyRegFileReplay(key, rf_config, replay_config, isv,
+                     uops_per_trace);
+    key.u64(trace_seed).u32(trace_index);
     return key.digest();
 }
 
@@ -70,22 +61,12 @@ keyPipelineConfig(CacheKeyBuilder &key, const PipelineConfig &cfg)
         .u32(cfg.redirectPenalty)
         .u32(cfg.loadHitLatency)
         .u32(cfg.dl0MissPenalty)
-        .u32(cfg.dtlbMissPenalty)
-        .u32(cfg.sched.numEntries)
-        .u32(cfg.sched.isvSampleInterval);
-    for (const RegFileConfig *rf : {&cfg.intRf, &cfg.fpRf}) {
-        key.u32(rf->numEntries)
-            .u32(rf->width)
-            .u32(rf->sampledEntry)
-            .u32(rf->rinvSampleInterval);
-    }
-    for (const CacheConfig *cache : {&cfg.dl0, &cfg.dtlb}) {
-        key.u32(cache->sizeBytes)
-            .u32(cache->ways)
-            .u32(cache->lineBytes)
-            .u32(static_cast<std::uint32_t>(cache->replacement))
-            .f64(cache->writePortFreeProb);
-    }
+        .u32(cfg.dtlbMissPenalty);
+    keySchedulerConfig(key, cfg.sched);
+    keyRegFileConfig(key, cfg.intRf);
+    keyRegFileConfig(key, cfg.fpRf);
+    keyCacheConfig(key, cfg.dl0);
+    keyCacheConfig(key, cfg.dtlb);
     key.u32(static_cast<std::uint32_t>(cfg.dl0Mechanism))
         .u32(static_cast<std::uint32_t>(cfg.dtlbMechanism))
         .f64(cfg.mechanismTimeScale)

@@ -294,4 +294,81 @@ decodeResult(ByteReader &r, std::vector<OperandSample> &v)
     return true;
 }
 
+// ------------------------------------------------------ key material
+
+void
+keyCacheConfig(CacheKeyBuilder &key, const CacheConfig &config)
+{
+    key.u32(config.sizeBytes)
+        .u32(config.ways)
+        .u32(config.lineBytes)
+        .u32(static_cast<std::uint32_t>(config.replacement))
+        .f64(config.writePortFreeProb);
+}
+
+void
+keySchedulerConfig(CacheKeyBuilder &key, const SchedulerConfig &config)
+{
+    key.u32(config.numEntries).u32(config.isvSampleInterval);
+}
+
+void
+keySchedReplayConfig(CacheKeyBuilder &key,
+                     const SchedReplayConfig &config)
+{
+    // 0.77 is the retired port-free probability, kept so that keys
+    // written while it was a setting still hit.
+    key.f64(config.arrivalRate)
+        .f64(config.meanResidence)
+        .f64(0.77)
+        .u64(config.seed);
+}
+
+void
+keyDecisions(CacheKeyBuilder &key,
+             const std::vector<BitDecision> &decisions)
+{
+    key.u64(decisions.size());
+    for (const BitDecision &d : decisions)
+        key.u32(static_cast<std::uint32_t>(d.technique)).f64(d.k);
+}
+
+void
+keyRegFileConfig(CacheKeyBuilder &key, const RegFileConfig &config)
+{
+    key.u32(config.numEntries)
+        .u32(config.width)
+        .u32(config.sampledEntry)
+        .u32(config.rinvSampleInterval);
+}
+
+void
+keyRegFileReplay(CacheKeyBuilder &key, const RegFileConfig &rf_config,
+                 const RegReplayConfig &replay_config, bool isv,
+                 std::size_t uops)
+{
+    keyRegFileConfig(key, rf_config);
+    key.b(replay_config.fp)
+        .u32(replay_config.commitDelay)
+        .f64(replay_config.portFreeProb)
+        .u64(replay_config.seed)
+        .b(isv)
+        .u64(uops);
+}
+
+void
+keyAttackConfig(CacheKeyBuilder &key, const AttackConfig &attack)
+{
+    key.u64(attack.dataValue)
+        .u32(attack.imm)
+        .u32(attack.latency)
+        .u32(attack.port)
+        .u32(attack.mobId)
+        .u32(attack.flags)
+        .u32(attack.opcode)
+        .b(attack.taken)
+        .u32(attack.branchPeriod)
+        .u32(attack.hotRegs);
+}
+
 } // namespace penelope

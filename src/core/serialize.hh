@@ -29,7 +29,8 @@
 #include "core/resultcache.hh"
 #include "pipeline/pipeline.hh"
 #include "regfile/driver.hh"
-#include "scheduler/scheduler.hh"
+#include "scheduler/driver.hh"
+#include "trace/attack.hh"
 
 namespace penelope {
 
@@ -56,6 +57,30 @@ bool decodeResult(ByteReader &r, MemLossSample &v);
 void encodeResult(ByteWriter &w,
                   const std::vector<OperandSample> &v);
 bool decodeResult(ByteReader &r, std::vector<OperandSample> &v);
+
+// ------------------------------------------------------ key material
+//
+// One writer per configuration struct: every cache key that covers
+// a struct mixes its fields through that writer, in one order.
+
+/** The name string is left out: it never affects simulation. */
+void keyCacheConfig(CacheKeyBuilder &key, const CacheConfig &config);
+void keySchedulerConfig(CacheKeyBuilder &key,
+                        const SchedulerConfig &config);
+void keySchedReplayConfig(CacheKeyBuilder &key,
+                          const SchedReplayConfig &config);
+/** Count first, so an empty list (unprotected) is keyed too. */
+void keyDecisions(CacheKeyBuilder &key,
+                  const std::vector<BitDecision> &decisions);
+void keyRegFileConfig(CacheKeyBuilder &key,
+                      const RegFileConfig &config);
+/** A register-file replay: the file, its replay config, ISV and
+ *  the uops replayed. */
+void keyRegFileReplay(CacheKeyBuilder &key,
+                      const RegFileConfig &rf_config,
+                      const RegReplayConfig &replay_config, bool isv,
+                      std::size_t uops);
+void keyAttackConfig(CacheKeyBuilder &key, const AttackConfig &attack);
 
 } // namespace penelope
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/serialize.hh"
 #include "obs/metrics.hh"
 
 namespace penelope {
@@ -45,19 +46,8 @@ attackCandidateKey(const Adder &adder, const AttackConfig &attack,
                    std::size_t exact_samples)
 {
     CacheKeyBuilder key("attack-candidate");
-    key.str(adder.name())
-        .u32(adder.width())
-        .u64(exact_samples)
-        .u64(attack.dataValue)
-        .u32(attack.imm)
-        .u32(attack.latency)
-        .u32(attack.port)
-        .u32(attack.mobId)
-        .u32(attack.flags)
-        .u32(attack.opcode)
-        .b(attack.taken)
-        .u32(attack.branchPeriod)
-        .u32(attack.hotRegs);
+    key.str(adder.name()).u32(adder.width()).u64(exact_samples);
+    keyAttackConfig(key, attack);
     return key.digest();
 }
 
@@ -164,7 +154,7 @@ sweepAttackCandidates(const AdderAgingAnalysis &analysis,
     if (candidates.empty())
         return result;
 
-    if (config.triage && fit) {
+    if (fit) {
         const unsigned width = analysis.adder().width();
         std::vector<double> predicted(candidates.size());
         for (std::size_t i = 0; i < candidates.size(); ++i) {

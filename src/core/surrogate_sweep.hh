@@ -19,9 +19,9 @@
  *  - all exact evaluations flow through Engine::mapCached under the
  *    content-addressed "attack-candidate" domain, so pruned,
  *    exhaustive and repeated sweeps share warm entries;
- *  - with triage disabled (or an audit fraction of 1.0) the sweep
- *    evaluates every candidate and is byte-identical to the
- *    pre-surrogate behaviour -- same draws, same merges, same keys.
+ *  - a sweep given no fit evaluates every candidate and is
+ *    byte-identical to the pre-surrogate behaviour -- same draws,
+ *    same merges, same keys.
  */
 
 #ifndef PENELOPE_CORE_SURROGATE_SWEEP_HH
@@ -92,9 +92,7 @@ AttackConfig mutateAttackCandidate(const AttackConfig &base,
 /** Sweep sizing and triage knobs. */
 struct CandidateSweepConfig
 {
-    /** False = exhaustive: every candidate is evaluated exactly
-     *  and the surrogate is never consulted. */
-    bool triage = true;
+    /** Read only by sweeps given a fit. */
     TriageConfig triageConfig;
     /** Operand samples per exact evaluation. */
     std::size_t exactSamples = 2048;
@@ -116,9 +114,9 @@ struct CandidateSweepResult
 
 /**
  * Sweep @p candidates for the highest exact degradation score.
- * With triage on, @p fit scores every candidate from its feature
- * prefix and only the predicted top-K plus the audit sample pay
- * for exact evaluation; with triage off (or @p fit null) every
+ * Given a @p fit, the sweep triages: the fit scores every candidate
+ * from its feature prefix and only the predicted top-K plus the
+ * audit sample pay for exact evaluation.  With @p fit null every
  * candidate is evaluated exactly.  Exact runs go through
  * @p engine.mapCached under the "attack-candidate" domain.
  */

@@ -185,8 +185,7 @@ Pipeline::doIssue(Cycle now)
         if (f.schedEntry >= 0) {
             const bool alloc_port_free =
                 allocsThisCycle_ < config_.allocWidth;
-            sched_.release(static_cast<unsigned>(f.schedEntry), now,
-                           alloc_port_free);
+            sched_.release(static_cast<unsigned>(f.schedEntry), now);
             ++schedReleaseTotal_;
             if (alloc_port_free)
                 ++schedReleaseFree_;

@@ -4,10 +4,8 @@
  *
  * Models slot lifecycle timing: uops arrive at a configurable
  * dispatch rate, occupy a slot for a geometrically distributed
- * residence (wait-for-operands plus issue), and release through the
- * allocate write ports, which are free with the paper's measured
- * 77% probability.  Defaults are calibrated to the paper's 63%
- * average occupancy.
+ * residence (wait-for-operands plus issue), and release.  Defaults
+ * are calibrated to the paper's 63% average occupancy.
  */
 
 #ifndef PENELOPE_SCHEDULER_DRIVER_HH
@@ -38,9 +36,6 @@ struct SchedReplayConfig
     /** Mean slot residence in cycles (allocate to issue). */
     double meanResidence = 8.0;
 
-    /** Probability an allocate port is free at release time. */
-    double portFreeProb = 0.77;
-
     std::uint64_t seed = 0x5c4ed;
 };
 
@@ -60,14 +55,14 @@ struct SchedReplayResult
  * The uop source is any type with a `Uop next()` member: the
  * workload's TraceGenerator, or an adversarial source such as
  * AttackTraceGenerator (trace/attack.hh).  Replay timing --
- * arrivals, residences, rename tags, port availability -- is drawn
- * from the replay's own Rng either way, so two sources differ only
- * in the uops they feed the slots.
+ * arrivals, residences, rename tags -- is drawn from the replay's
+ * own Rng either way, so two sources differ only in the uops they
+ * feed the slots.
  *
  * Several schedulers of one geometry replay in lockstep: every
- * allocate and release goes to each of them with the same uop, tags,
- * entry and port bit.  Slot allocation depends only on busy/free
- * state, which protection never changes, so each scheduler sees
+ * allocate and release goes to each of them with the same uop, tags
+ * and entry.  Slot allocation depends only on busy/free state,
+ * which protection never changes, so each scheduler sees
  * exactly the call sequence a solo replay with the same seed would
  * give it -- one uop stream and one timing stream serve every arm
  * (baseline, protected) of a trace.  A scheduler that allocates a
@@ -194,13 +189,17 @@ class SchedulerReplay
         return entry;
     }
 
-    /** Release @p entry in every scheduler (one port draw). */
+    /** Release @p entry in every scheduler.  Each release takes
+     *  one draw from the timing stream: it once decided whether an
+     *  allocate port was free for the repair write, which the
+     *  Scheduler applies either way (Section 3.2), and it stays so
+     *  the stream -- and every cached result -- is unchanged. */
     void
     release(unsigned entry, Cycle now)
     {
-        const bool port = rng_.nextBool(config_.portFreeProb);
+        rng_();
         for (Scheduler *sched : scheds_)
-            sched->release(entry, now, port);
+            sched->release(entry, now);
     }
 
     [[noreturn]] static void diverged();

@@ -19,20 +19,10 @@ schedulerReplayKey(const SchedulerConfig &sched_config,
                    std::uint64_t trace_seed, unsigned trace_index)
 {
     CacheKeyBuilder key("sched-replay");
-    key.u32(sched_config.numEntries)
-        .u32(sched_config.isvSampleInterval)
-        .f64(replay_config.arrivalRate)
-        .f64(replay_config.meanResidence)
-        .f64(replay_config.portFreeProb)
-        .u64(replay_config.seed)
-        .u64(uops_per_trace)
-        .u64(trace_seed)
-        .u32(trace_index);
-    key.u64(decisions.size());
-    for (const BitDecision &d : decisions) {
-        key.u32(static_cast<std::uint32_t>(d.technique))
-            .f64(d.k);
-    }
+    keySchedulerConfig(key, sched_config);
+    keySchedReplayConfig(key, replay_config);
+    key.u64(uops_per_trace).u64(trace_seed).u32(trace_index);
+    keyDecisions(key, decisions);
     return key.digest();
 }
 

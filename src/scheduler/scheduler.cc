@@ -476,7 +476,7 @@ Scheduler::allocate(const Uop &uop, const RenameTags &tags,
 }
 
 void
-Scheduler::release(unsigned entry, Cycle now, bool /*port_available*/)
+Scheduler::release(unsigned entry, Cycle now)
 {
     assert(entry < entries_.size());
     Entry &e = entries_[entry];

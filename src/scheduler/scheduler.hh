@@ -117,11 +117,10 @@ class Scheduler
     int allocate(const Uop &uop, const RenameTags &tags, Cycle now);
 
     /** Release a slot (issue).  Repair values go through a spare
-     *  allocate port; without one (@p port_available false) the
-     *  write is delayed by a cycle or two, which is negligible
-     *  against multi-cycle residences (Section 3.2), so it is
-     *  modelled as applied either way. */
-    void release(unsigned entry, Cycle now, bool port_available);
+     *  allocate port; without one the write is delayed by a cycle
+     *  or two, which is negligible against multi-cycle residences
+     *  (Section 3.2), so it is modelled as applied at once. */
+    void release(unsigned entry, Cycle now);
 
     unsigned numEntries() const { return config_.numEntries; }
     unsigned busyCount() const { return busyCount_; }

@@ -253,8 +253,8 @@ class OracleReplay
     void
     release(unsigned entry)
     {
-        sched_.release(entry, now_,
-                       rng_.nextBool(config_.portFreeProb));
+        rng_(); // SchedulerReplay::release's one draw per release
+        sched_.release(entry, now_);
         OracleSlot &slot = slots_[entry];
         slot.charge(stress_, now_);
         slot.release();
@@ -446,7 +446,7 @@ TEST(SchedulerReplayBatch, LongGapsMatchScalarCounters)
                 rng.nextInt(config.numEntries));
             while (!slots[e].busy)
                 e = (e + 1) % config.numEntries;
-            sched.release(e, now, true);
+            sched.release(e, now);
             slots[e].charge(want, now);
             slots[e].release();
         } else {

@@ -17,12 +17,14 @@
 #include <string>
 #include <vector>
 
+#include "adder/adder.hh"
 #include "cache/timing.hh"
 #include "common/rng.hh"
 #include "core/engine.hh"
 #include "core/experiments.hh"
 #include "core/resultcache.hh"
 #include "core/serialize.hh"
+#include "core/surrogate_sweep.hh"
 #include "scheduler/driver.hh"
 #include "scheduler/profile.hh"
 #include "trace/attack.hh"
@@ -92,6 +94,30 @@ TEST(CacheKey, SchedulerReplayKeyCoversDecisions)
     EXPECT_EQ(key(a), key(a));
     EXPECT_NE(key(a), key(b));
     EXPECT_NE(key(a), key(std::vector<BitDecision>()));
+}
+
+TEST(CacheKey, KeyBytesPinned)
+{
+    // A key that changes without a kResultCacheSalt bump orphans
+    // every stored entry, so the bytes the shared key writers mix
+    // are pinned.  The scheduler key still mixes the retired
+    // port-free probability 0.77.
+    std::vector<BitDecision> decisions(4);
+    decisions[2].technique = Technique::All1K;
+    decisions[2].k = 0.3;
+    const Hash128 sched = schedulerReplayKey(
+        SchedulerConfig(), SchedReplayConfig(), 1000, decisions,
+        0x1234, 7);
+    EXPECT_EQ(sched.lo, 0x6a6ee37290c4e0afULL);
+    EXPECT_EQ(sched.hi, 0xd1c9818648074abaULL);
+
+    AttackConfig attack;
+    attack.dataValue = 0xdeadbeef;
+    attack.hotRegs = 4;
+    const Hash128 candidate =
+        attackCandidateKey(LadnerFischerAdder(32), attack, 2048);
+    EXPECT_EQ(candidate.lo, 0x16f1977f32a325c2ULL);
+    EXPECT_EQ(candidate.hi, 0x6b6a03e86f3b5f5aULL);
 }
 
 // ------------------------------------------------- codec round-trip

@@ -215,7 +215,7 @@ TEST(Scheduler, AllocateReleaseLifecycle)
     const int e = sched.allocate(makeAluUop(5, 3), RenameTags{}, 1);
     ASSERT_GE(e, 0);
     EXPECT_EQ(sched.busyCount(), 1u);
-    sched.release(static_cast<unsigned>(e), 5, true);
+    sched.release(static_cast<unsigned>(e), 5);
     EXPECT_EQ(sched.busyCount(), 0u);
 }
 
@@ -250,7 +250,7 @@ TEST(Scheduler, OccupancyAccounting)
     cfg.numEntries = 4;
     Scheduler sched(cfg);
     const int e = sched.allocate(makeAluUop(1, 1), RenameTags{}, 0);
-    sched.release(static_cast<unsigned>(e), 50, true);
+    sched.release(static_cast<unsigned>(e), 50);
     EXPECT_NEAR(sched.occupancy(100), 50.0 / 400.0, 1e-9);
 }
 
@@ -260,7 +260,7 @@ TEST(Scheduler, ValidBitFollowsBusyState)
     cfg.numEntries = 1;
     Scheduler sched(cfg);
     const int e = sched.allocate(makeAluUop(1, 1), RenameTags{}, 0);
-    sched.release(static_cast<unsigned>(e), 60, true);
+    sched.release(static_cast<unsigned>(e), 60);
     const auto bias = sched.biasVector(100);
     const unsigned valid_off =
         fieldLayout().spec(FieldId::Valid).offset;
@@ -284,7 +284,7 @@ TEST(Scheduler, ProtectionRepairsAll1Field)
     Uop uop = makeAluUop(0, 0); // flags = ZF only
     uop.flags = 0;
     const int e = sched.allocate(uop, RenameTags{}, 0);
-    sched.release(static_cast<unsigned>(e), 10, true);
+    sched.release(static_cast<unsigned>(e), 10);
     const auto bias = sched.biasVector(100);
     // Flags bit 0: 10 cycles at 0 (busy), 90 cycles at 1 (ALL1).
     EXPECT_NEAR(bias[flags.offset], 0.1, 1e-9);
@@ -303,7 +303,7 @@ TEST(Scheduler, UnprotectedKeepsStaleContents)
     tags.ready1 = false; // operand captured: field in use
     tags.ready2 = false;
     const int e = sched.allocate(uop, tags, 0);
-    sched.release(static_cast<unsigned>(e), 10, true);
+    sched.release(static_cast<unsigned>(e), 10);
     const auto bias = sched.biasVector(20);
     const FieldSpec &s1 = fieldLayout().spec(FieldId::Src1Data);
     // Stale ones persist through the idle period.
@@ -331,8 +331,7 @@ TEST(Scheduler, IsvFieldBalancesOverTime)
         ++now;
         while (!live.empty() && live.front().second <= now) {
             sched.release(
-                static_cast<unsigned>(live.front().first), now,
-                true);
+                static_cast<unsigned>(live.front().first), now);
             live.erase(live.begin());
         }
         if ((i % 3) != 0)

@@ -2,10 +2,9 @@
  * @file
  * Tests for the surrogate triage layer: deterministic least-squares
  * fitting, feature sanity, triage selection accounting, the
- * full-audit == --no-surrogate byte-identity contract of the
- * attack-search experiment, top-K argmax coverage on candidate
- * corpora, seed reproducibility and RNG-stream isolation.  The
- * iron rule under test throughout: the surrogate only decides what
+ * attack-search experiment's full audit (no fit, no training
+ * replays), top-K argmax coverage on candidate corpora, seed
+ * reproducibility and RNG-stream isolation.  The iron rule under test throughout: the surrogate only decides what
  * the exact engine evaluates -- every printed figure is exact.
  */
 
@@ -219,16 +218,29 @@ runAttackSearchToString(const ExperimentOptions &options)
     return out.str();
 }
 
-TEST(AttackSearch, FullAuditByteIdenticalToNoSurrogate)
+TEST(AttackSearch, FullAuditFitsAndTrainsNothing)
 {
-    ExperimentOptions disabled = searchOptions();
-    disabled.surrogateEnabled = false;
+    // A full audit prices every proposal exactly, so the surrogate
+    // is never fitted and its training replays never run; the
+    // default audit fraction does both.
+    const obs::ScopedEnable enable;
+    const auto count = [](const char *name) {
+        const obs::Snapshot snap = obs::Registry::instance().scrape();
+        const obs::SnapshotMetric *m = snap.find(name);
+        return m ? m->scalar() : 0;
+    };
+    const std::uint64_t fits = count("surrogate.fits");
+    const std::uint64_t train = count("surrogate.train_evals");
     ExperimentOptions full_audit = searchOptions();
     full_audit.surrogateAuditFraction = 1.0;
-    const std::string a = runAttackSearchToString(disabled);
-    const std::string b = runAttackSearchToString(full_audit);
-    EXPECT_EQ(a, b);
-    EXPECT_NE(a.find("Attack search"), std::string::npos);
+    const std::string out = runAttackSearchToString(full_audit);
+    EXPECT_NE(out.find("Attack search"), std::string::npos);
+    EXPECT_EQ(count("surrogate.fits"), fits);
+    EXPECT_EQ(count("surrogate.train_evals"), train);
+
+    runAttackSearchToString(searchOptions());
+    EXPECT_GT(count("surrogate.fits"), fits);
+    EXPECT_GT(count("surrogate.train_evals"), train);
 }
 
 TEST(AttackSearch, SeedReproducible)
@@ -273,10 +285,8 @@ TEST(SweepCoverage, TopKContainsExactArgmax)
         train_stats);
 
     CandidateSweepConfig exhaustive;
-    exhaustive.triage = false;
     exhaustive.exactSamples = 512;
     CandidateSweepConfig pruned = exhaustive;
-    pruned.triage = true;
     pruned.triageConfig.topK = ExperimentOptions().surrogateTopK;
     pruned.triageConfig.auditFraction = 0.05;
 
@@ -315,7 +325,6 @@ TEST(SweepCoverage, CacheDoesNotChangeResults)
         pool.push_back(randomAttackCandidate(rng));
     }
     CandidateSweepConfig config;
-    config.triage = false;
     config.exactSamples = 256;
 
     ResultCache cache; // in-memory store
@@ -357,7 +366,6 @@ TEST(SweepCoverage, ExplicitNullCacheStaysCacheFree)
         pool.push_back(randomAttackCandidate(rng));
     }
     CandidateSweepConfig config;
-    config.triage = false;
     config.exactSamples = 128;
 
     const ExperimentOptions options;

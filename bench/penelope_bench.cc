@@ -88,7 +88,7 @@ enum class Arg
     Count, ///< an integer in [min, max]
     Real,  ///< a number in [min, max]
     Shard, ///< I/N with N in [min, max] and I < N
-    Text,  ///< one word
+    Text,  ///< one non-empty word
     Rest,  ///< every remaining argument, at least one
 };
 
@@ -304,6 +304,10 @@ readValue(const Flag &flag, int argc, char **argv, int &i, Value &v)
         i = argc - 1;
         return true;
       default: // Arg::Text
+        // An empty path would silently mean "no cache", "the
+        // default file" or "no trace".
+        if (text.empty())
+            return fail(flag.name, " requires a non-empty ", flag.meta);
         v.words.emplace_back(text);
         return true;
     }

@@ -149,8 +149,9 @@ BM_AgingObserveBatch(benchmark::State &state)
 BENCHMARK(BM_AgingObserveBatch);
 
 /** End-to-end batched aging of real operand samples (the Figure-5
- *  real-input path): transpose + netlist batch + popcount observe
- *  per 64 * Netlist::kBatchWords samples. */
+ *  real-input path): collapse to distinct triples, then transpose +
+ *  netlist batch + popcount observe per 64 * Netlist::kBatchWords
+ *  distinct triples. */
 void
 BM_AdderAgingPipeline(benchmark::State &state)
 {

@@ -50,57 +50,161 @@ operandDutyFeatures(const std::vector<OperandSample> &ops,
     return tracker.biasVector();
 }
 
-AdderAgingAnalysis::AdderAgingAnalysis(const Adder &adder,
-                                       const GuardbandModel &model)
-    : adder_(adder), model_(model)
-{
-}
-
 namespace {
 
-/** Operand triple of synthetic input @p index for @p adder. */
-void
-syntheticOperands(const Adder &adder, unsigned index,
-                  std::uint64_t &a, std::uint64_t &b, bool &cin)
+constexpr unsigned kW = Netlist::kBatchWords;
+constexpr std::size_t kPassLanes = std::size_t(64) * kW;
+
+/** The eight synthetic inputs in one batched pass: lane l of word 0
+ *  holds the netlist under synthetic input l (the other lanes carry
+ *  zero operands and are never observed). */
+std::vector<std::uint64_t>
+evaluateSyntheticLanes(const Adder &adder)
 {
-    assert(index < 8);
-    const SyntheticInput &in = syntheticInputs()[index];
     const std::uint64_t ones = adder.width() >= 64
         ? ~std::uint64_t(0)
         : (std::uint64_t(1) << adder.width()) - 1;
-    a = in.inputA ? ones : 0;
-    b = in.inputB ? ones : 0;
-    cin = in.carryIn;
-}
-
-/** One batched pass over all eight synthetic inputs: lane l of
- *  word 0 holds the netlist under synthetic input l (the other
- *  words carry zero operands and are never observed). */
-void
-evaluateSyntheticLanes(const Adder &adder,
-                       std::vector<std::uint64_t> &net_words)
-{
-    constexpr std::size_t lanes = std::size_t(64) * Netlist::kBatchWords;
-    std::uint64_t a[lanes] = {};
-    std::uint64_t b[lanes] = {};
-    std::uint64_t cin_masks[Netlist::kBatchWords] = {};
+    std::uint64_t a[kPassLanes] = {};
+    std::uint64_t b[kPassLanes] = {};
+    std::uint64_t cin_masks[kW] = {};
     for (unsigned l = 0; l < 8; ++l) {
-        bool cin = false;
-        syntheticOperands(adder, l, a[l], b[l], cin);
-        if (cin)
+        const SyntheticInput &in = syntheticInputs()[l];
+        a[l] = in.inputA ? ones : 0;
+        b[l] = in.inputB ? ones : 0;
+        if (in.carryIn)
             cin_masks[0] |= std::uint64_t(1) << l;
     }
+    std::vector<std::uint64_t> net_words;
     adder.evaluateBatch(a, b, cin_masks, net_words);
+    return net_words;
 }
 
-/** Charge the synthetic lanes @p mask selects (all in word 0). */
+/**
+ * Charge lane l of the evaluated pass @p net_words @p counts[l]
+ * times (0: not live), exactly as counts[l] scalar observes of that
+ * lane's operand would.  Lanes that share a multiplicity share one
+ * observeBatch, with the multiplicity as its dt.
+ */
 void
-observeSyntheticLanes(PmosAgingTracker &tracker,
-                      const std::vector<std::uint64_t> &net_words,
-                      std::uint64_t mask)
+observeWeighted(PmosAgingTracker &tracker,
+                const std::vector<std::uint64_t> &net_words,
+                const std::uint64_t *counts, std::size_t lanes)
 {
-    const std::uint64_t lane_masks[Netlist::kBatchWords] = {mask};
-    tracker.observeBatch(net_words.data(), lane_masks);
+    assert(lanes <= kPassLanes);
+    std::uint64_t charged[kW] = {};
+    for (std::size_t l = 0; l < lanes; ++l) {
+        if (counts[l] == 0 || ((charged[l / 64] >> (l % 64)) & 1))
+            continue;
+        std::uint64_t lane_masks[kW] = {};
+        for (std::size_t m = l; m < lanes; ++m) {
+            if (counts[m] == counts[l])
+                lane_masks[m / 64] |= std::uint64_t(1) << (m % 64);
+        }
+        for (unsigned w = 0; w < kW; ++w)
+            charged[w] |= lane_masks[w];
+        tracker.observeBatch(net_words.data(), lane_masks, counts[l]);
+    }
+}
+
+/** Charge the synthetic lane (in @p synthetic_words) of every index
+ *  in @p indices once per occurrence, so a repeated index is a lane
+ *  of multiplicity 2 or more. */
+void
+observeRotation(PmosAgingTracker &tracker,
+                const std::vector<std::uint64_t> &synthetic_words,
+                const std::vector<unsigned> &indices)
+{
+    std::uint64_t counts[8] = {};
+    for (unsigned index : indices) {
+        assert(index < 8);
+        ++counts[index];
+    }
+    observeWeighted(tracker, synthetic_words, counts, 8);
+}
+
+/** One distinct (a, b, cin) triple and how many samples carry it. */
+struct WeightedOperand
+{
+    OperandSample op;
+    std::uint64_t count;
+};
+
+bool
+sameOperand(const OperandSample &x, const OperandSample &y)
+{
+    return x.a == y.a && x.b == y.b && x.cin == y.cin;
+}
+
+/** Table slot of a triple: MurmurHash3's 64-bit finalizer. */
+std::size_t
+operandHash(const OperandSample &op)
+{
+    std::uint64_t h = (std::uint64_t(op.a) << 32 | op.b) ^
+        (op.cin ? 0x9e3779b97f4a7c15ULL : 0);
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return static_cast<std::size_t>(h);
+}
+
+/**
+ * The distinct triples of @p ops with their multiplicities.  The
+ * lookup is an open-addressing table of indices into the result,
+ * kept at most half full, so it grows with the number of distinct
+ * triples rather than with the sample count.  Repeated triples come
+ * first, by descending count, so equal multiplicities sit in
+ * adjacent lanes of one pass.
+ */
+std::vector<WeightedOperand>
+distinctOperands(const std::vector<OperandSample> &ops)
+{
+    constexpr std::uint32_t empty = ~std::uint32_t(0);
+    std::vector<WeightedOperand> distinct;
+    std::vector<std::uint32_t> table(16, empty);
+    const auto probe = [&](const OperandSample &op) {
+        const std::size_t mask = table.size() - 1;
+        std::size_t i = operandHash(op) & mask;
+        while (table[i] != empty) {
+            if (sameOperand(distinct[table[i]].op, op))
+                break;
+            i = (i + 1) & mask;
+        }
+        return i;
+    };
+    std::size_t last = 0;
+    for (const OperandSample &op : ops) {
+        // A run of equal samples (the common case of an attack
+        // stream) skips the lookup.
+        if (!distinct.empty() && sameOperand(distinct[last].op, op)) {
+            ++distinct[last].count;
+            continue;
+        }
+        const std::size_t i = probe(op);
+        if (table[i] != empty) {
+            last = table[i];
+            ++distinct[last].count;
+            continue;
+        }
+        last = distinct.size();
+        table[i] = static_cast<std::uint32_t>(last);
+        distinct.push_back({op, 1});
+        if (2 * distinct.size() > table.size()) {
+            table.assign(2 * table.size(), empty);
+            for (std::size_t d = 0; d < distinct.size(); ++d)
+                table[probe(distinct[d].op)] =
+                    static_cast<std::uint32_t>(d);
+        }
+    }
+    const auto repeated = std::partition(
+        distinct.begin(), distinct.end(),
+        [](const WeightedOperand &d) { return d.count > 1; });
+    std::sort(distinct.begin(), repeated,
+              [](const WeightedOperand &x, const WeightedOperand &y) {
+                  return x.count > y.count;
+              });
+    return distinct;
 }
 
 std::vector<double>
@@ -113,6 +217,13 @@ trackerProbs(const PmosAgingTracker &tracker)
 }
 
 } // namespace
+
+AdderAgingAnalysis::AdderAgingAnalysis(const Adder &adder,
+                                       const GuardbandModel &model)
+    : adder_(adder), model_(model),
+      syntheticWords_(evaluateSyntheticLanes(adder))
+{
+}
 
 std::vector<double>
 AdderAgingAnalysis::zeroProbsForInput(unsigned index) const
@@ -130,19 +241,9 @@ std::vector<double>
 AdderAgingAnalysis::zeroProbsForInputs(
     const std::vector<unsigned> &indices) const
 {
-    assert(!indices.empty() && indices.size() <= 64);
-    std::vector<std::uint64_t> words;
-    evaluateSyntheticLanes(adder_, words);
-    // Round-robin over the requested inputs: each occurrence
-    // selects its synthetic lane once (a repeated index charges its
-    // lane repeatedly, matching one applyInput per occurrence --
-    // observeBatch per occurrence keeps the integer sums identical).
+    assert(!indices.empty());
     PmosAgingTracker tracker(adder_.netlist());
-    for (unsigned index : indices) {
-        assert(index < 8);
-        observeSyntheticLanes(tracker, words,
-                              std::uint64_t(1) << index);
-    }
+    observeRotation(tracker, syntheticWords_, indices);
     return trackerProbs(tracker);
 }
 
@@ -150,43 +251,40 @@ std::vector<double>
 AdderAgingAnalysis::zeroProbsForOperands(
     const std::vector<OperandSample> &ops) const
 {
-    // One op-stream pass covers kBatchWords * 64 operand samples.
-    // Padding lanes carry zero operands and are masked out of the
-    // accounting, so the per-device counts -- hence the returned
-    // probabilities -- do not depend on the chunking.
-    constexpr unsigned W = Netlist::kBatchWords;
-    constexpr std::size_t chunk = std::size_t(64) * W;
+    // The per-device counts depend only on the multiset of samples,
+    // so each distinct triple takes one lane, charged with its
+    // multiplicity: a constant-valued attack stream of 2048 samples
+    // is one pass over 2 live lanes, a workload stream (mostly
+    // distinct samples) about one lane per sample.  Padding lanes
+    // carry zero operands and are never observed, so the counts --
+    // hence the returned probabilities -- are the integers one
+    // scalar observe per sample would add.
+    const std::vector<WeightedOperand> distinct = distinctOperands(ops);
     PmosAgingTracker tracker(adder_.netlist());
     std::vector<std::uint64_t> words;
-    std::uint64_t a[chunk];
-    std::uint64_t b[chunk];
-    std::uint64_t cin_masks[W];
-    std::uint64_t lane_masks[W];
-    for (std::size_t begin = 0; begin < ops.size(); begin += chunk) {
-        const std::size_t count =
-            std::min<std::size_t>(chunk, ops.size() - begin);
-        std::fill(cin_masks, cin_masks + W, 0);
-        for (std::size_t l = 0; l < count; ++l) {
-            const OperandSample &op = ops[begin + l];
-            a[l] = op.a;
-            b[l] = op.b;
-            if (op.cin)
+    std::uint64_t a[kPassLanes];
+    std::uint64_t b[kPassLanes];
+    std::uint64_t counts[kPassLanes];
+    std::uint64_t cin_masks[kW];
+    for (std::size_t begin = 0; begin < distinct.size();
+         begin += kPassLanes) {
+        const std::size_t lanes =
+            std::min(kPassLanes, distinct.size() - begin);
+        std::fill(cin_masks, cin_masks + kW, 0);
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const WeightedOperand &d = distinct[begin + l];
+            a[l] = d.op.a;
+            b[l] = d.op.b;
+            counts[l] = d.count;
+            if (d.op.cin)
                 cin_masks[l / 64] |= std::uint64_t(1) << (l % 64);
         }
-        std::fill(a + count, a + chunk, 0);
-        std::fill(b + count, b + chunk, 0);
-        for (unsigned w = 0; w < W; ++w) {
-            const std::size_t word_lanes = count <= w * 64
-                ? 0
-                : std::min<std::size_t>(64, count - w * 64);
-            lane_masks[w] = word_lanes == 64
-                ? ~std::uint64_t(0)
-                : (std::uint64_t(1) << word_lanes) - 1;
-        }
+        std::fill(a + lanes, a + kPassLanes, 0);
+        std::fill(b + lanes, b + kPassLanes, 0);
         PENELOPE_OBS_COUNTER("netlist.lanes_used", "lanes")
-            .add(count);
+            .add(lanes);
         adder_.evaluateBatch(a, b, cin_masks, words);
-        tracker.observeBatch(words.data(), lane_masks);
+        observeWeighted(tracker, words, counts, lanes);
     }
     return trackerProbs(tracker);
 }
@@ -194,19 +292,15 @@ AdderAgingAnalysis::zeroProbsForOperands(
 std::vector<PairSweepEntry>
 AdderAgingAnalysis::sweepPairs() const
 {
-    // One batched netlist pass covers all eight synthetic inputs;
-    // each pair then reduces its two lanes.  The per-pair counts
-    // (and therefore the Figure-4 fractions) are exactly those of
-    // 28 independent two-input trackers.
-    std::vector<std::uint64_t> words;
-    evaluateSyntheticLanes(adder_, words);
+    // Each pair reduces its two lanes of the synthetic pass; the
+    // per-pair counts (and therefore the Figure-4 fractions) are
+    // exactly those of 28 independent two-input trackers.
     std::vector<PairSweepEntry> entries;
     PmosAgingTracker tracker(adder_.netlist());
     for (const InputPair &pair : allInputPairs()) {
         tracker.reset();
-        observeSyntheticLanes(tracker, words,
-                              (std::uint64_t(1) << pair.first) |
-                                  (std::uint64_t(1) << pair.second));
+        observeRotation(tracker, syntheticWords_,
+                        {pair.first, pair.second});
         const AgingSummary s = summarize(trackerProbs(tracker));
         entries.push_back({pair, s.narrowFullyStressedFraction});
     }

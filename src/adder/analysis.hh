@@ -94,15 +94,25 @@ class AdderAgingAnalysis
 
     /**
      * Per-device zero probability under a round-robin rotation of
-     * arbitrary synthetic inputs (one lane each, evaluated in a
-     * single batched netlist pass).  zeroProbsForInput/-Pair are
-     * the one- and two-element forms.
+     * arbitrary synthetic inputs.  The eight synthetic inputs are
+     * evaluated once, at construction; each rotation charges their
+     * lanes with their number of occurrences.  zeroProbsForInput
+     * and -Pair are the one- and two-element forms.
      */
     std::vector<double>
     zeroProbsForInputs(const std::vector<unsigned> &indices) const;
 
-    /** Per-device zero probability under real operand samples
-     *  (batched 64 samples per netlist pass). */
+    /**
+     * Per-device zero probability under real operand samples.  The
+     * result depends only on the multiset of samples, so each
+     * distinct (a, b, cin) triple is evaluated once, in one lane of
+     * a 256-lane netlist pass, and charged its multiplicity: the
+     * per-device zero times and the total are the integers one
+     * scalar observe per sample would add, so every probability is
+     * bit-identical to that.  A constant-valued attack stream of
+     * 2048 samples (2 distinct triples) is one pass; a workload
+     * stream, mostly distinct, about one lane per sample.
+     */
     std::vector<double>
     zeroProbsForOperands(const std::vector<OperandSample> &ops) const;
 
@@ -155,6 +165,10 @@ class AdderAgingAnalysis
   private:
     const Adder &adder_;
     GuardbandModel model_;
+
+    /** Net lane words of the one synthetic-input pass (lane l of
+     *  word 0 is synthetic input l), evaluated at construction. */
+    const std::vector<std::uint64_t> syntheticWords_;
 };
 
 template <class Gen>

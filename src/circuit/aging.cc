@@ -1,7 +1,6 @@
 #include "aging.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <vector>
 
@@ -26,28 +25,46 @@ PmosAgingTracker::observe(const std::vector<std::uint8_t> &signals,
     totalTime_ += dt;
 }
 
+namespace {
+
+/** Set bits of @p x.  std::popcount on the baseline x86-64 target
+ *  is an out-of-line libgcc call, which made it most of
+ *  observeBatch's cost; this form inlines on every target. */
+inline std::uint64_t
+popcount64(std::uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) +
+        ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return (x * 0x0101010101010101ULL) >> 56;
+}
+
+} // namespace
+
 void
 PmosAgingTracker::observeBatch(const std::uint64_t *net_words,
                                const std::uint64_t *lane_masks,
                                std::uint64_t dt)
 {
-    // A net's zero lanes are the clear bits of its words.
+    // A net's zero lanes are the clear bits of its words.  Words
+    // past the last non-empty mask are skipped: a pass that carries
+    // only a few lanes touches only the words they sit in.
     constexpr unsigned W = Netlist::kBatchWords;
+    unsigned live = W;
+    while (live > 0 && lane_masks[live - 1] == 0)
+        --live;
     std::uint64_t lanes = 0;
-    for (unsigned w = 0; w < W; ++w) {
-        lanes += static_cast<std::uint64_t>(
-            std::popcount(lane_masks[w]));
-    }
+    for (unsigned w = 0; w < live; ++w)
+        lanes += popcount64(lane_masks[w]);
     if (lanes == 0 || dt == 0)
         return;
     for (std::size_t s = 0; s < slotNet_.size(); ++s) {
         const std::uint64_t *words =
             net_words + std::size_t(slotNet_[s]) * W;
         std::uint64_t zeros = 0;
-        for (unsigned w = 0; w < W; ++w) {
-            zeros += static_cast<std::uint64_t>(
-                std::popcount(~words[w] & lane_masks[w]));
-        }
+        for (unsigned w = 0; w < live; ++w)
+            zeros += popcount64(~words[w] & lane_masks[w]);
         slotZeroTime_[s] += zeros * dt;
     }
     totalTime_ += lanes * dt;

@@ -7,11 +7,17 @@
  * Netlist::kBatchWords words), batched adder sums against scalar
  * sums, batched-vs-scalar aging identity on the Figure-2 circuit,
  * random netlists (empty and partial lane-mask words, dt > 1) and
- * the Ladner-Fischer adder, and the idempotent-finalize contract.
+ * the Ladner-Fischer adder (workload, attack and repeated operand
+ * streams, whose distinct triples are priced once with their
+ * multiplicities), and the idempotent-finalize contract.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "adder/adder.hh"
@@ -21,6 +27,7 @@
 #include "circuit/netlist.hh"
 #include "common/bitword.hh"
 #include "common/rng.hh"
+#include "core/surrogate_sweep.hh"
 #include "trace/workload.hh"
 
 namespace penelope {
@@ -338,6 +345,34 @@ TEST(AgingBatch, Figure2SummaryIdentity)
                              batched.summarize(model));
 }
 
+/** Per-device zero probabilities of one scalar applyInput per
+ *  sample of @p ops: the oracle of zeroProbsForOperands. */
+std::vector<double>
+scalarOperandProbs(const Adder &adder,
+                   const std::vector<OperandSample> &ops)
+{
+    PmosAgingTracker scalar(adder.netlist());
+    std::vector<bool> in;
+    for (const auto &op : ops) {
+        adder.fillInputVector(in, op.a, op.b, op.cin);
+        scalar.applyInput(in);
+    }
+    std::vector<double> probs(scalar.numDevices());
+    for (std::size_t i = 0; i < probs.size(); ++i)
+        probs[i] = scalar.zeroProb(i);
+    return probs;
+}
+
+/** Number of distinct (a, b, cin) triples in @p ops. */
+std::size_t
+distinctTriples(const std::vector<OperandSample> &ops)
+{
+    std::set<std::tuple<std::uint32_t, std::uint32_t, bool>> seen;
+    for (const auto &op : ops)
+        seen.insert({op.a, op.b, op.cin});
+    return seen.size();
+}
+
 TEST(AgingBatch, LadnerFischerOperandIdentity)
 {
     // The Figure-5 real-input path: batched zeroProbsForOperands
@@ -351,16 +386,56 @@ TEST(AgingBatch, LadnerFischerOperandIdentity)
     AdderAgingAnalysis analysis(adder,
                                 GuardbandModel::paperCalibrated());
     const auto batched = analysis.zeroProbsForOperands(ops);
-
-    PmosAgingTracker scalar(adder.netlist());
-    std::vector<bool> in;
-    for (const auto &op : ops) {
-        adder.fillInputVector(in, op.a, op.b, op.cin);
-        scalar.applyInput(in);
-    }
-    ASSERT_EQ(batched.size(), scalar.numDevices());
+    const auto scalar = scalarOperandProbs(adder, ops);
+    ASSERT_EQ(batched.size(), scalar.size());
     for (std::size_t i = 0; i < batched.size(); ++i)
-        EXPECT_EQ(batched[i], scalar.zeroProb(i)) << "device " << i;
+        EXPECT_EQ(batched[i], scalar[i]) << "device " << i;
+}
+
+TEST(AgingBatch, RepeatedOperandIdentity)
+{
+    // zeroProbsForOperands prices each distinct triple once and
+    // charges its multiplicity; the result must still equal one
+    // scalar applyInput per sample.
+    LadnerFischerAdder adder(32);
+    AdderAgingAnalysis analysis(adder,
+                                GuardbandModel::paperCalibrated());
+    std::vector<std::pair<std::string, std::vector<OperandSample>>>
+        cases;
+
+    // (a) An attack candidate: a constant-valued stream, 2 distinct
+    // triples (add and subtract) over 2048 samples.
+    Rng rng(0xa77ac);
+    cases.emplace_back(
+        "attack", candidateOperands(randomAttackCandidate(rng), 2048));
+    EXPECT_EQ(distinctTriples(cases.back().second), 2u);
+
+    // (b) A workload stream with every sample repeated one to three
+    // times and shuffled: more than one pass of distinct triples,
+    // with mixed multiplicities in the same pass.
+    WorkloadSet workload;
+    TraceGenerator gen = workload.generator(5);
+    const auto base = collectAdderOperands(gen, 400);
+    std::vector<OperandSample> repeated;
+    for (std::size_t i = 0; i < base.size(); ++i)
+        repeated.insert(repeated.end(), 1 + i % 3, base[i]);
+    for (std::size_t i = repeated.size(); i > 1; --i)
+        std::swap(repeated[i - 1], repeated[rng.nextInt(i)]);
+    EXPECT_GT(distinctTriples(repeated), kBatchLanes);
+    cases.emplace_back("repeated workload", repeated);
+
+    // (c) A single sample.
+    cases.emplace_back("single",
+                       std::vector<OperandSample>{{0x1234u, 0xffu, true}});
+
+    for (const auto &[label, ops] : cases) {
+        const auto batched = analysis.zeroProbsForOperands(ops);
+        const auto scalar = scalarOperandProbs(adder, ops);
+        ASSERT_EQ(batched.size(), scalar.size()) << label;
+        for (std::size_t i = 0; i < batched.size(); ++i)
+            EXPECT_EQ(batched[i], scalar[i])
+                << label << " device " << i;
+    }
 }
 
 TEST(AgingBatch, SyntheticRotationIdentity)
@@ -371,7 +446,7 @@ TEST(AgingBatch, SyntheticRotationIdentity)
     AdderAgingAnalysis analysis(adder,
                                 GuardbandModel::paperCalibrated());
     const std::vector<std::vector<unsigned>> rotations = {
-        {0}, {7}, {0, 7}, {2, 5}, {0, 7, 3, 4}};
+        {0}, {7}, {0, 7}, {2, 5}, {0, 7, 3, 4}, {0, 7, 0, 3, 0, 3}};
     for (const auto &rotation : rotations) {
         const auto batched = analysis.zeroProbsForInputs(rotation);
         PmosAgingTracker scalar(adder.netlist());
